@@ -849,6 +849,13 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
     elif len(data.patch_norms) != big_l + 1:
         rows["ledent_main"] = BoundReport.missing(
             "ledent_main", f"needs {big_l + 1} patch norms, got {len(data.patch_norms)}")
+    elif big_l > 1 and min(data.patch_norms[1:]) == 0:
+        # A dead layer (all activations zero) leaves 0 * inf terms: the
+        # bound divides by every patch norm after the input.
+        dead = data.patch_norms.index(0.0, 1)
+        rows["ledent_main"] = BoundReport.missing(
+            "ledent_main", f"patch norm {dead} is zero and the bound "
+            "divides by it")
     else:
         b_vals = data.patch_norms
         lg_r, parts = [], []

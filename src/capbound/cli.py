@@ -186,8 +186,15 @@ def write_checkpoint(path: str, weights: dict, references: dict,
         fh.write(b"".join(chunks))
 
 
+def _is_int(value) -> bool:
+    """JSON integer; JSON true/false parse as Python bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _manifest_entry(raw: dict, index: int) -> TensorEntry:
     where = f"manifest tensor #{index}"
+    if not isinstance(raw, dict):
+        raise UsageError(f"{where} must be a JSON object")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise UsageError(f"{where} has no usable name")
@@ -200,13 +207,13 @@ def _manifest_entry(raw: dict, index: int) -> TensorEntry:
         raise UsageError(f"{where}: dtype must be f32 or f64, got {dtype!r}")
     shape = raw.get("shape")
     if (not isinstance(shape, list) or not shape
-            or any(not isinstance(v, int) or v < 1 for v in shape)):
+            or any(not _is_int(v) or v < 1 for v in shape)):
         raise UsageError(f"{where}: shape must be a list of positive ints")
     off, length = raw.get("byte_offset"), raw.get("byte_length")
-    if not isinstance(off, int) or off < 0:
+    if not _is_int(off) or off < 0:
         raise UsageError(f"{where}: byte_offset must be a non-negative int")
-    expected = int(np.prod(shape)) * _DTYPES[dtype].itemsize
-    if length != expected:
+    expected = math.prod(shape) * _DTYPES[dtype].itemsize
+    if not _is_int(length) or length != expected:
         raise UsageError(
             f"{where}: byte_length {length} != product(shape)*itemsize {expected}")
     reference = raw.get("reference")
@@ -243,7 +250,10 @@ def read_checkpoint(path: str) -> Checkpoint:
         manifest = json.loads(body[:manifest_bytes].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"manifest does not parse: {exc}") from exc
-    if manifest.get("format_version") != CKPT_VERSION:
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest must be a JSON object")
+    version = manifest.get("format_version")
+    if not _is_int(version) or version != CKPT_VERSION:
         raise UsageError("manifest format_version mismatch")
     raw_entries = manifest.get("tensors")
     if not isinstance(raw_entries, list) or not raw_entries:
@@ -287,7 +297,7 @@ def read_checkpoint(path: str) -> Checkpoint:
     arrays = {}
     for e in entries:
         flat = np.frombuffer(payload, dtype=_DTYPES[e.dtype],
-                             count=int(np.prod(e.shape)), offset=e.byte_offset)
+                             count=math.prod(e.shape), offset=e.byte_offset)
         arrays[e.name] = flat.reshape(e.shape).copy()
     return Checkpoint(entries=entries, arrays=arrays)
 
@@ -361,6 +371,8 @@ class ArchGraph:
 def _bound(raw, name: str, field: str) -> float:
     if raw is None:
         return math.inf
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise UsageError(f"block {name!r}: {field} must be a number")
     value = float(raw)
     if not value > 0:
         raise UsageError(f"block {name!r}: {field} must be > 0 when given")
@@ -374,14 +386,15 @@ def parse_archdoc(text: str) -> ArchGraph:
         raise UsageError(f"architecture document does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("architecture document must be a JSON object")
-    if doc.get("format_version") != ARCH_VERSION:
+    version = doc.get("format_version")
+    if not _is_int(version) or version != ARCH_VERSION:
         raise UsageError("architecture document format_version mismatch")
     inp = doc.get("input")
     if (not isinstance(inp, list) or len(inp) != 3
-            or any(not isinstance(v, int) or v < 1 for v in inp)):
+            or any(not _is_int(v) or v < 1 for v in inp)):
         raise UsageError("input must be [channels, height, width], all >= 1")
     kappa = doc.get("kappa")
-    if not isinstance(kappa, int) or kappa < 2:
+    if not _is_int(kappa) or kappa < 2:
         raise UsageError("kappa must be an int >= 2")
     raw_blocks = doc.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
@@ -401,15 +414,15 @@ def parse_archdoc(text: str) -> ArchGraph:
         seen.add(name)
         c_out = raw.get("c_out")
         k = raw.get("k")
-        if not isinstance(c_out, int) or c_out < 1:
+        if not _is_int(c_out) or c_out < 1:
             raise UsageError(f"block {name!r}: c_out must be an int >= 1")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise UsageError(f"block {name!r}: k must be an int >= 1")
         stride = raw.get("stride", 1)
-        if isinstance(stride, int):
+        if _is_int(stride):
             strides = (stride, stride)
         elif (isinstance(stride, list) and len(stride) == 2
-              and all(isinstance(v, int) for v in stride)):
+              and all(_is_int(v) for v in stride)):
             strides = tuple(stride)
         else:
             raise UsageError(f"block {name!r}: stride must be an int or [sh, sw]")

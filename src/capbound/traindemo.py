@@ -13,7 +13,8 @@ import numpy as np
 
 from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
     ComparisonLayerStats, LayerRecord
-from .convop import ConvSpec, conv_adjoint_batch, conv_forward_batch
+from .convop import ConvSpec, conv_adjoint_batch, conv_forward_batch, \
+    conv_windows
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
 from .project import ConstraintSet, alternating_projections, \
@@ -130,12 +131,16 @@ def simplex_classifier(kappa: int, dim: int) -> np.ndarray:
 
 class Relu:
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        self.kink_margin = float(np.abs(x).min()) if x.size else math.inf
-        return x * self._mask
+        self._x = x
+        return x * (x > 0)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return g * self._mask
+        return g * (self._x > 0)
+
+    @property
+    def kink_margin(self) -> float:
+        """Smallest |preactivation| of the last forward (computed on read)."""
+        return float(np.abs(self._x).min()) if self._x.size else math.inf
 
 
 def _pool_plan(h: int, w: int, size: int, stride: int, centered: bool):
@@ -159,25 +164,33 @@ class MaxPool:
         self.out_h, self.out_w, self._idx = _pool_plan(h, w, size, stride,
                                                        centered)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+    def _windows(self, x: np.ndarray) -> np.ndarray:
         n, c = x.shape[:2]
-        windows = x.reshape(n, c, self._h * self._w)[:, :, self._idx]
-        self._arg = windows.argmax(axis=-1)
+        return x.reshape(n, c, self._h * self._w)[:, :, self._idx]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
+        return self._windows(x).max(axis=-1)
+
+    @property
+    def kink_margin(self) -> float:
+        """Smallest gap between a window's top two entries in the last
+        forward (computed on read)."""
+        windows = self._windows(self._x)
         top2 = np.partition(windows, windows.shape[-1] - 2, axis=-1)
-        self.kink_margin = float((top2[..., -1] - top2[..., -2]).min())
-        return np.take_along_axis(windows, self._arg[..., None],
-                                  axis=-1)[..., 0]
+        return float((top2[..., -1] - top2[..., -2]).min())
 
     def backward(self, g: np.ndarray) -> np.ndarray:
+        # Only training reads the winners, so forward does not locate them.
+        arg = self._windows(self._x).argmax(axis=-1)
         n, c = g.shape[:2]
         taps = self._idx.shape[-1]
         broad = np.broadcast_to(self._idx, (n, c, self.out_h, self.out_w, taps))
-        pos = np.take_along_axis(broad, self._arg[..., None], axis=-1)[..., 0]
+        pos = np.take_along_axis(broad, arg[..., None], axis=-1)[..., 0]
         dx = np.zeros((n, c, self._h * self._w))
         np.add.at(dx, (np.arange(n)[:, None, None, None],
                        np.arange(c)[None, :, None, None], pos), g)
-        return dx.reshape(self._shape)
+        return dx.reshape(self._x.shape)
 
 
 class DoublingShortcut:
@@ -222,12 +235,10 @@ class ConvLayer:
         return conv_forward_batch(KernelTensor(self.kernel), self.spec, x)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        c_out, c_in, k_h, k_w = self.kernel.shape
-        for a in range(k_h):
-            for b in range(k_w):
-                rolled = np.roll(self._x, (-(a - k_h // 2), -(b - k_w // 2)),
-                                 axis=(2, 3))
-                self.grad[:, :, a, b] += np.einsum("nopq,nrpq->or", g, rolled)
+        # The output is linear in the kernel, with the forward's windows as
+        # coefficients: grad[o,i,a,b] = sum_{n,x,y} g[n,o,x,y] win[n,i,x,y,a,b].
+        windows = conv_windows(self.spec, self._x)
+        self.grad += np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
         return conv_adjoint_batch(KernelTensor(self.kernel), self.spec, g)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -504,6 +505,33 @@ def test_comparison_survives_extreme_magnitudes():
     assert ney.value == math.inf
     assert ney.log10_value > 400
     assert math.isfinite(rows["ours_clubs"].log10_value)
+
+
+def row_is_consistent(rep):
+    if rep.absent:
+        return bool(rep.reason) and rep.log10_value is None
+    if rep.saturated:
+        return rep.value == math.inf and rep.log10_value == math.inf
+    if rep.value == 0:
+        return rep.log10_value == -math.inf
+    return math.log10(rep.value) == pytest.approx(rep.log10_value, rel=1e-12)
+
+
+def test_comparison_dead_layer_zero_patch_norm():
+    # A dead net: the last conv block and the logits are all zero, and the
+    # head sits at its reference (frob_diff 0), as a collapsed training run
+    # leaves them. The patch-norm row must not turn 0 * inf into a NaN.
+    stats = [full_stats(), full_stats(lip=1.1),
+             full_stats(sum_out_l2_diff=0.0, frob_diff=0.0)]
+    data = replace(full_data(3), patch_norms=(5.0, 6.0, 0.0, 0.0))
+    rows = comparison_suite(stats, data, n=1000, gamma=0.5, kappa=10)
+    for name, rep in rows.items():
+        assert rep.log10_value is None or not math.isnan(rep.log10_value), name
+        assert row_is_consistent(rep), name
+    assert rows["ledent_main"].absent
+    assert "patch norm 2 is zero" in rows["ledent_main"].reason
+    assert not rows["ledent_fixed"].absent
+    assert math.isfinite(rows["ledent_fixed"].log10_value)
 
 
 def test_comparison_validation():

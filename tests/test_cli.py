@@ -115,8 +115,10 @@ def test_checkpoint_writer_rejects_bad_inputs(tmp_path):
         write_checkpoint(path, {"a": good}, {"a": ZERO_REFERENCE}, dtype="f16")
 
 
-def _raw_ckpt(path, entries, payload: bytes):
-    manifest = json.dumps({"format_version": 1, "tensors": entries}).encode()
+def _raw_ckpt(path, entries, payload: bytes, doc=None):
+    if doc is None:
+        doc = {"format_version": 1, "tensors": entries}
+    manifest = json.dumps(doc).encode()
     with open(path, "wb") as fh:
         fh.write(f"CAPBOUND-CKPT v1 manifest_bytes={len(manifest)}\n".encode())
         fh.write(manifest)
@@ -169,6 +171,37 @@ def test_checkpoint_reader_diagnostics_name_the_tensor(tmp_path):
 
     _raw_ckpt(path, [_entry("w", dtype="f19")], eight)
     with pytest.raises(UsageError, match="dtype"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_reader_rejects_bad_json_types(tmp_path):
+    path = str(tmp_path / "bad.ckpt")
+    eight = bytes(8)
+    cases = [
+        [_entry("w", shape=(True,))],                  # bool as a dimension
+        [_entry("w", shape=(1, True, 1, 1))],
+        [_entry("w", off=False)],
+        [_entry("w", length=8.0)],
+        # 2**64 elements wrap to 0 in a fixed-width product
+        [_entry("w", shape=(2**32, 2**32), length=0)],
+        [["w", "weight"]],                             # entry not an object
+    ]
+    for entries in cases:
+        _raw_ckpt(path, entries, eight)
+        with pytest.raises(UsageError):
+            read_checkpoint(path)
+        rc, _, err = run_cli(["spectra", path, path])
+        assert rc == 1 and err.startswith("error:"), entries
+    _raw_ckpt(path, [_entry("w", shape=(2**32, 2**32), length=8 * 2**64)],
+              eight)
+    with pytest.raises(UsageError, match="past the payload"):
+        read_checkpoint(path)
+    _raw_ckpt(path, None, b"", doc=[1])
+    with pytest.raises(UsageError, match="object"):
+        read_checkpoint(path)
+    _raw_ckpt(path, None, eight,
+              doc={"format_version": True, "tensors": [_entry("w")]})
+    with pytest.raises(UsageError, match="format_version"):
         read_checkpoint(path)
 
 
@@ -253,6 +286,32 @@ def test_archdoc_validation():
             "blocks": [{"name": "a", "c_out": 1, "k": 3}]}
     with pytest.raises(UsageError, match="simplex"):
         parse_archdoc(json.dumps(tiny))
+
+
+def test_archdoc_rejects_json_booleans_and_non_numbers(tmp_path):
+    base = {"format_version": 1, "input": [1, 8, 8], "kappa": 2,
+            "blocks": [{"name": "a", "c_out": 2, "k": 3}]}
+    block = base["blocks"][0]
+    bad_docs = [
+        {**base, "format_version": True},
+        {**base, "input": [True, 8, 8]},
+        {**base, "kappa": True},
+        {**base, "blocks": [{**block, "k": True}]},
+        {**base, "blocks": [{**block, "c_out": True}]},
+        {**base, "blocks": [{**block, "stride": True}]},
+        {**base, "blocks": [{**block, "stride": [1, False]}]},
+        {**base, "blocks": [{**block, "s": True}]},
+        {**base, "blocks": [{**block, "b": "wide"}]},
+        {**base, "blocks": [{**block, "s": [2.0]}]},
+    ]
+    ckpt, _, _, _ = write_demo_pair(tmp_path)
+    arch = tmp_path / "bad_arch.json"
+    for doc in bad_docs:
+        with pytest.raises(UsageError):
+            parse_archdoc(json.dumps(doc))
+        arch.write_text(json.dumps(doc))
+        rc, _, err = run_cli(["spectra", ckpt, str(arch)])
+        assert rc == 1 and err.startswith("error:"), doc
 
 
 def test_resolve_tensors_diagnostics(tmp_path):

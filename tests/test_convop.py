@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capbound.convop import (
     ConvSpec,
     conv_adjoint,
+    conv_adjoint_batch,
     conv_forward,
     conv_forward_batch,
+    conv_windows,
     materialize,
     mk_norm_identities,
 )
 from capbound.errors import ResourceError, UsageError
 from capbound.tensors import KernelTensor
+from capbound.traindemo import ConvLayer
 
 from oracles import loop_conv
 
@@ -218,3 +221,63 @@ def test_norm_identities_reject_bad_geometry():
         mk_norm_identities(kern, ConvSpec((1, 4, 6), (2, 2), (1, 1), "circular"))
     with pytest.raises(UsageError):
         mk_norm_identities(kern, ConvSpec((1, 6, 6), (2, 2), (4, 4), "circular"))
+
+
+@st.composite
+def geometries(draw):
+    padding = draw(st.sampled_from(["circular", "zero_same"]))
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7))
+    k_cap = (h, w) if padding == "circular" else (5, 5)
+    k_h = draw(st.integers(1, k_cap[0]))
+    k_w = draw(st.integers(1, k_cap[1]))
+    strides = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]))
+    c_in = draw(st.integers(1, 3))
+    c_out = draw(st.integers(1, 3))
+    return (padding, (c_in, h, w), (k_h, k_w), strides, c_out,
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometries())
+@example(("zero_same", (1, 5, 5), (3, 3), (2, 2), 2, 2, 1))
+@example(("zero_same", (2, 3, 6), (4, 2), (1, 2), 1, 3, 2))      # k > h
+@example(("circular", (1, 6, 4), (2, 4), (2, 1), 3, 2, 3))       # even, k == w
+@example(("circular", (3, 4, 4), (4, 4), (1, 1), 2, 2, 4))       # k == h
+@example(("circular", (1, 5, 7), (3, 2), (2, 2), 2, 3, 5))       # c_in 1
+def test_windowed_route_matches_dense_operator(case):
+    padding, shape, kshape, strides, c_out, n, seed = case
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec(shape, kshape, strides, padding)
+    kern = KernelTensor(rng.standard_normal((c_out, shape[0]) + kshape))
+    m = materialize(kern, spec).entries
+    xs = rng.standard_normal((n,) + shape)
+    ys = rng.standard_normal((n, c_out) + spec.out_spatial)
+    flat_x, flat_y = xs.reshape(n, -1), ys.reshape(n, -1)
+    tol = dict(rtol=1e-12, atol=1e-12)
+
+    fwd = conv_forward_batch(kern, spec, xs)
+    np.testing.assert_allclose(fwd.reshape(n, -1), flat_x @ m.T, **tol)
+    adj = conv_adjoint_batch(kern, spec, ys)
+    np.testing.assert_allclose(adj.reshape(n, -1), flat_y @ m, **tol)
+    for t in range(n):
+        np.testing.assert_allclose(conv_forward(kern, spec, xs[t]).ravel(),
+                                   m @ flat_x[t], **tol)
+        single = conv_adjoint(kern, spec, ys[t])
+        np.testing.assert_allclose(single.ravel(), m.T @ flat_y[t], **tol)
+        np.testing.assert_allclose(adj[t], single, **tol)
+
+    # d <ys, conv(K, xs)> / dK: the operator of a one-tap kernel, densely
+    want = np.zeros(kern.shape)
+    for idx in np.ndindex(kern.shape):
+        unit = np.zeros(kern.shape)
+        unit[idx] = 1.0
+        tap = materialize(KernelTensor(unit), spec).entries
+        want[idx] = np.einsum("np,pq,nq->", flat_y, tap, flat_x)
+    got = np.tensordot(ys, conv_windows(spec, xs), axes=((0, 2, 3), (0, 2, 3)))
+    np.testing.assert_allclose(got, want, **tol)
+    if padding == "circular" and strides == (1, 1):
+        layer = ConvLayer(kern.entries, spec)
+        np.testing.assert_allclose(layer.forward(xs), fwd, **tol)
+        np.testing.assert_allclose(layer.backward(ys), adj, **tol)
+        np.testing.assert_allclose(layer.grad, want, **tol)
