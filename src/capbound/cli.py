@@ -1122,8 +1122,13 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ResourceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (ResourceError, MemoryError) as exc:
+        # MemoryError: an input whose arrays do not fit, e.g. a huge grid
+        print(f"resource failure: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
 
 

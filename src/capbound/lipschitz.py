@@ -2,9 +2,14 @@
 
 The exact route only exists for circular padding at stride 1 (the operator
 is then block-circulant and a 2D DFT block-diagonalizes it, one small
-c_out x c_in matrix per frequency). Everything else falls back to power
-iteration on the forward/adjoint pair, or a dense SVD when the operator is
-small enough to materialize.
+c_out x c_in matrix per frequency). Kernels are real, so the DFT is
+conjugate-symmetric, F(-u, -v) = conj F(u, v), and conjugate matrices share
+their singular values: `frequency_matrices` takes the rfft2 half of the
+grid, h * (w//2 + 1) matrices, and counts how often each one occurs in the
+full h x w grid. Every exact spectral computation, here and in the
+projections, starts from that half stack. Everything else falls back to
+power iteration on the forward/adjoint pair, or a dense SVD when the
+operator is small enough to materialize.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ __all__ = [
     "SpectralEstimate",
     "SpectrumReport",
     "power_iteration",
+    "frequency_matrices",
+    "grid_spectrum",
     "fft_exact_spectrum",
     "fft_exact_norm",
     "dense_spectral_norm",
@@ -118,21 +125,45 @@ def extract_kernel_grid(grid: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
     return grid[:, :, rows[:, None], cols[None, :]].copy()
 
 
+def frequency_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct c_out x c_in DFT matrices of a real (c_out, c_in, h, w)
+    grid kernel, and how often each occurs in the full h x w grid.
+
+    Returns the rfft2 half, stacked (h * (w//2 + 1), c_out, c_in) in
+    row-major (u, v) order, and the multiplicity of each matrix: 1 in column
+    0 and, for even w, column w/2 (their conjugate partners lie in the same
+    column and are stacked themselves), 2 in every other column (the
+    partner, column w - v, is left out).
+    """
+    c_out, c_in, h, w = grid.shape
+    f = np.fft.rfft2(grid, axes=(2, 3))
+    half = f.shape[3]
+    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * half, c_out, c_in)
+    column = np.full(half, 2)
+    column[0] = 1
+    if w % 2 == 0:
+        column[-1] = 1
+    return stacked, np.tile(column, h)
+
+
+def grid_spectrum(grid: np.ndarray) -> SpectrumReport:
+    """All singular values of the circular stride-1 operator whose kernel
+    is the full (c_out, c_in, h, w) grid: one SVD per distinct frequency,
+    each repeated by its multiplicity (h * w * min(c_out, c_in) values)."""
+    stacked, multiplicity = frequency_matrices(grid)
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
+    return SpectrumReport(values=values, max_value=float(values[0]))
+
+
 def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
     """All singular values of the circular stride-1 operator, exactly.
 
-    One SVD of the c_out x c_in DFT matrix per frequency; the union over
-    the h*w frequencies is the operator's full multiset (up to padding
-    zeros when channel counts differ, which the dense operator also has).
+    The union over the h*w frequency matrices' singular values is the
+    operator's full multiset (up to padding zeros when channel counts
+    differ, which the dense operator also has).
     """
-    _require_fft_eligible(kernel, spec)
-    _, h, w = spec.input_shape
-    grid = embed_kernel_grid(kernel, spec)
-    f = np.fft.fft2(grid, axes=(2, 3))
-    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * w, kernel.c_out, kernel.c_in)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    values = np.sort(sv.ravel())[::-1]
-    return SpectrumReport(values=values, max_value=float(values[0]))
+    return grid_spectrum(embed_kernel_grid(kernel, spec))
 
 
 def fft_exact_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:

@@ -9,8 +9,11 @@ The sets, for one layer with reference kernel K0 on an h x w circular grid:
 C1 and C3 are exact orthogonal projections in the Frobenius geometry; C2 is
 exact for circular stride-1 operators via per-frequency singular value
 clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
-is the orthogonal projection onto the full-grid Lipschitz ball). Strides
-above 1 have no such frequency split and are rejected.
+is the orthogonal projection onto the full-grid Lipschitz ball). Only the
+rfft2 half of the frequencies is clipped: the grid is real, clipping
+commutes with conjugation, and the inverse real transform restores each
+left-out conjugate partner. Strides above 1 have no such frequency split
+and are rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ import numpy as np
 
 from .convop import ConvSpec
 from .errors import NumericalError, UsageError
-from .lipschitz import embed_kernel_grid, extract_kernel_grid, operator_norm
+from .lipschitz import (
+    embed_kernel_grid,
+    extract_kernel_grid,
+    frequency_matrices,
+    grid_spectrum,
+    operator_norm,
+)
 from .tensors import KernelTensor, group_norm_21
 
 __all__ = [
@@ -138,27 +147,22 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
 
 def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
     c_out, c_in, h, w = grid.shape
-    f = np.fft.fft2(grid, axes=(2, 3))
-    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * w, c_out, c_in)
+    stacked, _ = frequency_matrices(grid)
     u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
     clipped = np.minimum(sv, s)
     rebuilt = np.einsum("fij,fj,fjk->fik", u, clipped, vh)
-    f_new = np.moveaxis(rebuilt.reshape(h, w, c_out, c_in), (0, 1), (2, 3))
-    out = np.fft.ifft2(f_new, axes=(2, 3))
-    worst_imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
+    rows = np.fft.ifft(rebuilt.reshape(h, -1, c_out, c_in), axis=0)
+    # irfft drops the imaginary part of the self-conjugate columns (0, and
+    # w/2 for even w); every other column's partner is implied exactly.
+    self_conjugate = [0, w // 2] if w % 2 == 0 else [0]
+    worst_imag = float(np.max(np.abs(rows[:, self_conjugate].imag)))
     scale = max(1.0, float(np.max(np.abs(grid))))
     if worst_imag > 1e-9 * scale:
         raise NumericalError(
             f"spectral clip produced imaginary residue {worst_imag}"
         )
-    return np.ascontiguousarray(out.real)
-
-
-def _grid_lip(grid: np.ndarray) -> float:
-    f = np.fft.fft2(grid, axes=(2, 3))
-    h, w = grid.shape[2], grid.shape[3]
-    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * w, grid.shape[0], grid.shape[1])
-    return float(np.max(np.linalg.svd(stacked, compute_uv=False)))
+    out = np.fft.irfft(rows, n=w, axis=1)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (2, 3)))
 
 
 def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
@@ -208,7 +212,7 @@ def _grid_projections(cs: ConstraintSet, order):
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
     dist = group_norm_21(KernelTensor(grid - center_grid))
-    return dist, _grid_lip(grid)
+    return dist, grid_spectrum(grid).max_value
 
 
 def _rel_excess(value: float, bound: float) -> float:
@@ -227,14 +231,15 @@ def _prepare(kernel: KernelTensor, cs: ConstraintSet) -> np.ndarray:
     return embed_kernel_grid(kernel, cs.conv)
 
 
-def _finish(grid: np.ndarray, cs: ConstraintSet, rounds: int, trajectory: list,
+def _finish(grid: np.ndarray, cs: ConstraintSet, trajectory: list,
+            dist: float, lip: float,
             tol: float) -> tuple[KernelTensor, FeasibilityReport]:
-    center_grid = embed_kernel_grid(cs.reference, cs.conv)
-    dist, lip = _measure(grid, center_grid)
+    """Report on the last cycle's iterate, whose (dist, lip) that cycle
+    already measured."""
     worst = max(_rel_excess(dist, cs.distance_bound),
                 _rel_excess(lip, cs.lipschitz_bound))
     report = FeasibilityReport(
-        rounds_run=rounds,
+        rounds_run=len(trajectory),
         trajectory=trajectory,
         final_dist=dist,
         final_lip=lip,
@@ -270,7 +275,7 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
             _rel_excess(dist, cs.distance_bound),
             _rel_excess(lip, cs.lipschitz_bound),
         ))
-    return _finish(grid, cs, rounds, trajectory, tol)
+    return _finish(grid, cs, trajectory, dist, lip, tol)
 
 
 def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
@@ -299,6 +304,8 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet, iterations: int = 100,
     The per-iteration distance log exists for diagnosis; Dykstra iterates
     are not Fejer monotone so no monotonicity is promised.
     """
+    if iterations < 1:
+        raise UsageError("iterations must be >= 1")
     projs, center_grid = _grid_projections(cs, order)
     grid = _prepare(kernel, cs)
     corrections = [np.zeros_like(grid) for _ in projs]
@@ -313,7 +320,7 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet, iterations: int = 100,
             _rel_excess(dist, cs.distance_bound),
             _rel_excess(lip, cs.lipschitz_bound),
         ))
-    return _finish(grid, cs, iterations, trajectory, tol)
+    return _finish(grid, cs, trajectory, dist, lip, tol)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,

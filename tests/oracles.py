@@ -105,6 +105,26 @@ def dft_spectrum(k, h, w):
     return np.sort(np.asarray(values))[::-1]
 
 
+def full_frequency_svd(grid):
+    """SVD of every one of the h*w fft2 frequency matrices of a
+    (c_out, c_in, h, w) grid, with no conjugate-symmetry shortcut."""
+    grid = np.asarray(grid, dtype=float)
+    c_out, c_in, h, w = grid.shape
+    f = np.fft.fft2(grid, axes=(2, 3))
+    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * w, c_out, c_in)
+    return np.linalg.svd(stacked, full_matrices=False)
+
+
+def full_spectrum_clip(grid, s):
+    """Clip every frequency matrix's singular values at s and invert with
+    ifft2, keeping the real part."""
+    c_out, c_in, h, w = np.shape(grid)
+    u, sv, vh = full_frequency_svd(grid)
+    rebuilt = np.einsum("fij,fj,fjk->fik", u, np.minimum(sv, s), vh)
+    f_new = np.moveaxis(rebuilt.reshape(h, w, c_out, c_in), (0, 1), (2, 3))
+    return np.fft.ifft2(f_new, axes=(2, 3)).real
+
+
 def bisect_l21_shrinkage(fiber_norms, budget, iters=200):
     """Threshold lam so that sum(max(0, v - lam)) == budget, by bisection."""
     v = np.asarray(fiber_norms, dtype=float)

@@ -455,6 +455,49 @@ def test_cli_usage_exit_codes(tmp_path):
     assert rc == 1
 
 
+def _subcommand_argv(command, ckpt, arch, tmp_path):
+    extra = {"analyze": ["--n", "16"], "spectra": [],
+             "project": ["--out", str(tmp_path / "out.ckpt")]}[command]
+    return [command, ckpt, arch] + extra
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectra", "project"])
+@pytest.mark.parametrize("broken", ["truncated checkpoint",
+                                    "non-object arch doc"])
+def test_subcommands_reject_malformed_inputs(tmp_path, command, broken):
+    ckpt, arch, _, _ = write_demo_pair(tmp_path, bounds=(1.5, 1.5))
+    if broken == "truncated checkpoint":
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob[:-8])
+    else:
+        with open(arch, "w", encoding="utf-8") as fh:
+            json.dump(default_arch_doc()["blocks"], fh)
+    rc, _, err = run_cli(_subcommand_argv(command, ckpt, arch, tmp_path))
+    assert rc == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("command,callee,message", [
+    ("analyze", "build_net", "Unable to allocate 2.33 TiB for an array"),
+    ("spectra", "fft_exact_spectrum", "Unable to allocate 2.33 TiB"),
+    ("project", "operator_norm", ""),
+])
+def test_out_of_memory_is_a_resource_failure(tmp_path, monkeypatch, command,
+                                             callee, message):
+    """An input whose arrays do not fit (say "input": [1, 200000, 200000])
+    ends in exit 2; the allocation failure is simulated, never attempted."""
+    ckpt, arch, _, _ = write_demo_pair(tmp_path, bounds=(1.5, 1.5))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"capbound.cli.{callee}", out_of_memory)
+    rc, _, err = run_cli(_subcommand_argv(command, ckpt, arch, tmp_path))
+    assert rc == 2
+    assert err == f"resource failure: {message or 'out of memory'}\n"
+
+
 # ---------------------------------------------------------------------------
 # project
 

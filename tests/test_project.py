@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capbound import UsageError
+from capbound import NumericalError, UsageError
 from capbound.convop import ConvSpec, materialize
 from capbound.lipschitz import (
     embed_kernel_grid,
     extract_kernel_grid,
     fft_exact_norm,
+    fft_exact_spectrum,
+    grid_spectrum,
     operator_norm,
 )
 from capbound.project import (
     ConstraintSet,
+    _grid_spectral_clip,
     alternating_projections,
     dykstra,
     dykstra_iterate,
@@ -26,7 +29,7 @@ from capbound.project import (
 )
 from capbound.tensors import KernelTensor, group_norm_21
 
-from oracles import bisect_l21_shrinkage
+from oracles import bisect_l21_shrinkage, full_frequency_svd, full_spectrum_clip
 
 
 def rand_kernel(rng, shape, scale=1.0):
@@ -219,6 +222,74 @@ def test_spectral_feasible_kernel_keeps_taps():
                                atol=1e-12)
 
 
+@st.composite
+def half_spectrum_cases(draw):
+    c_out, c_in = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k_h, k_w = draw(st.integers(1, h)), draw(st.integers(1, w))
+    clip = draw(st.sampled_from(["zero", "inside", "at_max", "above"]))
+    return c_out, c_in, h, w, k_h, k_w, clip, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_spectrum_cases())
+@example((3, 2, 5, 7, 3, 3, "inside", 1))     # odd h and w, c_out > c_in
+@example((2, 4, 6, 4, 3, 2, "inside", 2))     # even h and w, c_out < c_in
+@example((2, 1, 1, 4, 1, 3, "zero", 3))       # h = 1, c_in = 1, s = 0
+@example((1, 3, 2, 1, 2, 1, "above", 4))      # h = 2, w = 1, s > max
+@example((3, 1, 2, 2, 2, 2, "at_max", 5))     # h = w = 2, s = max
+@example((2, 3, 1, 2, 1, 2, "inside", 6))     # h = 1, w = 2
+@example((4, 4, 8, 8, 3, 3, "inside", 7))
+def test_half_spectrum_route_matches_full_spectrum(case):
+    """The rfft2 route (clip, max singular value, full spectrum) against
+    every fft2 frequency and against the dense materialized operator."""
+    c_out, c_in, h, w, k_h, k_w, clip, seed = case
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec((c_in, h, w), (k_h, k_w))
+    kernel = rand_kernel(rng, (c_out, c_in, k_h, k_w))
+    grid = embed_kernel_grid(kernel, spec)
+    scale = max(1.0, float(np.max(np.abs(grid))))
+
+    dense = np.linalg.svd(materialize(kernel, spec).entries, compute_uv=False)
+    full = np.sort(full_frequency_svd(grid)[1], axis=None)[::-1]
+    values = fft_exact_spectrum(kernel, spec).values
+    assert values.shape == (h * w * min(c_out, c_in),)
+    np.testing.assert_allclose(values, full, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(values, dense[: values.size], rtol=0,
+                               atol=1e-10 * scale)
+    lip = grid_spectrum(grid).max_value
+    assert lip == exact_lip(kernel, spec) == values[0]
+    assert lip == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
+
+    s = {"zero": 0.0, "inside": float(rng.uniform(0.1, 0.9)) * lip,
+         "at_max": lip, "above": 1.5 * lip}[clip]
+    got = _grid_spectral_clip(grid, s)
+    np.testing.assert_allclose(got, full_spectrum_clip(grid, s), rtol=0,
+                               atol=1e-12 * scale)
+    if s >= lip:
+        np.testing.assert_allclose(got, grid, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("w,column", [(6, 0), (6, 3), (5, 0)])
+def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
+                                                         column):
+    """A frequency in column 0 (or w/2, w even) is its own conjugate
+    partner, so after clipping it must invert to a real grid; an imaginary
+    tilt planted in its SVD must raise instead of being dropped by irfft."""
+    grid = np.random.default_rng(32).standard_normal((2, 2, 4, w))
+    true_svd = np.linalg.svd
+
+    def tilted_svd(a, *args, **kwargs):
+        u, sv, vh = true_svd(a, *args, **kwargs)
+        u = u.copy()
+        u[column] *= 1j          # frequency (0, column) of the half stack
+        return u, sv, vh
+
+    monkeypatch.setattr(np.linalg, "svd", tilted_svd)
+    with pytest.raises(NumericalError, match="imaginary residue"):
+        _grid_spectral_clip(grid, 1e6)
+
+
 def test_spectral_rejects_strided_spec():
     rng = np.random.default_rng(17)
     spec = ConvSpec((1, 4, 4), (2, 2), strides=(2, 2))
@@ -301,6 +372,20 @@ def test_dykstra_converges_on_infeasible_starts():
         assert report.converged, (trial, report.trajectory[-1])
         assert report.rounds_run == 100
         assert out.shape == kernel.shape
+
+
+def test_projection_report_measures_the_returned_kernel():
+    rng = np.random.default_rng(25)
+    for run in (alternating_projections, dykstra):
+        kernel, cs = infeasible_case(rng)
+        out, report = run(kernel, cs, 3)
+        dist = group_norm_21(KernelTensor(out.entries - cs.reference.entries))
+        assert report.final_lip == pytest.approx(exact_lip(out, cs.conv),
+                                                 rel=1e-12)
+        assert report.final_dist == pytest.approx(dist, rel=1e-12)
+        assert report.rounds_run == len(report.trajectory) == 3
+    with pytest.raises(UsageError):
+        dykstra(kernel, cs, iterations=0)
 
 
 def test_infinite_bounds_leave_kernel_alone():
