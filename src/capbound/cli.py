@@ -34,7 +34,7 @@ from .project import (
     alternating_projections,
     dykstra,
     project_l21_ball,
-    radial_project,
+    radial_cycle,
 )
 from .capacity import (
     BoundReport,
@@ -738,28 +738,6 @@ def cmd_analyze(args) -> int:
 # project
 
 
-def _radial_cycle(weight: np.ndarray, reference: np.ndarray, layer: ArchLayer,
-                  rounds: int, tol: float):
-    """Alternate radial moves onto the two balls until both hold."""
-    spec = layer.spec
-    center = KernelTensor(reference)
-    origin = KernelTensor(np.zeros_like(reference))
-    cur = KernelTensor(weight)
-    trajectory = []
-    for _ in range(rounds):
-        cur = radial_project(cur, center, layer.dist_bound, "l21")
-        if math.isfinite(layer.lip_bound):
-            cur = radial_project(cur, origin, layer.lip_bound, "spectral", spec)
-        dist = group_norm_21(KernelTensor(cur.entries - reference))
-        lip = operator_norm(cur, spec).value
-        rel_d = max(0.0, dist - layer.dist_bound) / max(layer.dist_bound, 1e-300)
-        rel_l = max(0.0, lip - layer.lip_bound) / max(layer.lip_bound, 1e-300)
-        trajectory.append((rel_d, rel_l))
-        if max(rel_d, rel_l) <= tol:
-            break
-    return cur, dist, lip, trajectory, max(rel_d, rel_l) <= tol
-
-
 def _measure_layer(weight: np.ndarray, reference: np.ndarray,
                    layer: ArchLayer):
     dist = group_norm_21(KernelTensor(weight - reference))
@@ -825,17 +803,14 @@ def cmd_project(args) -> int:
             if args.scheme == "alternating":
                 projected, rep = alternating_projections(
                     KernelTensor(weight), cs, rounds=rounds, tol=args.tol)
-                dist1, lip1 = rep.final_dist, rep.final_lip
-                row.update(rounds_run=rep.rounds_run, converged=rep.converged)
             elif args.scheme == "dykstra":
                 projected, rep = dykstra(
                     KernelTensor(weight), cs, iterations=rounds, tol=args.tol)
-                dist1, lip1 = rep.final_dist, rep.final_lip
-                row.update(rounds_run=rep.rounds_run, converged=rep.converged)
             else:
-                projected, dist1, lip1, traj, ok = _radial_cycle(
-                    weight, reference, layer, rounds, args.tol)
-                row.update(rounds_run=len(traj), converged=ok)
+                projected, rep = radial_cycle(
+                    KernelTensor(weight), cs, rounds=rounds, tol=args.tol)
+            dist1, lip1 = rep.final_dist, rep.final_lip
+            row.update(rounds_run=rep.rounds_run, converged=rep.converged)
         out_weights[layer.name] = projected.entries
         row["dist_after"], row["lip_after"] = dist1, lip1
         rows.append(row)

@@ -12,8 +12,10 @@ clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
 is the orthogonal projection onto the full-grid Lipschitz ball). Only the
 rfft2 half of the frequencies is clipped: the grid is real, clipping
 commutes with conjugation, and the inverse real transform restores each
-left-out conjugate partner. Strides above 1 have no such frequency split
-and are rejected.
+left-out conjugate partner. Of those, only the frequencies the Gram screen
+(`lipschitz.may_reach`) cannot place below s are decomposed; the rest
+clip to themselves and pass through. Strides above 1 have no such frequency
+split and are rejected.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .lipschitz import (
     embed_kernel_grid,
     extract_kernel_grid,
     frequency_matrices,
-    grid_spectrum,
+    grid_norm,
+    may_reach,
     operator_norm,
+    top_singular_estimates,
 )
 from .tensors import KernelTensor, group_norm_21
 
@@ -44,6 +48,7 @@ __all__ = [
     "dykstra",
     "dykstra_iterate",
     "radial_project",
+    "radial_cycle",
     "init_scale_to_feasible",
 ]
 
@@ -104,6 +109,10 @@ def _l1_ball_threshold(v: np.ndarray, budget: float) -> float:
     css = np.cumsum(u)
     j = np.arange(1, u.size + 1)
     mask = u - (css - budget) / j > 0
+    # Index 0 always qualifies (u0 - (u0 - budget) = budget > 0), but at
+    # fiber norms far above the budget u0 - budget rounds to u0 and the
+    # test cancels to 0 for every index.
+    mask[0] = True
     rho = int(np.nonzero(mask)[0][-1])
     return float((css[rho] - budget) / (rho + 1))
 
@@ -126,7 +135,8 @@ def project_l21_ball(kernel: KernelTensor, center: KernelTensor, b: float) -> Ke
     if float(v.sum()) <= b:
         return kernel
     lam = _l1_ball_threshold(v, b)
-    scale = np.maximum(0.0, 1.0 - lam / np.maximum(v, 1e-300))
+    # fibers no longer than lam shrink to 0; the floor keeps lam / v finite
+    scale = 1.0 - lam / np.maximum(v, max(lam, 1e-300))
     shrunk = diff * scale[:, None, :, :]
     return KernelTensor(center.entries + shrunk)
 
@@ -148,10 +158,12 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
 def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
     c_out, c_in, h, w = grid.shape
     stacked, _ = frequency_matrices(grid)
-    u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    clipped = np.minimum(sv, s)
-    rebuilt = np.einsum("fij,fj,fjk->fik", u, clipped, vh)
-    rows = np.fft.ifft(rebuilt.reshape(h, -1, c_out, c_in), axis=0)
+    # A matrix the screen leaves out has every singular value below s, so
+    # its clip is the identity; the others lose U max(sv - s, 0) V^H.
+    hot = may_reach(top_singular_estimates(stacked), s)
+    u, sv, vh = np.linalg.svd(stacked[hot], full_matrices=False)
+    stacked[hot] -= (u * np.maximum(sv - s, 0.0)[:, None, :]) @ vh
+    rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
     # irfft drops the imaginary part of the self-conjugate columns (0, and
     # w/2 for even w); every other column's partner is implied exactly.
     self_conjugate = [0, w // 2] if w % 2 == 0 else [0]
@@ -212,7 +224,7 @@ def _grid_projections(cs: ConstraintSet, order):
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
     dist = group_norm_21(KernelTensor(grid - center_grid))
-    return dist, grid_spectrum(grid).max_value
+    return dist, grid_norm(grid)
 
 
 def _rel_excess(value: float, bound: float) -> float:
@@ -347,6 +359,47 @@ def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
     if dist <= radius:
         return kernel
     return KernelTensor(center.entries + diff * (radius / dist))
+
+
+def radial_cycle(kernel: KernelTensor, cs: ConstraintSet, rounds: int = 15,
+                 tol: float = 1e-3):
+    """Alternate radial moves onto the two balls until both hold.
+
+    The (2,1) ball is centered on the reference, the spectral ball on the
+    origin. Returns the last iterate and a report whose `converged` says
+    whether both relative excesses fell to tol.
+    """
+    if rounds < 1:
+        raise UsageError("rounds must be >= 1")
+    reference = cs.reference.entries
+    origin = KernelTensor(np.zeros_like(reference))
+    cur = kernel
+    trajectory = []
+    for _ in range(rounds):
+        cur = radial_project(cur, cs.reference, cs.distance_bound, "l21")
+        if math.isfinite(cs.lipschitz_bound):
+            cur = radial_project(cur, origin, cs.lipschitz_bound, "spectral",
+                                 cs.conv)
+        dist = group_norm_21(KernelTensor(cur.entries - reference))
+        lip = operator_norm(cur, cs.conv).value
+        rel_d = (max(0.0, dist - cs.distance_bound)
+                 / max(cs.distance_bound, 1e-300))
+        rel_l = (max(0.0, lip - cs.lipschitz_bound)
+                 / max(cs.lipschitz_bound, 1e-300))
+        trajectory.append((rel_d, rel_l))
+        if max(rel_d, rel_l) <= tol:
+            break
+    report = FeasibilityReport(
+        rounds_run=len(trajectory),
+        trajectory=trajectory,
+        final_dist=dist,
+        final_lip=lip,
+        distance_bound=cs.distance_bound,
+        lipschitz_bound=cs.lipschitz_bound,
+        converged=max(rel_d, rel_l) <= tol,
+        tol=tol,
+    )
+    return cur, report
 
 
 def init_scale_to_feasible(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTensor:

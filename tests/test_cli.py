@@ -657,6 +657,25 @@ def test_project_distance_only_constraint_works_on_strided_layer(tmp_path):
     assert group_norm_21(KernelTensor(projected)) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("scheme", ["alternating", "dykstra", "radial"])
+def test_project_survives_weights_far_from_reference(tmp_path, scheme):
+    """Weights about 1e18 from their reference against b = 3: the (2,1)
+    threshold cancels at that scale, and the run still exits 0 with finite
+    measurements of every projected layer."""
+    _, arch, _, refs = write_demo_pair(tmp_path, ref_scale=1.0,
+                                       bounds=(2.0, 3.0))
+    far = {name: ref + 1e18 for name, ref in refs.items()}
+    ckpt, out = str(tmp_path / "far.ckpt"), str(tmp_path / "far_out.ckpt")
+    write_checkpoint(ckpt, far, refs)
+    rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
+                           "--scheme", scheme, "--json"])
+    assert rc == 0
+    for row in json.loads(text)["layers"]:
+        assert row["projected"] and row["dist_before"] > 1e18
+        assert math.isfinite(row["dist_after"]) and row["dist_after"] < 1e3
+        assert math.isfinite(row["lip_after"])
+
+
 # ---------------------------------------------------------------------------
 # train-demo
 

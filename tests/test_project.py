@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from capbound import NumericalError, UsageError
 from capbound.convop import ConvSpec, materialize
 from capbound.lipschitz import (
+    SCREEN_MARGIN,
     embed_kernel_grid,
     extract_kernel_grid,
     fft_exact_norm,
     fft_exact_spectrum,
+    frequency_matrices,
+    grid_norm,
     grid_spectrum,
     operator_norm,
+    top_singular_estimates,
 )
 from capbound.project import (
     ConstraintSet,
@@ -75,6 +79,19 @@ def test_l21_matches_bisection_oracle():
         scale = np.maximum(0.0, 1.0 - lam / np.maximum(fibers, 1e-300))
         want = center.entries + diff * scale[:, None, :, :]
         np.testing.assert_allclose(got.entries, want, atol=1e-8)
+
+
+def test_l21_projection_survives_extreme_scale():
+    """Fiber norms far above the budget cancel the threshold test for every
+    index; the projection still returns a finite kernel inside the ball."""
+    fibers = np.array([5e18, 4e18, 1.0, 0.0])   # lam / 0 must not overflow
+    diff = np.zeros((1, 2, 4, 1))
+    diff[0, 0, :, 0] = fibers
+    center = KernelTensor(np.zeros_like(diff))
+    with np.errstate(all="raise"):
+        got = project_l21_ball(KernelTensor(diff), center, 3.0)
+    assert np.all(np.isfinite(got.entries))
+    assert group_norm_21(KernelTensor(got.entries)) <= 3.0
 
 
 def test_l21_zero_radius_returns_center():
@@ -270,13 +287,75 @@ def test_half_spectrum_route_matches_full_spectrum(case):
         np.testing.assert_allclose(got, grid, rtol=0, atol=1e-12 * scale)
 
 
+@st.composite
+def screen_cases(draw):
+    c_out, c_in = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    level = draw(st.sampled_from(["zero", "inside", "at_frequency", "at_max",
+                                  "above"]))
+    magnitude = draw(st.sampled_from([1.0, 1e160, 1e-160, 0.0]))
+    return c_out, c_in, h, w, level, magnitude, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(screen_cases())
+@example((3, 2, 5, 7, "inside", 1.0, 1))           # odd h and w, c_out > c_in
+@example((2, 4, 6, 4, "at_frequency", 1.0, 2))     # even h and w, c_out < c_in
+@example((2, 1, 1, 4, "zero", 1.0, 3))             # h = 1, c_in = 1, s = 0
+@example((1, 3, 2, 1, "above", 1.0, 4))            # h = 2, w = 1, s > max
+@example((3, 3, 2, 2, "at_max", 1.0, 5))           # h = w = 2, s = max
+@example((4, 2, 3, 5, "at_frequency", 1.0, 6))
+@example((3, 4, 4, 6, "inside", 0.0, 7))           # zero grid
+@example((3, 4, 4, 6, "inside", 1e160, 8))         # unscaled Gram overflows
+@example((4, 3, 5, 4, "at_frequency", 1e-160, 9))  # unscaled Gram underflows
+def test_gram_screen_decomposes_every_frequency_that_matters(case):
+    """The screened clip against the fft2 oracle that clips every
+    frequency, and the screened spectral norm against the largest value of
+    the full spectrum, bit for bit; the screen's estimates stay within a
+    tenth of its margin of the SVD's top singular values."""
+    c_out, c_in, h, w, level, magnitude, seed = case
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((c_out, c_in, h, w)) * magnitude
+    stacked, _ = frequency_matrices(grid)
+    top = np.linalg.svd(stacked, compute_uv=False)[:, 0]
+    estimates = top_singular_estimates(stacked)
+    np.testing.assert_allclose(estimates, top, rtol=0.1 * SCREEN_MARGIN,
+                               atol=0)
+    lip = grid_spectrum(grid).max_value
+    assert grid_norm(grid) == lip == float(np.max(top))
+
+    s = {"zero": 0.0, "inside": float(rng.uniform(0.1, 0.9)) * lip,
+         "at_frequency": float(top[rng.integers(top.size)]), "at_max": lip,
+         "above": 1.5 * lip}[level]
+    atol = 1e-12 * float(np.max(np.abs(grid)))
+    got = _grid_spectral_clip(grid, s)
+    np.testing.assert_allclose(got, full_spectrum_clip(grid, s), rtol=0,
+                               atol=atol)
+    if s >= lip:
+        np.testing.assert_allclose(got, grid, rtol=0, atol=atol)
+
+
+def test_screen_sends_non_finite_input_to_the_svd():
+    """NaN estimates select their frequencies, so the SVD still rejects a
+    NaN grid instead of the screen passing it through."""
+    grid = np.ones((2, 2, 3, 4))
+    grid[0, 1, 2, 3] = np.nan
+    for route in (grid_norm, lambda g: _grid_spectral_clip(g, 1.0)):
+        with pytest.raises(np.linalg.LinAlgError):
+            route(grid)
+
+
 @pytest.mark.parametrize("w,column", [(6, 0), (6, 3), (5, 0)])
 def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
                                                          column):
     """A frequency in column 0 (or w/2, w even) is its own conjugate
     partner, so after clipping it must invert to a real grid; an imaginary
-    tilt planted in its SVD must raise instead of being dropped by irfft."""
+    tilt planted in its SVD must raise instead of being dropped by irfft.
+    s lies below every frequency's top singular value, so the screen sends
+    the whole half stack to the SVD and u[column] is frequency (0, column)."""
     grid = np.random.default_rng(32).standard_normal((2, 2, 4, w))
+    s = 0.5 * float(np.min(np.linalg.svd(frequency_matrices(grid)[0],
+                                         compute_uv=False)[:, 0]))
     true_svd = np.linalg.svd
 
     def tilted_svd(a, *args, **kwargs):
@@ -287,7 +366,7 @@ def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
 
     monkeypatch.setattr(np.linalg, "svd", tilted_svd)
     with pytest.raises(NumericalError, match="imaginary residue"):
-        _grid_spectral_clip(grid, 1e6)
+        _grid_spectral_clip(grid, s)
 
 
 def test_spectral_rejects_strided_spec():
