@@ -18,8 +18,6 @@ sys.path.insert(0, "src")
 
 from capbound import cli  # noqa: E402
 from capbound.traindemo import (  # noqa: E402
-    BlockSpec,
-    TinyNet,
     TrainConfig,
     synth_data,
     train_projected,
@@ -27,13 +25,7 @@ from capbound.traindemo import (  # noqa: E402
 
 
 def train_and_save(graph, batch, labels, config, s, b, out_dir, tag):
-    blocks = []
-    c_in = graph.input_shape[0]
-    for layer in graph.layers:
-        blocks.append(BlockSpec(c_in, layer.c_out, layer.spec.kernel_shape[0],
-                                pool=layer.pool, shortcut=layer.shortcut))
-        c_in = layer.c_out
-    net = TinyNet(blocks, seed=config.seed)
+    net = graph.new_net(config.seed)
     result = train_projected(net, batch, labels, config,
                              lip_bound=s, dist_bound=b)
     if result.diverged:

@@ -11,9 +11,10 @@ The per-layer capacity coefficient is
 
 which telescopes to the familiar product-over-everything divided by the
 layer's own s_ij and its block's s_i. The telescoped form is computed here
-(no cancellation in floating point) through one canonical helper, and the
-same helper is reused by the tree calculus so the two routes agree to the
-bit. Margin-scaled coefficients are C~_ij = 2 C_ij / gamma.
+(no cancellation in floating point) from the factor lists of the network's
+covercalc tree, the one route for every coefficient, so the record and
+tree routes agree to the bit. Margin-scaled coefficients are
+C~_ij = 2 C_ij / gamma.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "hurwitz_zeta",
     "psi_correction",
     "binomial_bound_check",
+    "cover_value",
     "margin_for_equal_ramp_loss",
     "MarginSearchResult",
     "ComparisonLayerStats",
@@ -188,9 +190,9 @@ def leaf_coefficient(data_norm: float, n: int, prefix_lips, b: float,
                      trailing_lips) -> float:
     """2 (|X|/sqrt(n)) * prefix * b * trailing, multiplied left to right.
 
-    Factor order is part of the contract: the tree calculus rebuilds the
-    same flat lists from its traversal, so both routes produce identical
-    floats, not just mathematically equal ones.
+    Factor order is part of the contract: every caller passes the
+    leaf_contexts lists of a covercalc tree, so the record and tree routes
+    produce identical floats, not just mathematically equal ones.
     """
     c = 2.0 * data_norm / math.sqrt(n)
     for v in prefix_lips:
@@ -210,25 +212,37 @@ def safe_ceil(x: float):
     return math.ceil(x)
 
 
-def assemble_norms_bound(log_2w: float, ceil_terms, n_over_eps_ceil) -> float:
-    total = 0
-    for t in ceil_terms:
-        if t == math.inf:
-            return math.inf
-        total += t
-    if n_over_eps_ceil == math.inf:
-        return math.inf if total > 0 else 0.0
-    return log_2w * float(total) ** 3 * float(n_over_eps_ceil)
+def cover_value(coefficients, ws, n: int, eps: float, variant: str) -> float:
+    """The closed-form log cover every cover bound assembles from its leaves.
 
-
-def assemble_params_bound(w_and_ceils, n_over_eps_ceil) -> float:
+    coefficients and ws list each trainable layer's C and W, in one order:
+    norms  : log(2 W_max) * (sum ceil(C^{2/3}))^3 * ceil(n/eps^2)
+    params : sum 2 W log(1 + ceil((Lbar C)^2) ceil(n/eps^2)), Lbar the
+             number of layers
+    """
+    if eps <= 0:
+        raise UsageError("eps must be > 0")
+    n_ceil = safe_ceil(n / eps**2)
+    if variant == "norms":
+        total = 0
+        for t in [safe_ceil(c ** (2.0 / 3.0)) for c in coefficients]:
+            if t == math.inf:
+                return math.inf
+            total += t
+        if n_ceil == math.inf:
+            return math.inf if total > 0 else 0.0
+        return math.log(2 * max(ws)) * float(total) ** 3 * float(n_ceil)
+    if variant != "params":
+        raise UsageError(f"unknown variant {variant!r}")
+    l_bar = float(len(coefficients))
     total = 0.0
-    for w, a in w_and_ceils:
-        if a == math.inf or n_over_eps_ceil == math.inf:
+    for w, a in [(w, safe_ceil((l_bar * c) ** 2))
+                 for c, w in zip(coefficients, ws)]:
+        if a == math.inf or n_ceil == math.inf:
             if a == 0:
                 continue
             return math.inf
-        total += 2.0 * w * math.log(1 + a * n_over_eps_ceil)
+        total += 2.0 * w * math.log(1 + a * n_ceil)
     return total
 
 
@@ -264,31 +278,24 @@ class CapacityTerms:
 
 
 def capacity_terms(inp: CapacityInput) -> CapacityTerms:
-    """Per-layer coefficients C_ij and margin-scaled C~_ij = 2 C_ij / gamma."""
-    blocks = inp.blocks
-    block_lips = [blk.block_lip() for blk in blocks]
+    """Per-layer coefficients C_ij and margin-scaled C~_ij = 2 C_ij / gamma.
+
+    The factor lists are the leaf contexts of residual_chain_tree(inp), so
+    this route and the tree calculus share one traversal.
+    """
+    # local import: covercalc imports this module, and loading it only when
+    # a bound is computed keeps it out of every CLI start-up
+    from .covercalc import leaf_contexts, residual_chain_tree
+
+    positions = [(i, j) for i, blk in enumerate(inp.blocks)
+                 for j in range(len(blk.layers))]
     entries = []
-    for i, blk in enumerate(blocks):
-        for j, layer in enumerate(blk.layers):
-            prefix: list[float] = []
-            for l in range(i):
-                prefix.append(block_lips[l])
-                prefix.append(blocks[l].rho)
-            for k in range(j):
-                prefix.append(blk.layers[k].lip)
-                prefix.append(blk.layers[k].rho)
-            trailing: list[float] = [layer.rho]
-            for k in range(j + 1, len(blk.layers)):
-                trailing.append(blk.layers[k].lip)
-                trailing.append(blk.layers[k].rho)
-            trailing.append(blk.rho)
-            for l in range(i + 1, len(blocks)):
-                trailing.append(block_lips[l])
-                trailing.append(blocks[l].rho)
-            c = leaf_coefficient(inp.data_norm, inp.n, prefix, layer.dist, trailing)
-            c_tilde = (2.0 * c) / inp.gamma
-            entries.append(LayerCapacity(i, j, c, c_tilde, layer.w,
-                                         tuple(prefix), tuple(trailing)))
+    tree = residual_chain_tree(inp)
+    for (i, j), ctx in zip(positions, leaf_contexts(tree)):
+        c = leaf_coefficient(inp.data_norm, inp.n, ctx.prefix, ctx.leaf.dist,
+                             ctx.trailing)
+        entries.append(LayerCapacity(i, j, c, (2.0 * c) / inp.gamma,
+                                     ctx.leaf.w, ctx.prefix, ctx.trailing))
     return CapacityTerms(tuple(entries), inp.n, inp.data_norm, inp.gamma,
                          inp.l_bar, inp.w_max)
 
@@ -355,18 +362,6 @@ def single_layer_cover_bound(w: int, data_norm: float, b: float, eps: float,
     raise UsageError(f"unknown variant {variant!r}")
 
 
-def _norms_value(terms: CapacityTerms, eps: float) -> float:
-    n_ceil = safe_ceil(terms.n / eps**2)
-    ceils = [safe_ceil(e.c ** (2.0 / 3.0)) for e in terms.entries]
-    return assemble_norms_bound(math.log(2 * terms.w_max), ceils, n_ceil)
-
-
-def _params_value(terms: CapacityTerms, eps: float) -> float:
-    n_ceil = safe_ceil(terms.n / eps**2)
-    pairs = [(e.w, safe_ceil((float(terms.l_bar) * e.c) ** 2)) for e in terms.entries]
-    return assemble_params_bound(pairs, n_ceil)
-
-
 def whole_network_cover_bound(inp: CapacityInput, eps: float,
                               variant: str = "norms") -> BoundReport:
     """Log covering number of the whole residual network at radius eps.
@@ -374,15 +369,9 @@ def whole_network_cover_bound(inp: CapacityInput, eps: float,
     'norms'  : log(2 W_max) * (sum_ij ceil(C_ij^{2/3}))^3 * ceil(n/eps^2)
     'params' : sum_ij 2 W_ij log(1 + ceil(Lbar^2 C_ij^2) ceil(n/eps^2))
     """
-    if eps <= 0:
-        raise UsageError("eps must be > 0")
     terms = capacity_terms(inp)
-    if variant == "norms":
-        value = _norms_value(terms, eps)
-    elif variant == "params":
-        value = _params_value(terms, eps)
-    else:
-        raise UsageError(f"unknown variant {variant!r}")
+    value = cover_value([e.c for e in terms.entries],
+                        [e.w for e in terms.entries], inp.n, eps, variant)
     breakdown = {
         f"C[{e.block_index}][{e.layer_index}]": e.c for e in terms.entries
     }
@@ -391,44 +380,21 @@ def whole_network_cover_bound(inp: CapacityInput, eps: float,
 
 def non_residual_cover_bound(layers, n: int, data_norm: float, eps: float,
                              variant: str = "norms") -> BoundReport:
-    """Chain-network special case, written directly from the layer list.
+    """Chain-network special case: the tree bound of plain_chain_tree(layers).
 
-    Assembles the same canonical factor lists a single zero-shortcut block
-    would produce (trailing ends with the trivial outer factor 1.0), so it
-    agrees bit-for-bit with whole_network_cover_bound on that reduction.
-    The params variant keeps the Lbar^2 factor of the general theorem.
+    That tree ends with the trivial outer factor 1.0, so it agrees
+    bit-for-bit with whole_network_cover_bound on a single zero-shortcut
+    block. The params variant keeps the Lbar^2 factor of the general
+    theorem.
     """
-    if eps <= 0:
-        raise UsageError("eps must be > 0")
+    from .covercalc import evaluate_tree, plain_chain_tree  # see capacity_terms
+
     layers = tuple(layers)
     if not layers:
         raise UsageError("need at least one layer")
-    if n < 1 or data_norm < 0:
-        raise UsageError("need n >= 1 and |X| >= 0")
-    entries = []
-    for j, layer in enumerate(layers):
-        prefix: list[float] = []
-        for k in range(j):
-            prefix.append(layers[k].lip)
-            prefix.append(layers[k].rho)
-        trailing: list[float] = [layer.rho]
-        for k in range(j + 1, len(layers)):
-            trailing.append(layers[k].lip)
-            trailing.append(layers[k].rho)
-        trailing.append(1.0)
-        c = leaf_coefficient(data_norm, n, prefix, layer.dist, trailing)
-        entries.append(LayerCapacity(0, j, c, math.nan, layer.w,
-                                     tuple(prefix), tuple(trailing)))
-    terms = CapacityTerms(tuple(entries), n, data_norm, math.nan,
-                          len(layers), max(l.w for l in layers))
-    if variant == "norms":
-        value = _norms_value(terms, eps)
-    elif variant == "params":
-        value = _params_value(terms, eps)
-    else:
-        raise UsageError(f"unknown variant {variant!r}")
-    return BoundReport.of(f"chain_cover_{variant}",
-                          value, {f"C[{e.layer_index}]": e.c for e in entries})
+    tree = evaluate_tree(plain_chain_tree(layers), n, data_norm, eps, variant)
+    return BoundReport.of(f"chain_cover_{variant}", tree.value, {
+        f"C[{j}]": c for j, c in enumerate(tree.breakdown.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +625,13 @@ def margin_for_equal_ramp_loss(logits_ref: np.ndarray, labels_ref: np.ndarray,
 
 @dataclass(frozen=True)
 class ComparisonLayerStats:
-    """Measured statistics of one trainable layer for the comparison rows.
+    """Measured statistics of one layer for the comparison rows.
 
     Distances are against the layer's reference kernel. Optional entries may
-    be None; rows needing them come back marked absent.
+    be None; rows needing them come back marked absent. A fixed layer (one
+    that is not trained, such as a fixed classifier head) enters every row's
+    end-to-end function, but the ours_* rows leave it out of Lbar and W_max,
+    as capacity_terms counts trainable layers only.
     """
 
     lip: float
@@ -680,6 +649,7 @@ class ComparisonLayerStats:
     max_out_l2: float | None = None
     frob: float | None = None
     frob_diff: float | None = None
+    fixed: bool = False
 
     def __post_init__(self):
         if not (self.lip > 0):
@@ -765,7 +735,10 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         return max(1, stats[i].d // stats[i].t)
 
     # ---- ours, clubs style ------------------------------------------------
+    trainable = [st for st in stats if not st.fixed]
     why = _need(stats, ["dist_21"])
+    if not trainable:
+        why = "every layer is fixed"
     if why:
         rows["ours_clubs"] = BoundReport.missing("ours_clubs", why)
         rows["ours_spades"] = BoundReport.missing("ours_spades", why)
@@ -778,7 +751,7 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         ssum = _NEG_INF
         for lc in lg_ctilde:
             ssum = _lg_add(ssum, _lg_ceil((2.0 / 3.0) * lc))
-        w_max = max(st.w for st in stats)
+        w_max = max(st.w for st in trainable)
         h = harmonic_number(n - 1)
         tail = (_lg(12.0) + _lg(h) - 0.5 * lg_n
                 + 0.5 * _lg(math.log(2 * w_max)) + 1.5 * ssum)
@@ -788,7 +761,7 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         # ---- ours, spades style (no 4/n term) -----------------------------
         inner = 0.0
         for st, lc in zip(stats, lg_ctilde):
-            lg_raw = 2.0 * (_lg(float(big_l)) + lc)
+            lg_raw = 2.0 * (_lg(float(len(trainable))) + lc)
             if lg_raw == _NEG_INF:
                 continue
             if lg_raw <= 15.0:

@@ -21,6 +21,8 @@ import math
 import os
 import re
 import sys
+import zipfile
+import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -313,27 +315,25 @@ def read_checkpoint(path: str) -> Checkpoint:
 # absent means unconstrained.
 
 ARCH_VERSION = 1
-_POOLS = ("none", "max3")
-_SHORTCUTS = ("none", "identity", "double")
-MAXPOOL_LIP = 2.0
-SHORTCUT_LIP = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class ArchLayer:
     name: str
     spec: ConvSpec
-    c_out: int
-    pool: str
-    shortcut: str
+    block: BlockSpec               # channels, pool and shortcut, validated
     lip_bound: float
     dist_bound: float
     in_shape: tuple
     out_shape: tuple
 
     @property
+    def c_out(self) -> int:
+        return self.block.c_out
+
+    @property
     def post_lip(self) -> float:
-        return MAXPOOL_LIP if self.pool == "max3" else 1.0
+        return self.block.post_lip
 
     @property
     def kernel_shape(self) -> tuple:
@@ -352,10 +352,6 @@ class ArchGraph:
         c, h, w = self.layers[-1].out_shape
         return c * h * w
 
-    @property
-    def classifier_lip(self) -> float:
-        return math.sqrt(self.kappa / (self.kappa - 1.0))
-
     def executable_reason(self) -> str | None:
         """Why the graph cannot be run as a TinyNet, or None if it can."""
         for layer in self.layers:
@@ -367,13 +363,25 @@ class ArchGraph:
                         f"padding; execution needs circular")
         return None
 
+    def new_net(self, seed: int) -> TinyNet:
+        """A freshly initialized TinyNet of this architecture."""
+        reason = self.executable_reason()
+        if reason is not None:
+            raise UsageError(reason)
+        _, h, w = self.input_shape
+        return TinyNet([layer.block for layer in self.layers],
+                       kappa=self.kappa, h=h, w=w, seed=seed)
+
 
 def _bound(raw, name: str, field: str) -> float:
     if raw is None:
         return math.inf
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise UsageError(f"block {name!r}: {field} must be a number")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError as exc:   # a JSON integer past the float range
+        raise UsageError(f"block {name!r}: {field} is out of range") from exc
     if not value > 0:
         raise UsageError(f"block {name!r}: {field} must be > 0 when given")
     return value
@@ -429,17 +437,14 @@ def parse_archdoc(text: str) -> ArchGraph:
         padding = raw.get("padding", "circular")
         pool = raw.get("pool", "none")
         shortcut = raw.get("shortcut", "none")
-        if pool not in _POOLS:
-            raise UsageError(f"block {name!r}: pool must be one of {_POOLS}")
-        if shortcut not in _SHORTCUTS:
-            raise UsageError(
-                f"block {name!r}: shortcut must be one of {_SHORTCUTS}")
         try:
+            block = BlockSpec(c, c_out, k, pool=pool, shortcut=shortcut)
             spec = ConvSpec(input_shape=(c, h, w), kernel_shape=(k, k),
                             strides=strides, padding=padding)
         except UsageError as exc:
             raise UsageError(f"block {name!r}: {exc}") from exc
 
+        # BlockSpec holds the pool/shortcut/channel rules; these need shapes
         oh, ow = spec.out_spatial
         if pool == "max3":
             if min(oh, ow) < 3:
@@ -449,22 +454,16 @@ def parse_archdoc(text: str) -> ArchGraph:
             ph, pw = -(-oh // 2), -(-ow // 2)
         else:
             ph, pw = oh, ow
-        if shortcut == "identity":
-            if (c_out, ph, pw) != (c, h, w):
-                raise UsageError(
-                    f"block {name!r}: identity shortcut needs matching "
-                    f"shapes, got {(c, h, w)} -> {(c_out, ph, pw)}")
-        elif shortcut == "double":
-            if pool != "max3" or c_out != 2 * c:
-                raise UsageError(
-                    f"block {name!r}: double shortcut needs a max3 pool "
-                    f"and c_out == 2*c_in")
-            if strides != (1, 1) or h % 2 or w % 2:
-                raise UsageError(
-                    f"block {name!r}: double shortcut needs stride 1 and "
-                    f"even input dims")
+        if shortcut == "identity" and (c_out, ph, pw) != (c, h, w):
+            raise UsageError(
+                f"block {name!r}: identity shortcut needs matching "
+                f"shapes, got {(c, h, w)} -> {(c_out, ph, pw)}")
+        if shortcut == "double" and (strides != (1, 1) or h % 2 or w % 2):
+            raise UsageError(
+                f"block {name!r}: double shortcut needs stride 1 and "
+                f"even input dims")
         layers.append(ArchLayer(
-            name=name, spec=spec, c_out=c_out, pool=pool, shortcut=shortcut,
+            name=name, spec=spec, block=block,
             lip_bound=_bound(raw.get("s"), name, "s"),
             dist_bound=_bound(raw.get("b"), name, "b"),
             in_shape=(c, h, w), out_shape=(c_out, ph, pw)))
@@ -478,9 +477,17 @@ def parse_archdoc(text: str) -> ArchGraph:
     return graph
 
 
+def _read_archdoc_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"architecture document {path!r} is not UTF-8: {exc}") from exc
+
+
 def load_archdoc(path: str) -> ArchGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_archdoc(fh.read())
+    return parse_archdoc(_read_archdoc_text(path))
 
 
 def arch_doc_dict(input_shape, kappa: int, blocks) -> dict:
@@ -531,16 +538,8 @@ def resolve_tensors(graph: ArchGraph, ckpt: Checkpoint):
 
 def build_net(graph: ArchGraph, ckpt: Checkpoint):
     """Instantiate the TinyNet a (checkpoint, archdoc) pair describes."""
-    reason = graph.executable_reason()
-    if reason is not None:
-        raise UsageError(reason)
+    net = graph.new_net(seed=0)
     resolved = resolve_tensors(graph, ckpt)
-    blocks = [BlockSpec(layer.in_shape[0], layer.c_out,
-                        layer.spec.kernel_shape[0], pool=layer.pool,
-                        shortcut=layer.shortcut)
-              for layer, _, _ in resolved]
-    _, h, w = graph.input_shape
-    net = TinyNet(blocks, kappa=graph.kappa, h=h, w=w, seed=0)
     net.set_kernels([weight for _, weight, _ in resolved])
     references = [ref for _, _, ref in resolved]
     return net, references
@@ -593,17 +592,38 @@ def _fmt(x, width: int = 11) -> str:
 
 
 def _load_logit_record(path: str):
+    """(logits, labels, gamma) of a `--dump-logits` record.
+
+    Any file that is not such a record raises UsageError.
+    """
+    def bad(why):
+        return UsageError(f"logit record {path!r} {why}")
+
+    # zipfile raises RuntimeError/NotImplementedError for encrypted members
+    # or unknown compression, zlib.error for a corrupt deflate stream
+    unreadable = (OSError, ValueError, EOFError, RuntimeError,
+                  zipfile.BadZipFile, zlib.error)
     try:
         rec = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read logit record {path!r}: {exc}") from exc
+    except unreadable as exc:
+        raise bad(f"cannot be read: {exc}") from exc
+    if not isinstance(rec, np.lib.npyio.NpzFile):
+        raise bad("is not an .npz archive")
     with rec:
         for field in ("logits", "labels", "gamma"):
             if field not in rec:
-                raise UsageError(
-                    f"logit record {path!r} is missing field {field!r}")
-        return (np.asarray(rec["logits"], dtype=np.float64),
-                np.asarray(rec["labels"]), float(rec["gamma"]))
+                raise bad(f"is missing field {field!r}")
+        try:
+            logits, labels, gamma = rec["logits"], rec["labels"], rec["gamma"]
+        except unreadable as exc:
+            raise bad(f"cannot be read: {exc}") from exc
+    if logits.dtype.kind not in "iuf" or logits.ndim != 2:
+        raise bad("needs real (n, kappa) logits")
+    if labels.dtype.kind not in "iu" or labels.size == 0:
+        raise bad("needs at least one integer label")
+    if gamma.dtype.kind not in "iuf" or gamma.shape != ():
+        raise bad("needs a real scalar gamma")
+    return logits.astype(np.float64), labels, float(gamma)
 
 
 def cmd_analyze(args) -> int:
@@ -649,18 +669,15 @@ def cmd_analyze(args) -> int:
            for which in ("clubs", "spades")}
 
     layer_rows = []
-    for (layer, _, _), blk, ref, entry in zip(
-            resolve_tensors(graph, ckpt), net.blocks, references, terms.entries):
-        est = operator_norm(KernelTensor(blk.conv.kernel), blk.conv.spec,
-                            tol=args.tol, max_iters=args.max_iters or 1000,
-                            seed=args.seed)
+    for layer, blk, entry in zip(graph.layers, inp.blocks, terms.entries):
+        record = blk.layers[0]
         layer_rows.append({
             "name": layer.name,
-            "lip": est.value,
-            "lip_method": est.method,
-            "dist": group_norm_21(KernelTensor(blk.conv.kernel - ref)),
-            "rho": layer.post_lip,
-            "w": entry.w,
+            "lip": record.lip,
+            "lip_method": "fft_exact",   # build_net admits circular stride 1
+            "dist": record.dist,
+            "rho": record.rho,
+            "w": record.w,
             "capacity_c": entry.c,
             "lip_bound": layer.lip_bound,
             "dist_bound": layer.dist_bound,
@@ -865,21 +882,14 @@ def _epoch_record(stats) -> dict:
 
 def cmd_train_demo(args) -> int:
     if args.arch is not None:
-        graph = load_archdoc(args.arch)
-        reason = graph.executable_reason()
-        if reason is not None:
-            raise UsageError(reason)
-        with open(args.arch, encoding="utf-8") as fh:
-            arch_dict = json.load(fh)
+        arch_text = _read_archdoc_text(args.arch)
     else:
-        arch_dict = default_arch_doc()
-        graph = parse_archdoc(json.dumps(arch_dict))
-    blocks = [BlockSpec(layer.in_shape[0], layer.c_out,
-                        layer.spec.kernel_shape[0], pool=layer.pool,
-                        shortcut=layer.shortcut)
-              for layer in graph.layers]
+        arch_text = json.dumps(default_arch_doc(), indent=2)
+    graph = parse_archdoc(arch_text)
+    reason = graph.executable_reason()
+    if reason is not None:   # reject before any data or files are made
+        raise UsageError(reason)
     names = [layer.name for layer in graph.layers]
-    _, h, w = graph.input_shape
 
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
     test_batch, test_labels = synth_data(args.task, args.n_test,
@@ -893,12 +903,12 @@ def cmd_train_demo(args) -> int:
     if args.save_dir is not None:
         os.makedirs(args.save_dir, exist_ok=True)
         with open(f"{args.save_dir}/arch.json", "w", encoding="utf-8") as fh:
-            json.dump(arch_dict, fh, indent=2)
+            fh.write(arch_text)
 
     cells = []
     for lip_bound in lip_grid:
         for dist_bound in dist_grid:
-            net = TinyNet(blocks, kappa=graph.kappa, h=h, w=w, seed=args.seed)
+            net = graph.new_net(args.seed)
             result = train_projected(net, batch, labels, config,
                                      lip_bound=lip_bound,
                                      dist_bound=dist_bound,

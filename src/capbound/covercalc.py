@@ -14,9 +14,10 @@ cover radii and log-cardinalities mechanically:
 Singleton subtrees contribute zero radius and zero log-cardinality.
 
 evaluate_tree assembles the closed-form upper bound on the mechanical
-result from per-leaf coefficients. It deliberately reuses the exact
-coefficient and assembly helpers of capacity.py, walking factors in the
-same order, so on a residual-chain tree it reproduces
+result from per-leaf coefficients with capacity.cover_value, the one
+assembly every cover bound uses. leaf_contexts is the only code that builds
+prefix/trailing factor lists: capacity_terms reads them off
+residual_chain_tree, so on that tree evaluate_tree reproduces
 whole_network_cover_bound bit for bit rather than merely approximately.
 """
 
@@ -30,9 +31,8 @@ import numpy as np
 
 from .capacity import (
     BoundReport,
-    assemble_norms_bound,
-    assemble_params_bound,
     binomial_bound_check,
+    cover_value,
     leaf_coefficient,
     safe_ceil,
 )
@@ -213,25 +213,12 @@ def evaluate_tree(root, n: int, data_norm_value: float, eps: float,
     contexts = leaf_contexts(root)
     if not contexts:
         return BoundReport.of(f"tree_cover_{variant}", 0.0, {})
-    l_bar = len(contexts)
-    w_max = max(ctx.leaf.w for ctx in contexts)
     cs = [
         leaf_coefficient(data_norm_value, n, ctx.prefix, ctx.leaf.dist,
                          ctx.trailing)
         for ctx in contexts
     ]
-    n_ceil = safe_ceil(n / eps**2)
-    if variant == "norms":
-        ceils = [safe_ceil(c ** (2.0 / 3.0)) for c in cs]
-        value = assemble_norms_bound(math.log(2 * w_max), ceils, n_ceil)
-    elif variant == "params":
-        pairs = [
-            (ctx.leaf.w, safe_ceil((float(l_bar) * c) ** 2))
-            for ctx, c in zip(contexts, cs)
-        ]
-        value = assemble_params_bound(pairs, n_ceil)
-    else:
-        raise UsageError(f"unknown variant {variant!r}")
+    value = cover_value(cs, [ctx.leaf.w for ctx in contexts], n, eps, variant)
     breakdown = {f"c[{i}]": c for i, c in enumerate(cs)}
     return BoundReport.of(f"tree_cover_{variant}", value, breakdown)
 
@@ -368,7 +355,7 @@ def cover_tree(root, eps_by_leaf, data_norm_value: float,
 def residual_chain_tree(inp) -> Compose:
     """The tree of a CapacityInput: shortcut-plus-chain blocks in sequence.
 
-    Built so the traversal reproduces capacity_terms' factor lists exactly:
+    capacity_terms reads its factor lists off this tree's leaf contexts:
     Sum children are [shortcut, chain]; each layer is followed by a
     FixedNode for its rho, each block by one for the block rho.
     """

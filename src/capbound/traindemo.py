@@ -661,8 +661,8 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     block's pool factor folds into both its Lipschitz constant and its
     distance (the tail pushes a cover of the conv class outward by exactly
     that factor). Kernel norm statistics stay raw measurements. The fixed
-    simplex head enters as a terminal dense layer with zero distance so
-    every row sees the same end-to-end function.
+    simplex head enters as a terminal dense layer with zero distance, marked
+    fixed, so every row sees the same end-to-end function.
     """
     stats = []
     acts = [batch.samples]
@@ -713,6 +713,7 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
         max_out_l2=float(np.linalg.norm(head, axis=1).max()),
         frob=float(np.linalg.norm(head)),
         frob_diff=0.0,
+        fixed=True,
     ))
     data = ComparisonDataStats(
         data_norm=data_norm(batch),

@@ -2,14 +2,18 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capbound.cli import (
     ZERO_REFERENCE,
+    ArchGraph,
     build_net,
     default_arch_doc,
     main,
@@ -314,6 +318,82 @@ def test_archdoc_rejects_json_booleans_and_non_numbers(tmp_path):
         assert rc == 1 and err.startswith("error:"), doc
 
 
+def arch_blocks():
+    """Block dicts near the valid set: small shapes, mostly legal values."""
+    return st.fixed_dictionaries(
+        {"name": st.text("abc", min_size=1, max_size=2),
+         "c_out": st.integers(1, 4), "k": st.integers(1, 4)},
+        optional={"stride": st.sampled_from([1, 1, 2, [1, 2]]),
+                  "padding": st.sampled_from(["circular", "circular",
+                                              "zero_same", "mirror"]),
+                  "pool": st.sampled_from(["none", "max3", "max3", "avg"]),
+                  "shortcut": st.sampled_from(["none", "identity",
+                                               "double", "conv"]),
+                  "s": st.floats(0.5, 4.0), "b": st.floats(0.5, 4.0)})
+
+
+def arch_docs():
+    return st.fixed_dictionaries({
+        "format_version": st.just(1),
+        "input": st.tuples(st.integers(1, 3), st.integers(1, 9),
+                           st.integers(1, 9)).map(list),
+        "kappa": st.integers(2, 4),
+        "blocks": st.lists(arch_blocks(), min_size=1, max_size=4)})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_arch_docs(draw):
+    """A near-valid doc with one field, top-level or in one block,
+    replaced by an arbitrary JSON value or dropped."""
+    doc = draw(arch_docs())
+    target = draw(st.sampled_from([doc] + doc["blocks"]))
+    key = draw(st.sampled_from(sorted(target) + ["s", "stride", "pool"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(JSON_VALUES, arch_docs(), mutated_arch_docs()))
+@example({"format_version": 1, "input": [1, 8, 8], "kappa": 2,
+          "blocks": [{"name": "a", "c_out": 2, "k": 3, "s": 10**400}]})
+def test_parse_archdoc_fuzz_yields_graph_or_usage_error(doc):
+    try:
+        graph = parse_archdoc(json.dumps(doc))
+    except UsageError:
+        return
+    assert isinstance(graph, ArchGraph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arch_docs())
+@example({"format_version": 1, "input": [1, 5, 5], "kappa": 2, "blocks": [
+    {"name": "a", "c_out": 2, "k": 1, "pool": "max3", "shortcut": "double"}]})
+@example({"format_version": 1, "input": [1, 2, 2], "kappa": 2, "blocks": [
+    {"name": "a", "c_out": 1, "k": 1, "pool": "max3"}]})
+def test_accepted_executable_arch_docs_build_a_tinynet(doc):
+    try:
+        graph = parse_archdoc(json.dumps(doc))
+    except UsageError:
+        return
+    if graph.executable_reason() is not None:
+        return
+    net = graph.new_net(seed=0)
+    assert net.feature_dim == graph.feature_dim
+    assert net.forward(np.zeros((1, *graph.input_shape))).shape == (
+        1, graph.kappa)
+
+
 def test_resolve_tensors_diagnostics(tmp_path):
     ckpt, arch, weights, _ = write_demo_pair(tmp_path)
     graph = parse_archdoc((tmp_path / "arch.json").read_text())
@@ -434,6 +514,44 @@ def test_analyze_equal_ramp_flow(tmp_path):
     assert "numerical failure" in err
 
 
+GOOD_RECORD = {"logits": np.array([[1.0, 0.0]]), "labels": np.array([0]),
+               "gamma": 0.5}
+
+
+@pytest.mark.parametrize("malformed", [
+    "object array", "plain npy", "vector gamma", "string gamma",
+    "corrupt zip", "missing field", "float labels", "no samples",
+    "empty file"])
+def test_analyze_rejects_malformed_logit_records(tmp_path, malformed):
+    path = str(tmp_path / "record.npz")
+    fields = dict(GOOD_RECORD)
+    if malformed == "object array":
+        fields["logits"] = np.array([[1.0, 0.0]], dtype=object)
+    elif malformed == "vector gamma":
+        fields["gamma"] = np.array([0.5, 0.5])
+    elif malformed == "string gamma":
+        fields["gamma"] = "abc"
+    elif malformed == "missing field":
+        del fields["gamma"]
+    elif malformed == "float labels":
+        fields["labels"] = np.array([0.0])
+    elif malformed == "no samples":
+        fields.update(logits=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
+    np.savez(path, **fields)
+    if malformed == "plain npy":
+        path = str(tmp_path / "record.npy")
+        np.save(path, GOOD_RECORD["logits"])
+    elif malformed == "corrupt zip":
+        with open(path, "r+b") as fh:
+            fh.truncate(40)
+    elif malformed == "empty file":
+        open(path, "wb").close()
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    rc, _, err = run_cli(["analyze", ckpt, arch, "--n", "16",
+                          "--equal-ramp-to", path])
+    assert rc == 1 and err.startswith("error: logit record"), err
+
+
 def test_analyze_shape_mismatch_names_tensor(tmp_path):
     ckpt, _, _, _ = write_demo_pair(tmp_path)
     arch = default_arch_doc()
@@ -456,14 +574,20 @@ def test_cli_usage_exit_codes(tmp_path):
 
 
 def _subcommand_argv(command, ckpt, arch, tmp_path):
+    if command == "train-demo":
+        return [command, "--arch", arch, "--n", "16", "--epochs", "1"]
     extra = {"analyze": ["--n", "16"], "spectra": [],
              "project": ["--out", str(tmp_path / "out.ckpt")]}[command]
     return [command, ckpt, arch] + extra
 
 
-@pytest.mark.parametrize("command", ["analyze", "spectra", "project"])
-@pytest.mark.parametrize("broken", ["truncated checkpoint",
-                                    "non-object arch doc"])
+@pytest.mark.parametrize("broken,command", [
+    *itertools.product(["truncated checkpoint", "non-object arch doc"],
+                       ["analyze", "spectra", "project"]),
+    ("non-object arch doc", "train-demo"),
+    ("non-UTF-8 arch doc", "spectra"),
+    ("non-UTF-8 arch doc", "train-demo"),
+])
 def test_subcommands_reject_malformed_inputs(tmp_path, command, broken):
     ckpt, arch, _, _ = write_demo_pair(tmp_path, bounds=(1.5, 1.5))
     if broken == "truncated checkpoint":
@@ -471,6 +595,9 @@ def test_subcommands_reject_malformed_inputs(tmp_path, command, broken):
             blob = fh.read()
         with open(ckpt, "wb") as fh:
             fh.write(blob[:-8])
+    elif broken == "non-UTF-8 arch doc":
+        with open(arch, "wb") as fh:
+            fh.write(b'\xff\xfe{"format_version": 1}')
     else:
         with open(arch, "w", encoding="utf-8") as fh:
             json.dump(default_arch_doc()["blocks"], fh)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from capbound import UsageError
 from capbound.capacity import (
+    capacity_terms,
     comparison_suite,
     margin_for_equal_ramp_loss,
     rademacher_clubs,
+    rademacher_spades,
 )
 from capbound.tensors import DataBatch, data_norm
 from capbound.traindemo import (
@@ -544,6 +546,27 @@ def test_comparison_stats_from_net():
     for name, report in suite.items():
         assert not report.absent, name
         assert math.isfinite(report.log10_value), name
+
+
+def test_comparison_ours_rows_equal_headline_bounds():
+    # one 1->1 k=1 block on 8x8: the fixed head (w = 2 * 64) outweighs the
+    # conv (w = 1), so counting the head in Lbar or W_max would show
+    batch, labels = synth_data("blobs", 32, seed=2)
+    net = TinyNet((BlockSpec(1, 1, 1),), seed=0)
+    res = train_projected(net, batch, labels, TrainConfig(epochs=3, seed=0))
+    gamma = 0.05
+    inp = capacity_input_from_net(res.net, res.references, batch.n,
+                                  data_norm(batch), gamma)
+    c_tilde = capacity_terms(inp).entries[0].c_tilde
+    for x in (c_tilde ** (2.0 / 3.0), c_tilde ** 2):   # away from ceilings
+        assert x > 1.0 and abs(x - round(x)) > 0.05, x
+    stats, data = comparison_stats_from_net(res.net, res.references, batch)
+    assert stats[-1].w > stats[0].w
+    rows = comparison_suite(stats, data, batch.n, gamma, res.net.kappa)
+    assert rows["ours_clubs"].value == pytest.approx(
+        rademacher_clubs(inp).value, rel=1e-9)
+    assert rows["ours_spades"].value == pytest.approx(
+        rademacher_spades(inp).value, rel=1e-9)
 
 
 def test_equal_ramp_margin_search_against_trained_logits():
