@@ -20,7 +20,7 @@ C~_ij = 2 C_ij / gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ResourceError, UsageError
 from .tensors import DenseMatrix, KernelTensor
 
 __all__ = [
-    "LayerGeometry",
     "LayerRecord",
     "BlockRecord",
     "CapacityInput",
@@ -63,17 +62,6 @@ _SHORTCUTS = ("zero", "identity", "fixed")
 
 
 @dataclass(frozen=True)
-class LayerGeometry:
-    """Shape facts needed by the comparison formulas, not by our bounds."""
-
-    d: int = 1       # input spatial width
-    t: int = 1       # stride
-    k: int = 1       # kernel extent
-    c_in: int = 1
-    c_out: int = 1
-
-
-@dataclass(frozen=True)
 class LayerRecord:
     kind: str                      # conv | dense
     lip: float                     # s_ij > 0
@@ -82,18 +70,17 @@ class LayerRecord:
     weight: object = None          # KernelTensor | DenseMatrix | None
     reference: object = None
     param_count: int | None = None
-    geometry: LayerGeometry | None = None
     name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("conv", "dense"):
             raise UsageError(f"layer kind must be conv or dense, got {self.kind!r}")
-        if not (self.lip > 0):
-            raise UsageError("layer lipschitz bound must be > 0")
-        if self.dist < 0:
-            raise UsageError("layer distance bound must be >= 0")
-        if not (self.rho > 0):
-            raise UsageError("layer rho must be > 0")
+        if not (math.isfinite(self.lip) and self.lip > 0):
+            raise UsageError("layer lipschitz bound must be finite and > 0")
+        if not (math.isfinite(self.dist) and self.dist >= 0):
+            raise UsageError("layer distance bound must be finite and >= 0")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise UsageError("layer rho must be finite and > 0")
         if self.weight is not None:
             if not isinstance(self.weight, (KernelTensor, DenseMatrix)):
                 raise UsageError("weight must be KernelTensor or DenseMatrix")
@@ -130,14 +117,16 @@ class BlockRecord:
         elif self.shortcut == "identity":
             lip = 1.0
         else:
-            if self.shortcut_lip is None or self.shortcut_lip < 0:
-                raise UsageError("fixed shortcut needs a nonnegative lipschitz")
+            if self.shortcut_lip is None or not (
+                    math.isfinite(self.shortcut_lip) and self.shortcut_lip >= 0):
+                raise UsageError(
+                    "fixed shortcut needs a finite nonnegative lipschitz")
             lip = float(self.shortcut_lip)
         if self.shortcut_lip is not None and self.shortcut_lip != lip:
             raise UsageError("shortcut_lip inconsistent with shortcut kind")
         object.__setattr__(self, "shortcut_lip", lip)
-        if not (self.rho > 0):
-            raise UsageError("block rho must be > 0")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise UsageError("block rho must be finite and > 0")
 
     def chain_lip(self) -> float:
         """Product of per-layer (s, rho) factors, left to right."""
@@ -164,14 +153,10 @@ class CapacityInput:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.n < 1:
             raise UsageError("n must be >= 1")
-        if self.data_norm < 0:
-            raise UsageError("data norm must be >= 0")
-        if not (self.gamma > 0):
-            raise UsageError("gamma must be > 0")
-
-    @property
-    def l_blocks(self) -> int:
-        return len(self.blocks)
+        if not (math.isfinite(self.data_norm) and self.data_norm >= 0):
+            raise UsageError("data norm must be finite and >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise UsageError("gamma must be finite and > 0")
 
     @property
     def l_bar(self) -> int:
@@ -201,6 +186,56 @@ def leaf_coefficient(data_norm: float, n: int, prefix_lips, b: float,
     for v in trailing_lips:
         c = c * v
     return c
+
+
+_NEG_INF = -math.inf
+
+
+def _lg(x: float) -> float:
+    if x < 0:
+        raise UsageError("log10 of a negative factor")
+    return math.log10(x) if x > 0 else _NEG_INF
+
+
+def _lg_add(a: float, b: float) -> float:
+    if a == _NEG_INF:
+        return b
+    if b == _NEG_INF:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log10(1.0 + 10.0 ** (lo - hi))
+
+
+def _lg_product(factors) -> float:
+    """log10 of a product of nonnegative factors; it cannot overflow."""
+    lgs = [_lg(v) for v in factors]
+    return _NEG_INF if _NEG_INF in lgs else math.fsum(lgs)
+
+
+def _lg_ceil(x: float, x_log10: float, power: float):
+    """(ceil(x**power), its log10) for x >= 0 given with its log10 x_log10.
+
+    Up to 1e15 the ceiling is an exact int, from x unless x overflowed, and
+    at least 1 for x > 0 even where x**power underflows; past 1e15 it no
+    longer shows (error < 1e-15) and comes back as None.
+    """
+    lg = power * x_log10
+    if lg > 15.0 or lg == _NEG_INF:
+        return (None if lg > 15.0 else 0), lg
+    a = max(1, math.ceil(x ** power if x < math.inf else 10.0 ** lg))
+    return a, math.log10(a)
+
+
+def _pow10(x_log10: float) -> float:
+    return 10.0 ** x_log10 if x_log10 <= 308 else math.inf
+
+
+def _report_from_log10(name: str, value_log10: float, extra=None) -> BoundReport:
+    if value_log10 == _NEG_INF:
+        return BoundReport.of(name, 0.0, extra, log10_value=_NEG_INF)
+    value = _pow10(value_log10)
+    return BoundReport(name=name, value=value, log10_value=value_log10,
+                       breakdown=extra, saturated=not math.isfinite(value))
 
 
 def safe_ceil(x: float):
@@ -259,6 +294,7 @@ class LayerCapacity:
     w: int
     prefix: tuple
     trailing: tuple
+    log10_c: float   # log10 of c, finite where c itself overflows
 
 
 @dataclass(frozen=True)
@@ -270,18 +306,13 @@ class CapacityTerms:
     l_bar: int
     w_max: int
 
-    def c_values(self) -> np.ndarray:
-        return np.array([e.c for e in self.entries])
-
-    def c_tilde_values(self) -> np.ndarray:
-        return np.array([e.c_tilde for e in self.entries])
-
 
 def capacity_terms(inp: CapacityInput) -> CapacityTerms:
     """Per-layer coefficients C_ij and margin-scaled C~_ij = 2 C_ij / gamma.
 
     The factor lists are the leaf contexts of residual_chain_tree(inp), so
-    this route and the tree calculus share one traversal.
+    this route and the tree calculus share one traversal. log10 C_ij, the
+    fsum of the same factors' logs, stays finite where C_ij overflows.
     """
     # local import: covercalc imports this module, and loading it only when
     # a bound is computed keeps it out of every CLI start-up
@@ -294,8 +325,11 @@ def capacity_terms(inp: CapacityInput) -> CapacityTerms:
     for (i, j), ctx in zip(positions, leaf_contexts(tree)):
         c = leaf_coefficient(inp.data_norm, inp.n, ctx.prefix, ctx.leaf.dist,
                              ctx.trailing)
+        log10_c = _lg_product((2.0, inp.data_norm, 1.0 / math.sqrt(inp.n),
+                               *ctx.prefix, ctx.leaf.dist, *ctx.trailing))
         entries.append(LayerCapacity(i, j, c, (2.0 * c) / inp.gamma,
-                                     ctx.leaf.w, ctx.prefix, ctx.trailing))
+                                     ctx.leaf.w, ctx.prefix, ctx.trailing,
+                                     log10_c))
     return CapacityTerms(tuple(entries), inp.n, inp.data_norm, inp.gamma,
                          inp.l_bar, inp.w_max)
 
@@ -484,43 +518,54 @@ def binomial_bound_check(n: int, k: int):
 
 
 def rademacher_clubs(inp: CapacityInput) -> BoundReport:
-    """4/n + 12 H_{n-1}/sqrt(n) * sqrt(log 2W) * (sum ceil(C~^{2/3}))^{3/2}."""
+    """4/n + 12 H_{n-1}/sqrt(n) * sqrt(log 2W) * (sum ceil(C~^{2/3}))^{3/2}.
+
+    The tail is assembled in log10 and evaluated as 10**log10, so a tail
+    past the float range saturates (value inf, finite log10), and zero
+    distances give exactly 4/n. The ceiling sum is an exact int unless a
+    term is past 1e15.
+    """
     if inp.n < 2:
         raise UsageError("the harmonic-number route needs n >= 2")
     terms = capacity_terms(inp)
-    total = 0
+    lg_scale = _lg(2.0 / inp.gamma)
+    total, lg_rest = 0, _NEG_INF
     for e in terms.entries:
-        t = safe_ceil(e.c_tilde ** (2.0 / 3.0))
-        if t == math.inf:
-            return BoundReport.of("clubs", math.inf)
-    # second pass keeps the running sum an exact integer
-    for e in terms.entries:
-        total += safe_ceil(e.c_tilde ** (2.0 / 3.0))
+        a, lg_a = _lg_ceil(e.c_tilde, e.log10_c + lg_scale, 2.0 / 3.0)
+        if a is None:
+            lg_rest = _lg_add(lg_rest, lg_a)
+        else:
+            total += a
+    lg_sum = _lg_add(_lg(total), lg_rest)
     h = harmonic_number(inp.n - 1)
-    value = 4.0 / inp.n + (
-        12.0 * h / math.sqrt(inp.n)
-        * math.sqrt(math.log(2 * terms.w_max))
-        * float(total) ** 1.5
-    )
-    return BoundReport.of("clubs", value, {
-        "harmonic": h, "ceil_sum": total, "w_max": terms.w_max,
-    })
+    lg_tail = (_lg(12.0 * h) + 1.5 * lg_sum
+               + 0.5 * (_lg(math.log(2 * terms.w_max)) - _lg(inp.n)))
+    breakdown = {"harmonic": h, "w_max": terms.w_max,
+                 "ceil_sum": total if lg_rest == _NEG_INF else _pow10(lg_sum)}
+    if lg_tail > 308:  # 4/n no longer shows
+        return _report_from_log10("clubs", lg_tail, breakdown)
+    return BoundReport.of("clubs", 4.0 / inp.n + 10.0 ** lg_tail, breakdown)
 
 
 def rademacher_spades(inp: CapacityInput, appendix_counts: bool = False) -> BoundReport:
     """12/sqrt(n) * sqrt(sum 2W (log(1 + ceil((Lbar C~)^2)) + psi(...))).
 
-    appendix_counts swaps the per-layer 2W for 2W - 1.
+    appendix_counts swaps the per-layer 2W for 2W - 1. A ceiling past 1e15
+    enters through its log10, with psi at its limit.
     """
     terms = capacity_terms(inp)
+    l_bar = float(terms.l_bar)
+    lg_scale = _lg(2.0 * l_bar / inp.gamma)
     total = 0.0
     per_layer = {}
     for e in terms.entries:
-        a = safe_ceil((float(terms.l_bar) * e.c_tilde) ** 2)
+        a, lg_a = _lg_ceil(l_bar * e.c_tilde, e.log10_c + lg_scale, 2.0)
         w_coef = 2.0 * e.w - 1.0 if appendix_counts else 2.0 * e.w
-        if a == math.inf:
-            return BoundReport.of("spades", math.inf)
-        contrib = w_coef * (math.log(1 + a) + psi_correction(a))
+        if a is None:
+            contrib = w_coef * (lg_a * math.log(10.0)
+                                + psi_correction(math.inf))
+        else:
+            contrib = w_coef * (math.log(1 + a) + psi_correction(a))
         per_layer[f"[{e.block_index}][{e.layer_index}]"] = contrib
         total += contrib
     value = 12.0 / math.sqrt(inp.n) * math.sqrt(total)
@@ -625,13 +670,15 @@ def margin_for_equal_ramp_loss(logits_ref: np.ndarray, labels_ref: np.ndarray,
 
 @dataclass(frozen=True)
 class ComparisonLayerStats:
-    """Measured statistics of one layer for the comparison rows.
+    """Measured statistics of one layer of a plain chain, for the comparison
+    rows.
 
     Distances are against the layer's reference kernel. Optional entries may
     be None; rows needing them come back marked absent. A fixed layer (one
     that is not trained, such as a fixed classifier head) enters every row's
-    end-to-end function, but the ours_* rows leave it out of Lbar and W_max,
-    as capacity_terms counts trainable layers only.
+    end-to-end function. Where the ours_* rows are built from these stats,
+    a fixed layer only scales the outer rho, and only trainable layers count
+    in Lbar and W_max, as in capacity_terms.
     """
 
     lip: float
@@ -660,46 +707,15 @@ class ComparisonLayerStats:
 
 @dataclass(frozen=True)
 class ComparisonDataStats:
+    """Data statistics for the comparison rows, plus the network's own
+    BlockRecords, shortcuts included, when the ours_* rows should use them."""
+
     data_norm: float
     max_linf: float | None = None
     max_coord_sq_sum: float | None = None
     patch_norm_input: float | None = None
     patch_norms: tuple | None = None  # B_0 .. B_L from a forward pass
-
-
-_NEG_INF = -math.inf
-
-
-def _lg(x: float) -> float:
-    if x < 0:
-        raise UsageError("log10 of a negative factor")
-    return math.log10(x) if x > 0 else _NEG_INF
-
-
-def _lg_add(a: float, b: float) -> float:
-    if a == _NEG_INF:
-        return b
-    if b == _NEG_INF:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log10(1.0 + 10.0 ** (lo - hi))
-
-
-def _lg_ceil(x_log10: float) -> float:
-    """log10 of ceil(x) given log10(x); identity above 1e15 (error < 1e-15)."""
-    if x_log10 == _NEG_INF:
-        return _NEG_INF
-    if x_log10 <= 15.0:
-        return _lg(float(safe_ceil(10.0 ** x_log10)))
-    return x_log10
-
-
-def _report_from_log10(name: str, value_log10: float, extra=None) -> BoundReport:
-    if value_log10 == _NEG_INF:
-        return BoundReport.of(name, 0.0, extra, log10_value=_NEG_INF)
-    value = 10.0 ** value_log10 if value_log10 <= 308 else math.inf
-    return BoundReport(name=name, value=value, log10_value=value_log10,
-                       breakdown=extra, saturated=not math.isfinite(value))
+    blocks: tuple | None = None
 
 
 def _need(stats, fields) -> str | None:
@@ -715,8 +731,11 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
     """Every published bound evaluated on the same measured statistics.
 
     Returns a name -> BoundReport dict; rows whose statistics are missing
-    are marked absent with the reason, never silently zero. All arithmetic
-    runs in log10 space so products of many layer norms cannot overflow.
+    are marked absent with the reason, never silently zero. The ours_* rows
+    are rademacher_clubs and rademacher_spades themselves, on data.blocks
+    when given (the network's own records, shortcuts included), else on the
+    plain chain of the layer stats. The other rows run in log10 space so
+    products of many layer norms cannot overflow.
     """
     stats = tuple(stats)
     if not stats:
@@ -734,48 +753,26 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
             return stats[i + 1].d
         return max(1, stats[i].d // stats[i].t)
 
-    # ---- ours, clubs style ------------------------------------------------
+    # ---- ours: the headline bounds on the network's records ---------------
     trainable = [st for st in stats if not st.fixed]
-    why = _need(stats, ["dist_21"])
-    if not trainable:
-        why = "every layer is fixed"
+    why = None
+    if data.blocks is None:
+        why = _need(stats, ["dist_21"]) if trainable else "every layer is fixed"
     if why:
         rows["ours_clubs"] = BoundReport.missing("ours_clubs", why)
         rows["ours_spades"] = BoundReport.missing("ours_spades", why)
     else:
-        lg_ctilde = [
-            _lg(4.0) - _lg(gamma) + lg_x - 0.5 * lg_n + lg_prod_s
-            - _lg(st.lip) + _lg(st.dist_21)
-            for st in stats
-        ]
-        ssum = _NEG_INF
-        for lc in lg_ctilde:
-            ssum = _lg_add(ssum, _lg_ceil((2.0 / 3.0) * lc))
-        w_max = max(st.w for st in trainable)
-        h = harmonic_number(n - 1)
-        tail = (_lg(12.0) + _lg(h) - 0.5 * lg_n
-                + 0.5 * _lg(math.log(2 * w_max)) + 1.5 * ssum)
-        rows["ours_clubs"] = _report_from_log10(
-            "ours_clubs", _lg_add(_lg(4.0) - lg_n, tail))
-
-        # ---- ours, spades style (no 4/n term) -----------------------------
-        inner = 0.0
-        for st, lc in zip(stats, lg_ctilde):
-            lg_raw = 2.0 * (_lg(float(len(trainable))) + lc)
-            if lg_raw == _NEG_INF:
-                continue
-            if lg_raw <= 15.0:
-                a = safe_ceil(10.0 ** lg_raw)
-                log_term = math.log(1 + a)
-                psi = psi_correction(a)
-            else:
-                # ceil is invisible at this magnitude; psi has converged
-                log_term = lg_raw * math.log(10.0)
-                psi = psi_correction(math.inf)
-            inner += 2.0 * st.w * (log_term + psi)
-        rows["ours_spades"] = _report_from_log10(
-            "ours_spades", _lg(12.0) + 0.5 * _lg(inner) - 0.5 * lg_n
-            if inner > 0 else _NEG_INF)
+        # Without the network's records, the stats are one plain-chain
+        # block; the product form does not depend on where fixed layers sit,
+        # so they all scale the outer rho.
+        blocks = data.blocks if data.blocks is not None else (BlockRecord(
+            layers=[LayerRecord(kind="conv", lip=st.lip, dist=st.dist_21,
+                                param_count=st.w) for st in trainable],
+            rho=math.prod(st.lip for st in stats if st.fixed)),)
+        inp = CapacityInput(blocks, n, data.data_norm, gamma)
+        for name, bound in (("ours_clubs", rademacher_clubs),
+                            ("ours_spades", rademacher_spades)):
+            rows[name] = replace(bound(inp), name=name, breakdown=None)
 
     # ---- Bartlett-style spectral product ----------------------------------
     why = _need(stats, ["sum_out_l2_diff"])

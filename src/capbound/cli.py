@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import NumericalError, ResourceError, UsageError
-from .tensors import KernelTensor, data_norm, group_norm_21
+from .tensors import KernelTensor, group_norm_21
 from .convop import ConvSpec
 from .lipschitz import fft_eligible, fft_exact_spectrum, operator_norm
 from .project import (
@@ -40,6 +40,7 @@ from .project import (
 )
 from .capacity import (
     BoundReport,
+    CapacityInput,
     capacity_terms,
     comparison_suite,
     generalization_bound,
@@ -52,7 +53,6 @@ from .traindemo import (
     BlockSpec,
     TinyNet,
     TrainConfig,
-    capacity_input_from_net,
     comparison_stats_from_net,
     margin_values,
     ramp_risk,
@@ -658,12 +658,11 @@ def cmd_analyze(args) -> int:
     if args.dump_logits is not None:
         np.savez(args.dump_logits, logits=logits, labels=labels, gamma=gamma)
 
-    norm_x = data_norm(batch)
-    inp = capacity_input_from_net(net, references, batch.n, norm_x, gamma)
+    stats, dstats = comparison_stats_from_net(net, references, batch)
+    inp = CapacityInput(dstats.blocks, batch.n, dstats.data_norm, gamma)
     terms = capacity_terms(inp)
     clubs = rademacher_clubs(inp)
     spades = rademacher_spades(inp)
-    stats, dstats = comparison_stats_from_net(net, references, batch)
     comparison = comparison_suite(stats, dstats, batch.n, gamma, graph.kappa)
     gen = {which: generalization_bound(inp, ramp, args.delta, which)
            for which in ("clubs", "spades")}
@@ -690,7 +689,7 @@ def cmd_analyze(args) -> int:
         "gamma": gamma,
         "gamma_source": gamma_source,
         "delta": args.delta,
-        "data_norm": norm_x,
+        "data_norm": inp.data_norm,
         "layers": layer_rows,
         "lip_median": float(np.median([r["lip"] for r in layer_rows])),
         "dist_median": float(np.median([r["dist"] for r in layer_rows])),
@@ -1024,12 +1023,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized numerics")
-    sub.add_argument("--tol", type=float, default=1e-3,
-                     help="relative tolerance for iterative steps")
-    sub.add_argument("--max-iters", type=int, default=None,
-                     help="iteration budget override")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON document instead of text")
 
@@ -1056,6 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level for the generalization bound")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report log covering numbers at this radius")
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="ramp-risk tolerance of the --equal-ramp-to search")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -1065,6 +1060,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--scheme", choices=("alternating", "dykstra", "radial"),
                    default="alternating")
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="relative excess a converged layer may keep")
+    p.add_argument("--max-iters", type=int, default=None,
+                   help="rounds or iterations (default: 15, dykstra 100)")
     _add_common(p)
     p.set_defaults(func=cmd_project)
 
@@ -1087,6 +1086,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="architecture document (default: built-in demo net)")
     p.add_argument("--save-dir", default=None,
                    help="write per-cell checkpoints and trajectory logs here")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the nets' initial weights and SGD order")
     _add_common(p)
     p.set_defaults(func=cmd_train_demo)
 

@@ -52,9 +52,6 @@ __all__ = [
     "init_scale_to_feasible",
 ]
 
-_DEFAULT_ORDER = ("l21", "spectral", "support")
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """One layer's constraint data: reference kernel, radii, and geometry."""
@@ -190,8 +187,8 @@ def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTens
     return KernelTensor(np.where(mask[None, None, :, :], g, 0.0))
 
 
-def _grid_projections(cs: ConstraintSet, order):
-    """Projection callables acting on grid arrays, in cycle order."""
+def _grid_projections(cs: ConstraintSet):
+    """Projections onto C1, C2, C3 acting on grid arrays, in cycle order."""
     c_in, h, w = cs.conv.input_shape
     k_h, k_w = cs.support
     center_grid = embed_kernel_grid(cs.reference, cs.conv)
@@ -215,11 +212,7 @@ def _grid_projections(cs: ConstraintSet, order):
         kt = project_support(KernelTensor(g), k_h, k_w)
         return kt.entries
 
-    table = {"l21": p_l21, "spectral": p_spec, "support": p_supp}
-    unknown = [name for name in order if name not in table]
-    if unknown:
-        raise UsageError(f"unknown projection names {unknown}")
-    return [table[name] for name in order], center_grid
+    return [p_l21, p_spec, p_supp], center_grid
 
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
@@ -266,9 +259,8 @@ def _finish(grid: np.ndarray, cs: ConstraintSet, trajectory: list,
 
 
 def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
-                            rounds: int = 15, order=_DEFAULT_ORDER,
-                            tol: float = 1e-3):
-    """Cyclic projections C1 -> C2 -> C3 (configurable order).
+                            rounds: int = 15, tol: float = 1e-3):
+    """Cyclic projections C1 -> C2 -> C3.
 
     Violations are measured at the end of each full cycle; the support
     constraint holds exactly after its projection, the other two are
@@ -276,7 +268,7 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
     """
     if rounds < 1:
         raise UsageError("rounds must be >= 1")
-    projs, center_grid = _grid_projections(cs, order)
+    projs, center_grid = _grid_projections(cs)
     grid = _prepare(kernel, cs)
     trajectory = []
     for _ in range(rounds):
@@ -310,7 +302,7 @@ def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
 
 
 def dykstra(kernel: KernelTensor, cs: ConstraintSet, iterations: int = 100,
-            order=_DEFAULT_ORDER, tol: float = 1e-3):
+            tol: float = 1e-3):
     """Dykstra's corrected cycle over C1/C2/C3 on the grid.
 
     The per-iteration distance log exists for diagnosis; Dykstra iterates
@@ -318,7 +310,7 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet, iterations: int = 100,
     """
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
-    projs, center_grid = _grid_projections(cs, order)
+    projs, center_grid = _grid_projections(cs)
     grid = _prepare(kernel, cs)
     corrections = [np.zeros_like(grid) for _ in projs]
     trajectory = []

@@ -616,10 +616,8 @@ def pixel_mean_threshold_error(batch: DataBatch, labels: np.ndarray) -> float:
 # bridges into the capacity calculus
 
 
-def capacity_input_from_net(net: TinyNet, references, n: int,
-                            data_norm_value: float,
-                            gamma: float) -> CapacityInput:
-    """Measure the trained net into per-layer capacity records.
+def _block_records(net: TinyNet, references) -> tuple:
+    """The net's blocks as capacity records, each conv measured once.
 
     Each block contributes one conv layer whose post-conv factor covers the
     ReLU and any pool; the fixed classifier folds into the last block's
@@ -627,26 +625,28 @@ def capacity_input_from_net(net: TinyNet, references, n: int,
     """
     shortcut_kind = {"none": "zero", "identity": "identity",
                      "double": "fixed"}
-    blocks = []
-    for blk, ref in zip(net.blocks, references):
-        lip = fft_exact_norm(KernelTensor(blk.conv.kernel),
-                             blk.conv.spec).value
-        layer = LayerRecord(
-            kind="conv",
-            lip=lip,
-            dist=group_norm_21(KernelTensor(blk.conv.kernel - ref)),
-            rho=blk.spec.post_lip,
-            weight=KernelTensor(blk.conv.kernel),
-            reference=KernelTensor(ref),
-        )
+    records = []
+    for blk, ref, lip, dist in zip(net.blocks, references, net.lipschitz(),
+                                   net.distances(references)):
+        layer = LayerRecord(kind="conv", lip=lip, dist=dist,
+                            rho=blk.spec.post_lip,
+                            weight=KernelTensor(blk.conv.kernel),
+                            reference=KernelTensor(ref))
         kind = shortcut_kind[blk.spec.shortcut]
-        blocks.append(BlockRecord(
+        records.append(BlockRecord(
             layers=(layer,),
             shortcut=kind,
             shortcut_lip=SHORTCUT_LIP if kind == "fixed" else None,
         ))
-    blocks[-1] = replace(blocks[-1], rho=net.classifier_lip)
-    return CapacityInput(blocks=tuple(blocks), n=n,
+    records[-1] = replace(records[-1], rho=net.classifier_lip)
+    return tuple(records)
+
+
+def capacity_input_from_net(net: TinyNet, references, n: int,
+                            data_norm_value: float,
+                            gamma: float) -> CapacityInput:
+    """Measure the trained net into per-layer capacity records."""
+    return CapacityInput(blocks=_block_records(net, references), n=n,
                          data_norm=data_norm_value, gamma=gamma)
 
 
@@ -662,8 +662,11 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     distance (the tail pushes a cover of the conv class outward by exactly
     that factor). Kernel norm statistics stay raw measurements. The fixed
     simplex head enters as a terminal dense layer with zero distance, marked
-    fixed, so every row sees the same end-to-end function.
+    fixed, so every row sees the same end-to-end function. The data stats
+    carry the net's block records (the one measurement of each conv), on
+    which the ours_* rows evaluate the headline bounds, shortcuts included.
     """
+    records = _block_records(net, references)
     stats = []
     acts = [batch.samples]
     for blk in net.blocks:
@@ -672,20 +675,20 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     for blk, act in zip(net.blocks, acts):
         b_vals.append(patch_norms(DataBatch(act), blk.spec.k, blk.spec.k,
                                   padding="circular"))
-    for blk, ref in zip(net.blocks, references):
+    for blk, ref, record in zip(net.blocks, references, records):
         kernel = blk.conv.kernel
         diff = kernel - ref
         rows, rows_diff = _out_slices(kernel), _out_slices(diff)
-        lip = fft_exact_norm(KernelTensor(kernel), blk.conv.spec).value
+        layer = record.layers[0]
         stats.append(ComparisonLayerStats(
-            lip=lip * blk.spec.post_lip,
+            lip=layer.lip * layer.rho,
             w=kernel.size,
             d=blk.conv.spec.input_shape[1],
             t=1,
             k=blk.spec.k,
             c_in=blk.spec.c_in,
             c_out=blk.spec.c_out,
-            dist_21=group_norm_21(KernelTensor(diff)) * blk.spec.post_lip,
+            dist_21=layer.dist * layer.rho,
             sum_out_l2=float(np.linalg.norm(rows, axis=1).sum()),
             sum_out_l2_diff=float(np.linalg.norm(rows_diff, axis=1).sum()),
             max_out_l1=float(np.abs(rows).sum(axis=1).max()),
@@ -721,5 +724,6 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
         max_coord_sq_sum=float((batch.samples ** 2).sum(axis=0).max()),
         patch_norm_input=b_vals[0],
         patch_norms=tuple(b_vals),
+        blocks=records,
     )
     return tuple(stats), data

@@ -176,6 +176,23 @@ def test_record_validation():
         chain_input([layer()], gamma=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: layer(s=bad),
+    lambda bad: layer(b=bad),
+    lambda bad: layer(rho=bad),
+    lambda bad: BlockRecord(layers=(layer(),), shortcut="fixed",
+                            shortcut_lip=bad),
+    lambda bad: BlockRecord(layers=(layer(),), rho=bad),
+    lambda bad: chain_input([layer()], data_norm=bad),
+    lambda bad: chain_input([layer()], gamma=bad),
+], ids=["lip", "dist", "rho", "shortcut_lip", "block rho", "data_norm",
+        "gamma"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_records_reject_non_finite_numbers(build, bad):
+    with pytest.raises(UsageError):
+        build(bad)
+
+
 def test_shortcut_kinds_resolve_lipschitz():
     assert BlockRecord(layers=(layer(),), shortcut="zero").shortcut_lip == 0.0
     assert BlockRecord(layers=(layer(),), shortcut="identity").shortcut_lip == 1.0
@@ -374,6 +391,27 @@ def test_rademacher_monotonicity_spot_checks():
             [layer(s=r["s"], b=r["b"], w=r["w"]) for r in base],
             n=32, data_norm=10.0, gamma=0.7)
         assert fn(x_bigger).value >= v0
+
+
+def test_bounds_survive_coefficients_past_the_float_range():
+    # C~ of each layer is about 1e320: clubs saturates with its log10 kept,
+    # spades charges log(1 + ceil((Lbar C~)^2)) ~ 1500 per layer and stays finite
+    inp = chain_input([layer(s=1e160, b=0.9, w=36) for _ in range(3)],
+                      n=1000, data_norm=20.0, gamma=1e-3)
+    clubs = rademacher_clubs(inp)
+    assert clubs.saturated and clubs.value == math.inf
+    lg_ctilde = math.log10(4.0 / 1e-3 * 20.0 / math.sqrt(1000) * 0.9) + 320.0
+    lg_tail = (math.log10(12.0 * harmonic_number(999) / math.sqrt(1000))
+               + 0.5 * math.log10(math.log(72.0))
+               + 1.5 * (math.log10(3.0) + 2.0 / 3.0 * lg_ctilde))
+    assert clubs.log10_value == pytest.approx(lg_tail, rel=1e-12)
+    spades = rademacher_spades(inp)
+    assert not spades.saturated
+    assert math.isfinite(spades.log10_value)
+    per_layer = 72.0 * (2.0 * (math.log(3.0) + lg_ctilde * math.log(10.0))
+                        + psi_correction(math.inf))
+    want = 12.0 / math.sqrt(1000) * math.sqrt(3 * per_layer)
+    assert spades.value == pytest.approx(want, rel=1e-12)
 
 
 def test_clubs_needs_two_samples():

@@ -552,6 +552,45 @@ def test_analyze_rejects_malformed_logit_records(tmp_path, malformed):
     assert rc == 1 and err.startswith("error: logit record"), err
 
 
+def test_analyze_measures_each_block_once(tmp_path, monkeypatch):
+    import capbound.cli as cli_module
+    import capbound.traindemo as traindemo_module
+
+    calls = {"fft_exact_norm": 0, "group_norm_21": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli_module, traindemo_module):
+        for name in calls:
+            if hasattr(module, name):
+                counted(module, name)
+    ckpt, arch, weights, _ = write_demo_pair(tmp_path)
+    rc, _, _ = run_cli(["analyze", ckpt, arch, "--n", "16", "--json"])
+    assert rc == 0
+    assert calls == {"fft_exact_norm": len(weights),
+                     "group_norm_21": len(weights)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed", "1"], ["analyze", "--max-iters", "5"],
+    ["spectra", "--tol", "1e-3"], ["spectra", "--seed", "1"],
+    ["train-demo", "--tol", "1e-3"],
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, argv):
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    command, *flag = argv
+    files = [] if command == "train-demo" else [ckpt, arch]
+    rc, _, err = run_cli([command, *files, *flag])
+    assert rc == 1
+    assert "unrecognized arguments" in err
+
+
 def test_analyze_shape_mismatch_names_tensor(tmp_path):
     ckpt, _, _, _ = write_demo_pair(tmp_path)
     arch = default_arch_doc()

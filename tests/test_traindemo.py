@@ -569,6 +569,30 @@ def test_comparison_ours_rows_equal_headline_bounds():
         rademacher_spades(inp).value, rel=1e-9)
 
 
+def test_comparison_ours_rows_keep_the_shortcuts():
+    # identity and doubling shortcuts add to each block's Lipschitz factor;
+    # the ours_* rows must read the same records as the headline bounds
+    batch, labels = synth_data("blobs", 32, seed=2)
+    net = TinyNet((BlockSpec(1, 2, 3),
+                   BlockSpec(2, 2, 3, shortcut="identity"),
+                   BlockSpec(2, 4, 3, pool="max3", shortcut="double")), seed=0)
+    res = train_projected(net, batch, labels, TrainConfig(epochs=2, seed=0),
+                          lip_bound=2.0, dist_bound=2.0)
+    gamma = 0.5
+    inp = capacity_input_from_net(res.net, res.references, batch.n,
+                                  data_norm(batch), gamma)
+    stats, data = comparison_stats_from_net(res.net, res.references, batch)
+    assert [b.shortcut for b in data.blocks] == ["zero", "identity", "fixed"]
+    rows = comparison_suite(stats, data, batch.n, gamma, res.net.kappa)
+    for name, bound in (("ours_clubs", rademacher_clubs),
+                        ("ours_spades", rademacher_spades)):
+        want = bound(inp)
+        assert want.value > 0 and not want.saturated
+        assert rows[name].value == pytest.approx(want.value, rel=1e-12)
+        assert rows[name].log10_value == pytest.approx(want.log10_value,
+                                                       rel=1e-12)
+
+
 def test_equal_ramp_margin_search_against_trained_logits():
     res, batch, labels = trained_toy()
     logits = res.net.forward(batch.samples)
