@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
 from capbound.traindemo import (  # noqa: E402

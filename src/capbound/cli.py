@@ -32,6 +32,7 @@ from .tensors import KernelTensor, group_norm_21
 from .convop import ConvSpec
 from .lipschitz import fft_eligible, fft_exact_spectrum, operator_norm
 from .project import (
+    DEFAULT_BUDGETS,
     ConstraintSet,
     alternating_projections,
     dykstra,
@@ -762,13 +763,16 @@ def _measure_layer(weight: np.ndarray, reference: np.ndarray,
 
 
 def cmd_project(args) -> int:
+    rounds = (DEFAULT_BUDGETS[args.scheme] if args.max_iters is None
+              else args.max_iters)
+    if rounds < 1:
+        raise UsageError("--max-iters must be >= 1")
     ckpt = read_checkpoint(args.checkpoint)
     graph = load_archdoc(args.archdoc)
     resolved = resolve_tensors(graph, ckpt)
-    default_rounds = {"alternating": 15, "dykstra": 100, "radial": 15}
-    rounds = args.max_iters or default_rounds[args.scheme]
-    if rounds < 1:
-        raise UsageError("--max-iters must be >= 1")
+    # built per call, so a rebinding of these module names is honoured
+    run = {"alternating": alternating_projections, "dykstra": dykstra,
+           "radial": radial_cycle}[args.scheme]
 
     out_weights = {}
     out_references = {}
@@ -816,15 +820,8 @@ def cmd_project(args) -> int:
                                distance_bound=layer.dist_bound,
                                lipschitz_bound=layer.lip_bound,
                                conv=layer.spec)
-            if args.scheme == "alternating":
-                projected, rep = alternating_projections(
-                    KernelTensor(weight), cs, rounds=rounds, tol=args.tol)
-            elif args.scheme == "dykstra":
-                projected, rep = dykstra(
-                    KernelTensor(weight), cs, iterations=rounds, tol=args.tol)
-            else:
-                projected, rep = radial_cycle(
-                    KernelTensor(weight), cs, rounds=rounds, tol=args.tol)
+            projected, rep = run(KernelTensor(weight), cs, rounds,
+                                 tol=args.tol)
             dist1, lip1 = rep.final_dist, rep.final_lip
             row.update(rounds_run=rep.rounds_run, converged=rep.converged)
         out_weights[layer.name] = projected.entries
@@ -1022,6 +1019,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON document instead of text")
@@ -1049,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level for the generalization bound")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report log covering numbers at this radius")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="ramp-risk tolerance of the --equal-ramp-to search")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
@@ -1058,12 +1063,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("archdoc")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--scheme", choices=("alternating", "dykstra", "radial"),
+    p.add_argument("--scheme", choices=tuple(DEFAULT_BUDGETS),
                    default="alternating")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="relative excess a converged layer may keep")
+    budgets = ", ".join(f"{k} {v}" for k, v in DEFAULT_BUDGETS.items())
     p.add_argument("--max-iters", type=int, default=None,
-                   help="rounds or iterations (default: 15, dykstra 100)")
+                   help=f"rounds or iterations (default: {budgets})")
     _add_common(p)
     p.set_defaults(func=cmd_project)
 

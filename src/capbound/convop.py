@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResourceError, UsageError
-from .tensors import DenseMatrix, KernelTensor, group_norm_21, offsets, slice_norms
+from .tensors import DenseMatrix, KernelTensor, group_norm_21, offsets
 
 __all__ = [
     "ConvSpec",

@@ -12,8 +12,8 @@ projections, starts from that half stack. A Gram screen
 matrix) picks the frequencies whose top singular value can matter, so the
 spectral norm (`grid_norm`) and the spectral clip SVD only those.
 Everything else falls back to
-power iteration on the forward/adjoint pair, or a dense SVD when the
-operator is small enough to materialize.
+power iteration on the forward/adjoint pair, or a dense SVD of an
+operator materialized with `convop.materialize` (`dense_spectral_norm`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convop import ConvSpec, conv_adjoint, conv_forward, materialize
+from .convop import ConvSpec, conv_adjoint, conv_forward
 from .errors import UsageError
 from .tensors import DenseMatrix, KernelTensor, offsets
 
@@ -231,7 +231,3 @@ def operator_norm(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
     if fft_eligible(spec):
         return fft_exact_norm(kernel, spec)
     return power_iteration(kernel, spec, tol=tol, max_iters=max_iters, seed=seed)
-
-
-def dense_operator_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
-    return dense_spectral_norm(materialize(kernel, spec))

@@ -16,6 +16,10 @@ left-out conjugate partner. Of those, only the frequencies the Gram screen
 (`lipschitz.may_reach`) cannot place below s are decomposed; the rest
 clip to themselves and pass through. Strides above 1 have no such frequency
 split and are rejected.
+
+Alternation and Dykstra cycle two closed-form steps: the clip onto C2 and
+the exact projection onto C1 & C3, the (2,1) shrink of the kernel restricted
+to its taps. `radial_cycle` instead rescales straight onto each ball.
 """
 
 from __future__ import annotations
@@ -50,7 +54,13 @@ __all__ = [
     "radial_project",
     "radial_cycle",
     "init_scale_to_feasible",
+    "DEFAULT_BUDGETS",
 ]
+
+# Default budget of each scheme: cycles for alternation and radial moves,
+# iterations for Dykstra.
+DEFAULT_BUDGETS = {"alternating": 15, "dykstra": 100, "radial": 15}
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -77,9 +87,12 @@ class ConstraintSet:
 class FeasibilityReport:
     """Constraint violations along a projection run.
 
-    trajectory holds one (dist_rel_violation, lip_rel_violation) pair per
-    completed cycle; relative means excess over the bound divided by the
-    bound. Non-convergence is reported through `converged`, never raised.
+    trajectory holds (dist_rel_violation, lip_rel_violation) pairs; relative
+    means excess over the bound divided by the bound. Alternating and radial
+    cycles log one pair per completed cycle; Dykstra measures only its last
+    iterate, so its trajectory is that one pair while `rounds_run` counts
+    its iterations. The last pair always measures the returned kernel.
+    Non-convergence is reported through `converged`, never raised.
     """
 
     rounds_run: int
@@ -188,31 +201,34 @@ def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTens
 
 
 def _grid_projections(cs: ConstraintSet):
-    """Projections onto C1, C2, C3 acting on grid arrays, in cycle order."""
-    c_in, h, w = cs.conv.input_shape
+    """The closed-form steps every cycle is built from, on grid arrays.
+
+    p_supp projects onto C3 and p_spec onto C2. p_box = p_l21 o p_supp is
+    the exact projection onto C1 & C3: the reference is zero off the tap
+    window and each (2,1) fiber sits at one tap, so the shrink keeps the
+    fibers p_supp zeroed at zero.
+    """
     k_h, k_w = cs.support
     center_grid = embed_kernel_grid(cs.reference, cs.conv)
+    center = KernelTensor(center_grid)
     b = cs.distance_bound
     s = cs.lipschitz_bound
 
-    def p_l21(g):
+    def p_supp(g):
+        return project_support(KernelTensor(g), k_h, k_w).entries
+
+    def p_box(g):
+        g = p_supp(g)
         if math.isinf(b):
             return g
-        kt = project_l21_ball(
-            KernelTensor(g), KernelTensor(center_grid), b
-        )
-        return kt.entries
+        return project_l21_ball(KernelTensor(g), center, b).entries
 
     def p_spec(g):
         if math.isinf(s):
             return g
         return _grid_spectral_clip(g, s)
 
-    def p_supp(g):
-        kt = project_support(KernelTensor(g), k_h, k_w)
-        return kt.entries
-
-    return [p_l21, p_spec, p_supp], center_grid
+    return p_supp, p_box, p_spec, center_grid
 
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
@@ -236,31 +252,31 @@ def _prepare(kernel: KernelTensor, cs: ConstraintSet) -> np.ndarray:
     return embed_kernel_grid(kernel, cs.conv)
 
 
-def _finish(grid: np.ndarray, cs: ConstraintSet, trajectory: list,
-            dist: float, lip: float,
-            tol: float) -> tuple[KernelTensor, FeasibilityReport]:
-    """Report on the last cycle's iterate, whose (dist, lip) that cycle
-    already measured."""
-    worst = max(_rel_excess(dist, cs.distance_bound),
-                _rel_excess(lip, cs.lipschitz_bound))
-    report = FeasibilityReport(
-        rounds_run=len(trajectory),
+def _excess(dist: float, lip: float, cs: ConstraintSet) -> tuple[float, float]:
+    return (_rel_excess(dist, cs.distance_bound),
+            _rel_excess(lip, cs.lipschitz_bound))
+
+
+def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
+            dist: float, lip: float, tol: float) -> FeasibilityReport:
+    """Report on a run whose last trajectory entry measured the returned
+    kernel at (dist, lip)."""
+    return FeasibilityReport(
+        rounds_run=rounds_run,
         trajectory=trajectory,
         final_dist=dist,
         final_lip=lip,
         distance_bound=cs.distance_bound,
         lipschitz_bound=cs.lipschitz_bound,
-        converged=worst <= tol,
+        converged=max(trajectory[-1]) <= tol,
         tol=tol,
     )
-    k_h, k_w = cs.support
-    out = KernelTensor(extract_kernel_grid(grid, k_h, k_w))
-    return out, report
 
 
 def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
-                            rounds: int = 15, tol: float = 1e-3):
-    """Cyclic projections C1 -> C2 -> C3.
+                            rounds: int = DEFAULT_BUDGETS["alternating"],
+                            tol: float = 1e-3):
+    """Cyclic projections C1 & C3 -> C2 -> C3.
 
     Violations are measured at the end of each full cycle; the support
     constraint holds exactly after its projection, the other two are
@@ -268,18 +284,15 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
     """
     if rounds < 1:
         raise UsageError("rounds must be >= 1")
-    projs, center_grid = _grid_projections(cs)
+    p_supp, p_box, p_spec, center_grid = _grid_projections(cs)
     grid = _prepare(kernel, cs)
     trajectory = []
     for _ in range(rounds):
-        for p in projs:
-            grid = p(grid)
+        grid = p_supp(p_spec(p_box(grid)))
         dist, lip = _measure(grid, center_grid)
-        trajectory.append((
-            _rel_excess(dist, cs.distance_bound),
-            _rel_excess(lip, cs.lipschitz_bound),
-        ))
-    return _finish(grid, cs, trajectory, dist, lip, tol)
+        trajectory.append(_excess(dist, lip, cs))
+    out = KernelTensor(extract_kernel_grid(grid, *cs.support))
+    return out, _report(cs, rounds, trajectory, dist, lip, tol)
 
 
 def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
@@ -301,30 +314,22 @@ def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
     return x
 
 
-def dykstra(kernel: KernelTensor, cs: ConstraintSet, iterations: int = 100,
-            tol: float = 1e-3):
-    """Dykstra's corrected cycle over C1/C2/C3 on the grid.
+def dykstra(kernel: KernelTensor, cs: ConstraintSet,
+            iterations: int = DEFAULT_BUDGETS["dykstra"], tol: float = 1e-3):
+    """Dykstra's corrected cycle over C1 & C3 and C2 on the grid.
 
-    The per-iteration distance log exists for diagnosis; Dykstra iterates
-    are not Fejer monotone so no monotonicity is promised.
+    Two sets suffice: C3 is a subspace, so a correction for it would never
+    move the projected point (Boyle & Dykstra 1986). Only the returned
+    kernel is measured; Dykstra iterates are not Fejer monotone, so the
+    iterates before it say little.
     """
-    if iterations < 1:
-        raise UsageError("iterations must be >= 1")
-    projs, center_grid = _grid_projections(cs)
-    grid = _prepare(kernel, cs)
-    corrections = [np.zeros_like(grid) for _ in projs]
-    trajectory = []
-    for _ in range(iterations):
-        for i, p in enumerate(projs):
-            y = p(grid + corrections[i])
-            corrections[i] = grid + corrections[i] - y
-            grid = y
-        dist, lip = _measure(grid, center_grid)
-        trajectory.append((
-            _rel_excess(dist, cs.distance_bound),
-            _rel_excess(lip, cs.lipschitz_bound),
-        ))
-    return _finish(grid, cs, trajectory, dist, lip, tol)
+    p_supp, p_box, p_spec, center_grid = _grid_projections(cs)
+    grid = p_supp(dykstra_iterate(_prepare(kernel, cs), [p_box, p_spec],
+                                  iterations))
+    dist, lip = _measure(grid, center_grid)
+    out = KernelTensor(extract_kernel_grid(grid, *cs.support))
+    return out, _report(cs, iterations, [_excess(dist, lip, cs)], dist, lip,
+                        tol)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
@@ -353,8 +358,8 @@ def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
     return KernelTensor(center.entries + diff * (radius / dist))
 
 
-def radial_cycle(kernel: KernelTensor, cs: ConstraintSet, rounds: int = 15,
-                 tol: float = 1e-3):
+def radial_cycle(kernel: KernelTensor, cs: ConstraintSet,
+                 rounds: int = DEFAULT_BUDGETS["radial"], tol: float = 1e-3):
     """Alternate radial moves onto the two balls until both hold.
 
     The (2,1) ball is centered on the reference, the spectral ball on the
@@ -374,24 +379,10 @@ def radial_cycle(kernel: KernelTensor, cs: ConstraintSet, rounds: int = 15,
                                  cs.conv)
         dist = group_norm_21(KernelTensor(cur.entries - reference))
         lip = operator_norm(cur, cs.conv).value
-        rel_d = (max(0.0, dist - cs.distance_bound)
-                 / max(cs.distance_bound, 1e-300))
-        rel_l = (max(0.0, lip - cs.lipschitz_bound)
-                 / max(cs.lipschitz_bound, 1e-300))
-        trajectory.append((rel_d, rel_l))
-        if max(rel_d, rel_l) <= tol:
+        trajectory.append(_excess(dist, lip, cs))
+        if max(trajectory[-1]) <= tol:
             break
-    report = FeasibilityReport(
-        rounds_run=len(trajectory),
-        trajectory=trajectory,
-        final_dist=dist,
-        final_lip=lip,
-        distance_bound=cs.distance_bound,
-        lipschitz_bound=cs.lipschitz_bound,
-        converged=max(rel_d, rel_l) <= tol,
-        tol=tol,
-    )
-    return cur, report
+    return cur, _report(cs, len(trajectory), trajectory, dist, lip, tol)
 
 
 def init_scale_to_feasible(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTensor:

@@ -464,17 +464,15 @@ def _constraint_sets(net: TinyNet, references, lip_bound, dist_bound):
             for blk, ref in zip(net.blocks, references)]
 
 
-def _project_all(net: TinyNet, sets, rounds: int) -> float:
-    """One projection pass per layer; returns the worst relative violation."""
-    worst = 0.0
+def _project_all(net: TinyNet, sets, rounds: int) -> bool:
+    """One projection pass per layer; True when every layer converged."""
+    converged = True
     for blk, cs in zip(net.blocks, sets):
         projected, report = alternating_projections(
             KernelTensor(blk.conv.kernel), cs, rounds=rounds)
         blk.conv.kernel = projected.entries
-        if report.trajectory:
-            dist_rel, lip_rel = report.trajectory[-1]
-            worst = max(worst, dist_rel, lip_rel)
-    return worst
+        converged = report.converged and converged
+    return converged
 
 
 def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
@@ -552,12 +550,11 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
         ))
     feasible = True
     if project and not diverged and config.post_rounds > 0:
-        worst = _project_all(net, sets, rounds=config.post_rounds)
+        feasible = _project_all(net, sets, rounds=config.post_rounds)
         used = config.post_rounds
-        while worst > 1e-3 and used < 40 * config.post_rounds:
-            worst = _project_all(net, sets, rounds=config.post_rounds)
+        while not feasible and used < 40 * config.post_rounds:
+            feasible = _project_all(net, sets, rounds=config.post_rounds)
             used += config.post_rounds
-        feasible = worst <= 1e-3
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,

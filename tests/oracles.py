@@ -140,6 +140,56 @@ def bisect_l21_shrinkage(fiber_norms, budget, iters=200):
     return 0.5 * (lo + hi)
 
 
+def textbook_projection_cycle(kernel, reference, h, w, s, b, cycles,
+                              corrected=True):
+    """Cycle a (c_out, c_in, k_h, k_w) kernel, embedded on the circular
+    h x w grid, through the (2,1) ball of radius b around `reference`, the
+    spectral ball of radius s and the tap window, in that order.
+
+    corrected=True is Dykstra's cycle: every set, the tap window included,
+    keeps its own correction. corrected=False is plain alternation. Returns
+    the taps of the last iterate.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    c_out, c_in, k_h, k_w = kernel.shape
+    rows = [(a - k_h // 2) % h for a in range(k_h)]
+    cols = [(q - k_w // 2) % w for q in range(k_w)]
+
+    def embed(k):
+        grid = np.zeros((c_out, c_in, h, w))
+        for a, p in enumerate(rows):
+            for q, r in enumerate(cols):
+                grid[:, :, p, r] = k[:, :, a, q]
+        return grid
+
+    center = embed(np.asarray(reference, dtype=float))
+    mask = embed(np.ones_like(kernel)) != 0
+
+    def ball(y):
+        diff = y - center
+        norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
+        # 64 halvings of [0, max norm] narrow lam below one ulp of the max
+        lam = bisect_l21_shrinkage(norms, b, iters=64)
+        shrink = np.maximum(0.0, 1.0 - lam / np.maximum(norms, 1e-300))
+        return center + diff * shrink
+
+    sets = [ball, lambda y: full_spectrum_clip(y, s),
+            lambda y: np.where(mask, y, 0.0)]
+    x = embed(kernel)
+    corrections = [np.zeros_like(x) for _ in sets]
+    for _ in range(cycles):
+        for i, p in enumerate(sets):
+            y = p(x + corrections[i])
+            if corrected:
+                corrections[i] = x + corrections[i] - y
+            x = y
+    out = np.empty_like(kernel)
+    for a, p in enumerate(rows):
+        for q, r in enumerate(cols):
+            out[:, :, a, q] = x[:, :, p, r]
+    return out
+
+
 def central_difference_grads(loss_fn, params, step=1e-4):
     """Gradient of loss_fn(params) by central differences, one entry at a time."""
     grads = []

@@ -591,6 +591,23 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("project", "--max-iters", "0"), ("project", "--max-iters", "-2"),
+    ("project", "--tol", "inf"), ("project", "--tol", "nan"),
+    ("project", "--tol", "-1e-3"), ("analyze", "--tol", "inf"),
+    ("analyze", "--tol", "nan"), ("analyze", "--tol", "-1"),
+])
+def test_subcommands_reject_bad_budget_and_tolerance(tmp_path, command, flag,
+                                                     value):
+    ckpt, arch, _, _ = write_demo_pair(tmp_path, bounds=(1.0, 1.0))
+    out = tmp_path / "out.ckpt"
+    extra = ["--out", str(out)] if command == "project" else []
+    rc, _, err = run_cli([command, ckpt, arch, *extra, f"{flag}={value}"])
+    assert rc == 1
+    assert flag in err
+    assert not out.exists()
+
+
 def test_analyze_shape_mismatch_names_tensor(tmp_path):
     ckpt, _, _, _ = write_demo_pair(tmp_path)
     arch = default_arch_doc()

@@ -33,7 +33,12 @@ from capbound.project import (
 )
 from capbound.tensors import KernelTensor, group_norm_21
 
-from oracles import bisect_l21_shrinkage, full_frequency_svd, full_spectrum_clip
+from oracles import (
+    bisect_l21_shrinkage,
+    full_frequency_svd,
+    full_spectrum_clip,
+    textbook_projection_cycle,
+)
 
 
 def rand_kernel(rng, shape, scale=1.0):
@@ -462,9 +467,52 @@ def test_projection_report_measures_the_returned_kernel():
         assert report.final_lip == pytest.approx(exact_lip(out, cs.conv),
                                                  rel=1e-12)
         assert report.final_dist == pytest.approx(dist, rel=1e-12)
-        assert report.rounds_run == len(report.trajectory) == 3
+        # Dykstra measures only the kernel it returns
+        measured = 3 if run is alternating_projections else 1
+        assert report.rounds_run == 3 and len(report.trajectory) == measured
     with pytest.raises(UsageError):
         dykstra(kernel, cs, iterations=0)
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _textbook(kernel, cs, cycles, corrected=True):
+    _, h, w = cs.conv.input_shape
+    return textbook_projection_cycle(
+        kernel.entries, cs.reference.entries, h, w, cs.lipschitz_bound,
+        cs.distance_bound, cycles, corrected)
+
+
+def test_cycles_match_the_textbook_three_set_cycle():
+    # The package cycles two closed-form sets and drops the tap window's
+    # Dykstra correction; the oracle keeps all three sets and corrections.
+    rng = np.random.default_rng(26)
+    for trial in range(8):
+        kernel, cs = infeasible_case(rng)
+        runs = [
+            (dykstra(kernel, cs, 3), _textbook(kernel, cs, 3)),
+            (dykstra(kernel, cs, 100), _textbook(kernel, cs, 100)),
+            (alternating_projections(kernel, cs),
+             _textbook(kernel, cs, 15, corrected=False)),
+        ]
+        for (out, report), want in runs:
+            assert _relative_gap(out.entries, want) <= 1e-12, trial
+            dist = group_norm_21(
+                KernelTensor(out.entries - cs.reference.entries))
+            assert report.final_dist == pytest.approx(dist, rel=1e-12)
+            assert report.final_lip == pytest.approx(exact_lip(out, cs.conv),
+                                                     rel=1e-12)
+
+
+def test_dykstra_lands_on_the_long_run_projection():
+    rng = np.random.default_rng(27)
+    for trial in range(3):
+        kernel, cs = infeasible_case(rng)
+        out, _ = dykstra(kernel, cs, 400)
+        want = _textbook(kernel, cs, 3000)
+        assert _relative_gap(out.entries, want) <= 1e-6, trial
 
 
 def test_infinite_bounds_leave_kernel_alone():
