@@ -5,15 +5,17 @@ a - k//2 (see tensors.offsets), output position mu reading input row
 s_h*mu + offset. Output spatial extent is ceil(h/s_h) x ceil(w/s_w) for both
 padding modes. No dilation, no channel groups, no bias.
 
-Every executable operator runs one windowed route (im2col built from NumPy
-strides): pad the spatial axes once (wrapped for circular, zeros for
-zero_same), view every k_h x k_w window with sliding_window_view, keep every
-s-th window, and contract channels and taps with one matrix product. The
-adjoint is the same route with the flipped, channel-transposed kernel and
-mirrored padding, applied to the output scattered back onto the input grid
-(zeros between strided samples). Results are deterministic; they differ
-from a per-offset sum only in float rounding. `materialize` builds the dense
-matrix tap by tap instead and stays the independent oracle.
+Every executable operator runs one im2col route (Chellapilla et al., 2006)
+with the gather precomputed: tensors.window_index caches, per geometry, the
+flat index of every pixel each window reads in the unpadded input (the
+circular wrap folded in, zero_same taps off the grid pointed at one appended
+zero column), so a batch's column matrix is one np.take and the operator one
+matrix product. The adjoint is the same route with the channel-transposed
+kernel read at negated tap offsets, applied to the output scattered back onto
+the input grid (zeros between strided samples). Results are deterministic;
+they differ from a per-offset sum only in float rounding. `materialize`
+builds the dense matrix tap by tap through its own plan instead and stays
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResourceError, UsageError
-from .tensors import DenseMatrix, KernelTensor, group_norm_21, offsets
+from .tensors import DenseMatrix, KernelTensor, group_norm_21, offsets, \
+    window_columns
 
 __all__ = [
     "ConvSpec",
@@ -33,7 +35,7 @@ __all__ = [
     "conv_forward_batch",
     "conv_adjoint",
     "conv_adjoint_batch",
-    "conv_windows",
+    "conv_columns",
     "materialize",
     "materialize_cap",
     "NormIdentityReport",
@@ -112,79 +114,46 @@ def _gather_plan(spec: ConvSpec):
     return plan
 
 
-def _pad(xs: np.ndarray, pads, padding: str) -> np.ndarray:
-    """Pad the spatial axes of (n, c, h, w) by ((top, bottom), (left, right)).
-
-    Circular padding wraps (one gather through index arrays taken mod h and
-    mod w, so any pad width works); zero_same pads with zeros.
-    """
-    (top, bottom), (left, right) = pads
-    n, c, h, w = xs.shape
-    if padding == "circular":
-        rows = np.arange(-top, h + bottom) % h
-        cols = np.arange(-left, w + right) % w
-        return xs[:, :, rows[:, None], cols]
-    out = np.zeros((n, c, h + top + bottom, w + left + right))
-    out[:, :, top:top + h, left:left + w] = xs
-    return out
-
-
-def _windows(xs, kernel_shape, pads, padding, strides) -> np.ndarray:
-    """(n, c, out_h, out_w, k_h, k_w) strided view of the padded batch."""
-    s_h, s_w = strides
-    padded = _pad(xs, pads, padding)
-    windows = sliding_window_view(padded, kernel_shape, axis=(2, 3))
-    return windows[:, :, ::s_h, ::s_w]
-
-
-def _contract(entries: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """out[n, o, x, y] = sum over (i, a, b) of entries[o, i, a, b] *
-    windows[n, i, x, y, a, b], as one (c_out, c_in*k_h*k_w) by
-    (c_in*k_h*k_w, out_h*out_w) product per sample."""
-    n, c, out_h, out_w, k_h, k_w = windows.shape
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * k_h * k_w, out_h * out_w)
+def _contract(entries: np.ndarray, cols: np.ndarray, out_shape) -> np.ndarray:
+    """out[n, o] = entries[o] . cols[n] over (c*k_h*k_w), as one
+    (c_out, c*k_h*k_w) by (c*k_h*k_w, out_h*out_w) product per sample."""
     out = entries.reshape(entries.shape[0], -1) @ cols
-    return out.reshape(n, entries.shape[0], out_h, out_w)
+    return out.reshape((cols.shape[0], entries.shape[0]) + out_shape)
 
 
-def _same_pads(spec: ConvSpec):
-    """Offsets a - k//2 reach k//2 taps before a pixel and k-1-k//2 after."""
-    return tuple((k // 2, k - 1 - k // 2) for k in spec.kernel_shape)
+def conv_columns(spec: ConvSpec, xs: np.ndarray) -> np.ndarray:
+    """Column matrix of every window the forward operator reads.
 
-
-def conv_windows(spec: ConvSpec, xs: np.ndarray) -> np.ndarray:
-    """Strided view of every window the forward operator reads.
-
-    Shape (n, c_in, out_h, out_w, k_h, k_w); entry [t, i, mu, nu, a, b] is
-    the input pixel that kernel tap (a, b) multiplies at output (mu, nu), so
-    conv_forward_batch(K, spec, xs)[t, o, mu, nu] is the sum over (i, a, b)
-    of K[o, i, a, b] * windows[t, i, mu, nu, a, b]. No input is copied
-    beyond the one padded array the view reads.
+    Shape (n, c_in*k_h*k_w, out_h*out_w); entry [t, (i, a, b), (mu, nu)] is
+    the input pixel that kernel tap (a, b) of channel i multiplies at output
+    (mu, nu), so conv_forward_batch(K, spec, xs)[t, o] is
+    K[o].ravel() @ columns[t], reshaped to (out_h, out_w).
     """
-    return _windows(xs, spec.kernel_shape, _same_pads(spec), spec.padding,
-                    spec.strides)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 4 or xs.shape[1:] != spec.input_shape:
+        raise UsageError(f"batch shape {xs.shape} != (n,)+{spec.input_shape}")
+    return window_columns(xs, spec.kernel_shape, spec.strides, spec.padding)
 
 
 def _adjoint(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> np.ndarray:
-    """Flipped-kernel correlation of the outputs placed on the input grid.
+    """Correlation at negated offsets of the outputs placed on the input grid.
 
     In one dimension adj[i, u] sums K[o, i, a] * y[o, mu] over the (o, a, mu)
-    with s*mu + a - k//2 = u (mod h for circular). Writing y[mu] to input
-    pixel s*mu of a zero grid z (s*mu < h, since out extents are ceil(h/s))
-    turns that into adj[i, u] = sum_{o,a} K[o, i, a] * z[o, u - a + k//2]:
-    a stride-1 correlation with the flipped tap k-1-a, whose offsets run
-    from -(k-1-k//2) to k//2, i.e. the forward padding mirrored.
+    with s*mu + d[a] = u (mod h for circular), d = offsets(k). Writing y[mu]
+    to input pixel s*mu of a zero grid z (s*mu < h, since out extents are
+    ceil(h/s)) turns that into adj[i, u] = sum_{o,a} K[o, i, a] * z[o, u - d[a]]:
+    a stride-1 window route over z with every tap offset negated and the
+    kernel's channel axes swapped.
     """
     s_h, s_w = spec.strides
     if (s_h, s_w) != (1, 1):
         grid = np.zeros((ys.shape[0], ys.shape[1]) + spec.input_shape[1:])
         grid[:, :, ::s_h, ::s_w] = ys
         ys = grid
-    flipped = kernel.entries[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    pads = tuple(pad[::-1] for pad in _same_pads(spec))
-    windows = _windows(ys, spec.kernel_shape, pads, spec.padding, (1, 1))
-    return _contract(flipped, windows)
+    cols = window_columns(ys, spec.kernel_shape, (1, 1), spec.padding,
+                          negate=True)
+    return _contract(kernel.entries.transpose(1, 0, 2, 3), cols,
+                     spec.input_shape[1:])
 
 
 def conv_forward(kernel: KernelTensor, spec: ConvSpec, x: np.ndarray) -> np.ndarray:
@@ -193,16 +162,15 @@ def conv_forward(kernel: KernelTensor, spec: ConvSpec, x: np.ndarray) -> np.ndar
     if x.shape != spec.input_shape:
         raise UsageError(f"input shape {x.shape} != spec {spec.input_shape}")
     spec.check_kernel(kernel)
-    return _contract(kernel.entries, conv_windows(spec, x[None]))[0]
+    return _contract(kernel.entries, conv_columns(spec, x[None]),
+                     spec.out_spatial)[0]
 
 
 def conv_forward_batch(kernel: KernelTensor, spec: ConvSpec, xs: np.ndarray) -> np.ndarray:
     """Apply the conv operator to a stack of inputs (n, c_in, h, w)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 4 or xs.shape[1:] != spec.input_shape:
-        raise UsageError(f"batch shape {xs.shape} != (n,)+{spec.input_shape}")
+    cols = conv_columns(spec, xs)
     spec.check_kernel(kernel)
-    return _contract(kernel.entries, conv_windows(spec, xs))
+    return _contract(kernel.entries, cols, spec.out_spatial)
 
 
 def conv_adjoint(kernel: KernelTensor, spec: ConvSpec, y: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
     "slice_norms",
     "data_norm",
     "patch_norms",
+    "window_columns",
+    "window_index",
 ]
 
 _SLICE_KINDS = ("l1_outslice", "l2_outslice", "frobenius", "max_l1_outslice")
@@ -177,6 +180,55 @@ def offsets(k: int) -> np.ndarray:
     return np.arange(k) - k // 2
 
 
+@functools.lru_cache(maxsize=64)
+def window_index(shape, kernel_shape, strides=(1, 1), padding="circular",
+                 negate=False) -> np.ndarray:
+    """Flat gather plan of every conv window of one (c, h, w) sample.
+
+    A read-only (c*k_h*k_w, out_h*out_w) int array: row (i, a, b) and column
+    (mu, nu) hold the row-major flat index into the unpadded sample of the
+    pixel that tap (a, b) reads at output (mu, nu), i.e. channel i at row
+    s_h*mu + d_h[a] and column s_w*nu + d_w[b] with d = offsets(k) (or -d
+    when negate, the reversed taps of the adjoint). Circular padding folds
+    the wrap into the index; under zero_same a tap off the grid points at
+    c*h*w, one zero column appended after the sample (see window_columns).
+    Cached per geometry, so the arrays are shared and must stay read-only.
+    """
+    c, h, w = shape
+    (k_h, k_w), (s_h, s_w) = kernel_shape, strides
+    sign = -1 if negate else 1
+    rows = s_h * np.arange(-(-h // s_h)) + sign * offsets(k_h)[:, None]
+    cols = s_w * np.arange(-(-w // s_w)) + sign * offsets(k_w)[:, None]
+    flat = ((np.arange(c)[:, None, None, None, None] * h
+             + (rows % h)[:, None, :, None]) * w
+            + (cols % w)[None, :, None, :])
+    if padding == "zero_same":
+        inside = (((rows >= 0) & (rows < h))[:, None, :, None]
+                  & ((cols >= 0) & (cols < w))[None, :, None, :])
+        flat = np.where(inside, flat, c * h * w)
+    flat = flat.reshape(c * k_h * k_w, -1)
+    flat.setflags(write=False)
+    return flat
+
+
+def window_columns(xs: np.ndarray, kernel_shape, strides=(1, 1),
+                   padding="circular", negate=False) -> np.ndarray:
+    """(n, c*k_h*k_w, out_h*out_w) im2col matrix of an (n, c, h, w) batch.
+
+    Entry [t, (i, a, b), (mu, nu)] is the pixel of sample t that tap (a, b)
+    of channel i reads at output (mu, nu) under window_index, zero where a
+    zero_same tap falls off the grid. One gather; no padded image is built
+    (zero_same only appends the one zero column).
+    """
+    n = xs.shape[0]
+    idx = window_index(xs.shape[1:], tuple(kernel_shape), tuple(strides),
+                       padding, negate)
+    flat = xs.reshape(n, -1)
+    if padding == "zero_same":
+        flat = np.concatenate([flat, np.zeros((n, 1))], axis=1)
+    return np.take(flat, idx, axis=1)
+
+
 def patch_norms(
     batch: DataBatch,
     k_h: int,
@@ -188,9 +240,9 @@ def patch_norms(
     """Largest l2 norm over all channel-stack patches seen by a conv layer.
 
     A patch is the (c, k_h, k_w) window gathered at one output position,
-    using the same offset/stride geometry as the conv op. Zero padding
-    contributes zeros (so it never increases a patch norm); circular padding
-    wraps indices.
+    using the same offset/stride geometry as the conv op (one gather through
+    window_index). Zero padding contributes zeros (so it never increases a
+    patch norm); circular padding wraps indices.
     """
     if padding not in ("zero_same", "circular"):
         raise UsageError(f"unknown padding {padding!r}")
@@ -202,28 +254,5 @@ def patch_norms(
             f"circular padding requires kernel <= spatial dims, got "
             f"({k_h},{k_w}) on ({h},{w})"
         )
-    out_h = -(-h // s_h)
-    out_w = -(-w // s_w)
-    d_h = offsets(k_h)
-    d_w = offsets(k_w)
-
-    best = 0.0
-    x = batch.samples
-    for mu in range(out_h):
-        rows = s_h * mu + d_h
-        for nu in range(out_w):
-            cols = s_w * nu + d_w
-            if padding == "circular":
-                patch = x[:, :, rows % h, :][:, :, :, cols % w]
-                sq = np.sum(patch * patch, axis=(1, 2, 3), dtype=np.float64)
-            else:
-                rok = (rows >= 0) & (rows < h)
-                cok = (cols >= 0) & (cols < w)
-                if not rok.any() or not cok.any():
-                    continue
-                patch = x[:, :, rows[rok], :][:, :, :, cols[cok]]
-                sq = np.sum(patch * patch, axis=(1, 2, 3), dtype=np.float64)
-            m = float(np.max(sq))
-            if m > best:
-                best = m
-    return float(np.sqrt(best))
+    cols = window_columns(batch.samples, (k_h, k_w), (s_h, s_w), padding)
+    return float(np.sqrt(np.max(np.einsum("ntp,ntp->np", cols, cols))))

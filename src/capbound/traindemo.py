@@ -13,8 +13,8 @@ import numpy as np
 
 from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
     ComparisonLayerStats, LayerRecord
-from .convop import ConvSpec, conv_adjoint_batch, conv_forward_batch, \
-    conv_windows
+from .convop import ConvSpec, conv_adjoint_batch, conv_columns, \
+    conv_forward_batch
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
 from .project import ConstraintSet, alternating_projections, \
@@ -184,12 +184,13 @@ class MaxPool:
         # Only training reads the winners, so forward does not locate them.
         arg = self._windows(self._x).argmax(axis=-1)
         n, c = g.shape[:2]
-        taps = self._idx.shape[-1]
-        broad = np.broadcast_to(self._idx, (n, c, self.out_h, self.out_w, taps))
-        pos = np.take_along_axis(broad, arg[..., None], axis=-1)[..., 0]
-        dx = np.zeros((n, c, self._h * self._w))
-        np.add.at(dx, (np.arange(n)[:, None, None, None],
-                       np.arange(c)[None, :, None, None], pos), g)
+        size = self._h * self._w
+        out_h, out_w, taps = self._idx.shape
+        # each winner's pixel in the flat (n * c * h * w) input gradient
+        first = taps * np.arange(out_h * out_w).reshape(out_h, out_w)
+        pos = (np.take(self._idx, first + arg)
+               + size * np.arange(n * c).reshape(n, c, 1, 1))
+        dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=n * c * size)
         return dx.reshape(self._x.shape)
 
 
@@ -234,11 +235,17 @@ class ConvLayer:
         self._x = x
         return conv_forward_batch(KernelTensor(self.kernel), self.spec, x)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        # The output is linear in the kernel, with the forward's windows as
-        # coefficients: grad[o,i,a,b] = sum_{n,x,y} g[n,o,x,y] win[n,i,x,y,a,b].
-        windows = conv_windows(self.spec, self._x)
-        self.grad += np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
+    def backward(self, g: np.ndarray, input_grad: bool = True):
+        """Accumulate the kernel gradient; return the input gradient, or
+        None when input_grad is False (nothing upstream reads it)."""
+        # The output is linear in the kernel, with the input's columns as
+        # coefficients: grad[o, (i,a,b)] = sum_{n,p} g[n,o,p] cols[n,(i,a,b),p].
+        cols = conv_columns(self.spec, self._x)
+        n, c_out = g.shape[:2]
+        grad = (g.reshape(n, c_out, -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
+        self.grad += grad.reshape(self.kernel.shape)
+        if not input_grad:
+            return None
         return conv_adjoint_batch(KernelTensor(self.kernel), self.spec, g)
 
 
@@ -306,9 +313,13 @@ class Block:
             y = y + self.shortcut.forward(x)
         return y
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
+    def backward(self, g: np.ndarray, input_grad: bool = True):
+        """Accumulate the conv's kernel gradient; return the block's input
+        gradient, or None when input_grad is False."""
         gm = self.pool.backward(g) if self.pool is not None else g
-        dx = self.conv.backward(self.relu.backward(gm))
+        dx = self.conv.backward(self.relu.backward(gm), input_grad)
+        if not input_grad:
+            return None
         if self.spec.shortcut == "identity":
             dx = dx + g
         elif self.spec.shortcut == "double":
@@ -383,8 +394,10 @@ class TinyNet:
 
     def backward(self, g_logits: np.ndarray) -> None:
         g = (np.asarray(g_logits) @ self.classifier).reshape(self._feat_shape)
-        for blk in reversed(self.blocks):
+        for blk in reversed(self.blocks[1:]):
             g = blk.backward(g)
+        # The input gradient of the first block feeds nothing trainable.
+        self.blocks[0].backward(g, input_grad=False)
 
     def kink_margin(self) -> float:
         """Smallest ReLU preactivation / pool runner-up gap last forward."""

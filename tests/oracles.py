@@ -83,6 +83,29 @@ def loop_patch_max_norm(xs, k_h, k_w, s_h, s_w, padding):
     return math.sqrt(best)
 
 
+def loop_maxpool_backward(x, g, size, stride, centered):
+    """Input gradient of circular max pooling, window by window: each
+    window's output gradient goes to its first maximum in tap order (taps
+    row-major, offsets 0..size-1, less size//2 when centered)."""
+    x = np.asarray(x, dtype=float)
+    n, c, h, w = x.shape
+    shift = size // 2 if centered else 0
+    dx = np.zeros_like(x)
+    for t in range(n):
+        for i in range(c):
+            for p in range(g.shape[2]):
+                for q in range(g.shape[3]):
+                    best = None
+                    for a in range(size):
+                        for b in range(size):
+                            r = (stride * p + a - shift) % h
+                            s = (stride * q + b - shift) % w
+                            if best is None or x[t, i, r, s] > best:
+                                best, at = x[t, i, r, s], (r, s)
+                    dx[t, i, at[0], at[1]] += g[t, i, p, q]
+    return dx
+
+
 def dft_spectrum(k, h, w):
     """Singular values of the circular stride-1 operator via explicit DFT.
 

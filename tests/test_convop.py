@@ -7,9 +7,9 @@ from capbound.convop import (
     ConvSpec,
     conv_adjoint,
     conv_adjoint_batch,
+    conv_columns,
     conv_forward,
     conv_forward_batch,
-    conv_windows,
     materialize,
     mk_norm_identities,
 )
@@ -274,7 +274,8 @@ def test_windowed_route_matches_dense_operator(case):
         unit[idx] = 1.0
         tap = materialize(KernelTensor(unit), spec).entries
         want[idx] = np.einsum("np,pq,nq->", flat_y, tap, flat_x)
-    got = np.tensordot(ys, conv_windows(spec, xs), axes=((0, 2, 3), (0, 2, 3)))
+    got = np.einsum("nop,nrp->or", ys.reshape(n, c_out, -1),
+                    conv_columns(spec, xs)).reshape(kern.shape)
     np.testing.assert_allclose(got, want, **tol)
     if padding == "circular" and strides == (1, 1):
         layer = ConvLayer(kern.entries, spec)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from capbound.tensors import (
     group_norm_matrix_21,
     patch_norms,
     slice_norms,
+    window_index,
 )
 
 from oracles import loop_group_norm_21, loop_matrix_row_norm_sum, loop_patch_max_norm
@@ -140,6 +141,32 @@ def test_patch_norms_match_loop(padding, stride):
     got = patch_norms(DataBatch(xs), 3, 3, stride, stride, padding)
     want = loop_patch_max_norm(xs, 3, 3, stride, stride, padding)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["zero_same", "circular"]), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]),
+       st.integers(0, 2**32 - 1))
+@example("zero_same", 2, 5, 4, 3, (1, 1), 0)      # k > h
+@example("zero_same", 5, 6, 2, 4, (3, 2), 1)      # even kernels, strides 3,2
+@example("circular", 4, 6, 4, 2, (3, 2), 2)       # k == h, even kernel
+def test_patch_norms_match_loop_any_geometry(padding, h, w, k_h, k_w, strides,
+                                             seed):
+    if padding == "circular":
+        k_h, k_w = min(k_h, h), min(k_w, w)
+    xs = np.random.default_rng(seed).standard_normal((3, 2, h, w))
+    got = patch_norms(DataBatch(xs), k_h, k_w, *strides, padding)
+    want = loop_patch_max_norm(xs, k_h, k_w, *strides, padding)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_window_index_is_cached_and_read_only():
+    idx = window_index((2, 5, 4), (3, 2), (2, 1), "zero_same")
+    assert idx is window_index((2, 5, 4), (3, 2), (2, 1), "zero_same")
+    assert idx.shape == (2 * 3 * 2, 3 * 4)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
 
 
 def test_patch_norms_whole_image_window():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound import UsageError
+from capbound import UsageError, traindemo
 from capbound.capacity import (
     capacity_terms,
     comparison_suite,
@@ -34,7 +34,8 @@ from capbound.traindemo import (
     zero_one_error,
 )
 
-from oracles import central_difference_grads, loop_patch_max_norm
+from oracles import central_difference_grads, loop_maxpool_backward, \
+    loop_patch_max_norm
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,26 @@ def test_doubling_shortcut_backward():
         float((dx * direction).sum()), rel=1e-6)
 
 
+@pytest.mark.parametrize("h, w", [(8, 8), (6, 6), (4, 6), (5, 7)])
+def test_pool_backward_routes_ties_to_the_first_tap(h, w):
+    # small integers put equal maxima in most windows
+    rng = np.random.default_rng(h * 10 + w)
+    x = rng.integers(-2, 3, size=(3, 2, h, w)).astype(float)
+    pool = MaxPool(h, w, 3, 2)
+    g = rng.standard_normal(pool.forward(x).shape)
+    np.testing.assert_array_equal(pool.backward(g),
+                                  loop_maxpool_backward(x, g, 3, 2, True))
+    if h % 2 or w % 2:
+        return
+    short = DoublingShortcut(h, w)
+    g = rng.standard_normal(short.forward(x).shape)
+    rolled = np.roll(x, (1, 1), axis=(2, 3))
+    want = (loop_maxpool_backward(x, g[:, :2], 2, 2, False)
+            + np.roll(loop_maxpool_backward(rolled, g[:, 2:], 2, 2, False),
+                      (-1, -1), axis=(2, 3)))
+    np.testing.assert_array_equal(short.backward(g), want)
+
+
 # ---------------------------------------------------------------------------
 # block and net assembly
 
@@ -341,6 +362,38 @@ def test_gradients_match_central_differences_with_pools():
     net.zero_grads()
     _, g_logits = softmax_cross_entropy(net.forward(xs), labels)
     net.backward(g_logits)
+    analytic = [g.copy() for g in net.grads()]
+    numeric = central_difference_grads(loss_fn, params, step=1e-4)
+    for a, m in zip(analytic, numeric):
+        np.testing.assert_allclose(a, m, rtol=1e-4, atol=1e-8)
+
+
+@pytest.mark.parametrize("first", [
+    BlockSpec(1, 1, 3, shortcut="identity"),
+    BlockSpec(1, 2, 3, pool="max3", shortcut="double"),
+])
+def test_gradients_without_the_first_block_input_gradient(first, monkeypatch):
+    # the first block's input gradient is never formed: one adjoint per
+    # later block, and every kernel gradient still matches the loss
+    net = TinyNet((first, BlockSpec(first.c_out, 2, 3)), kappa=3, h=6, w=6,
+                  seed=11)
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((5, 1, 6, 6))
+    labels = rng.integers(0, 3, size=5)
+
+    def loss_fn(params):
+        net.set_kernels(params)
+        return softmax_cross_entropy(net.forward(xs), labels)[0]
+
+    params = [k.copy() for k in net.kernels]
+    adjoints = []
+    real_adjoint = traindemo.conv_adjoint_batch
+    monkeypatch.setattr(traindemo, "conv_adjoint_batch",
+                        lambda *a: adjoints.append(1) or real_adjoint(*a))
+    net.zero_grads()
+    _, g_logits = softmax_cross_entropy(net.forward(xs), labels)
+    net.backward(g_logits)
+    assert len(adjoints) == len(net.blocks) - 1
     analytic = [g.copy() for g in net.grads()]
     numeric = central_difference_grads(loss_fn, params, step=1e-4)
     for a, m in zip(analytic, numeric):
