@@ -33,6 +33,7 @@ from .convop import ConvSpec
 from .lipschitz import fft_eligible, fft_exact_spectrum, operator_norm
 from .project import (
     DEFAULT_BUDGETS,
+    DEFAULT_TOL,
     ConstraintSet,
     alternating_projections,
     dykstra,
@@ -920,6 +921,8 @@ def cmd_train_demo(args) -> int:
                 "dist_bound": dist_bound,
                 "diverged": result.diverged,
                 "feasible": result.feasible,
+                "post_rounds_used": result.post_rounds_used,
+                "cap_hit": result.cap_hit,
                 "train_error": train_error,
                 "test_error": test_error,
                 "train_accuracy": 1.0 - train_error,
@@ -1065,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--scheme", choices=tuple(DEFAULT_BUDGETS),
                    default="alternating")
-    p.add_argument("--tol", type=_tolerance, default=1e-3,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                    help="relative excess a converged layer may keep")
     budgets = ", ".join(f"{k} {v}" for k, v in DEFAULT_BUDGETS.items())
     p.add_argument("--max-iters", type=int, default=None,

@@ -17,13 +17,18 @@ left-out conjugate partner. Of those, only the frequencies the Gram screen
 clip to themselves and pass through. Strides above 1 have no such frequency
 split and are rejected.
 
-Alternation and Dykstra cycle two closed-form steps: the clip onto C2 and
-the exact projection onto C1 & C3, the (2,1) shrink of the kernel restricted
-to its taps. `radial_cycle` instead rescales straight onto each ball.
+Alternation and Dykstra cycle two closed-form steps on raw grid arrays,
+built once per constraint set: the clip onto C2 and the exact projection
+onto C1 & C3, the (2,1) shrink of the kernel restricted to its taps.
+`alternating_projections` measures every cycle; `alternate` runs the same
+cycles and measures nothing, and `within_bounds` measures a kernel the way
+a cycle's last round is measured. `radial_cycle` instead rescales straight
+onto each ball.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +45,7 @@ from .lipschitz import (
     operator_norm,
     top_singular_estimates,
 )
-from .tensors import KernelTensor, group_norm_21
+from .tensors import KernelTensor, fiber_norms, norm_21
 
 __all__ = [
     "ConstraintSet",
@@ -49,17 +54,23 @@ __all__ = [
     "project_spectral",
     "project_support",
     "alternating_projections",
+    "alternate",
+    "within_bounds",
     "dykstra",
     "dykstra_iterate",
     "radial_project",
     "radial_cycle",
     "init_scale_to_feasible",
     "DEFAULT_BUDGETS",
+    "DEFAULT_TOL",
 ]
 
 # Default budget of each scheme: cycles for alternation and radial moves,
 # iterations for Dykstra.
 DEFAULT_BUDGETS = {"alternating": 15, "dykstra": 100, "radial": 15}
+# Relative excess over each bound that a converged projection (and a
+# feasible trained layer) may keep.
+DEFAULT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,11 @@ class ConstraintSet:
     @property
     def support(self) -> tuple[int, int]:
         return self.conv.kernel_shape
+
+    @functools.cached_property
+    def _steps(self):
+        """The cycle steps of `_grid_projections`, built on first use."""
+        return _grid_projections(self)
 
 
 @dataclass(frozen=True)
@@ -105,10 +121,6 @@ class FeasibilityReport:
     tol: float
 
 
-def _fiber_norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
 def _l1_ball_threshold(v: np.ndarray, budget: float) -> float:
     """Sort-and-threshold lam with sum(max(0, v - lam)) == budget.
 
@@ -127,28 +139,36 @@ def _l1_ball_threshold(v: np.ndarray, budget: float) -> float:
     return float((css[rho] - budget) / (rho + 1))
 
 
-def project_l21_ball(kernel: KernelTensor, center: KernelTensor, b: float) -> KernelTensor:
-    """Orthogonal projection onto {K : |K - center|_{2,1} <= b}.
+def _l21_shrink(entries: np.ndarray, center: np.ndarray,
+                b: float) -> np.ndarray:
+    """Orthogonal projection of an array onto {K : |K - center|_{2,1} <= b}.
 
-    Shift by the center, shrink each input-channel fiber's length by the
-    l1-ball threshold of the fiber-norm vector (factor max(0, 1 - lam/|v|)),
-    shift back. b = 0 returns the center.
+    Shift by the center, shrink each fiber's length by the l1-ball
+    threshold of the fiber-norm vector (factor max(0, 1 - lam/|v|)), shift
+    back. b = 0 returns a copy of the center; a point inside the ball comes
+    back as it is. Fiber norms that overflow make the result NaN, which
+    every caller rejects.
     """
+    if b == 0:
+        return center.copy()
+    diff = entries - center
+    v = fiber_norms(diff)
+    if float(v.sum()) <= b:
+        return entries
+    lam = _l1_ball_threshold(v, b)
+    # fibers no longer than lam shrink to 0; the floor keeps lam / v finite
+    scale = 1.0 - lam / np.maximum(v, max(lam, 1e-300))
+    return center + diff * scale[:, None, :, :]
+
+
+def project_l21_ball(kernel: KernelTensor, center: KernelTensor, b: float) -> KernelTensor:
+    """Orthogonal projection onto {K : |K - center|_{2,1} <= b}, fibers
+    along the input-channel axis (see `_l21_shrink`)."""
     if b < 0:
         raise UsageError("radius must be >= 0")
     if kernel.shape != center.shape:
         raise UsageError("kernel and center shapes differ")
-    if b == 0:
-        return KernelTensor(center.entries.copy())
-    diff = kernel.entries - center.entries
-    v = _fiber_norms(diff)
-    if float(v.sum()) <= b:
-        return kernel
-    lam = _l1_ball_threshold(v, b)
-    # fibers no longer than lam shrink to 0; the floor keeps lam / v finite
-    scale = 1.0 - lam / np.maximum(v, max(lam, 1e-300))
-    shrunk = diff * scale[:, None, :, :]
-    return KernelTensor(center.entries + shrunk)
+    return KernelTensor(_l21_shrink(kernel.entries, center.entries, b))
 
 
 def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTensor:
@@ -187,53 +207,61 @@ def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (2, 3)))
 
 
-def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
-    """Zero all grid entries outside the k_h x k_w tap window."""
-    g = grid_kernel.entries
-    h, w = g.shape[2], g.shape[3]
+def _support_mask(h: int, w: int, k_h: int, k_w: int) -> np.ndarray:
+    """(h, w) mask of the grid cells the k_h x k_w tap window covers."""
     if k_h > h or k_w > w:
         raise UsageError("support window exceeds the grid")
     rows = (np.arange(k_h) - k_h // 2) % h
     cols = (np.arange(k_w) - k_w // 2) % w
     mask = np.zeros((h, w), dtype=bool)
     mask[rows[:, None], cols[None, :]] = True
-    return KernelTensor(np.where(mask[None, None, :, :], g, 0.0))
+    return mask
+
+
+def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
+    """Zero all grid entries outside the k_h x k_w tap window."""
+    g = grid_kernel.entries
+    mask = _support_mask(*g.shape[2:], k_h, k_w)
+    return KernelTensor(np.where(mask, g, 0.0))
 
 
 def _grid_projections(cs: ConstraintSet):
-    """The closed-form steps every cycle is built from, on grid arrays.
+    """The closed-form steps every cycle is built from, on raw grid arrays.
 
     p_supp projects onto C3 and p_spec onto C2. p_box = p_l21 o p_supp is
     the exact projection onto C1 & C3: the reference is zero off the tap
     window and each (2,1) fiber sits at one tap, so the shrink keeps the
-    fibers p_supp zeroed at zero.
+    fibers p_supp zeroed at zero. Every cycle passes p_box once, so its
+    finiteness check is the cycle's: a NaN from an overflowing shrink stops
+    there, before the clip's SVD. The center grid is shared and read-only.
     """
-    k_h, k_w = cs.support
-    center_grid = embed_kernel_grid(cs.reference, cs.conv)
-    center = KernelTensor(center_grid)
+    center = embed_kernel_grid(cs.reference, cs.conv)
+    center.setflags(write=False)
+    mask = _support_mask(*center.shape[2:], *cs.support)
     b = cs.distance_bound
     s = cs.lipschitz_bound
 
     def p_supp(g):
-        return project_support(KernelTensor(g), k_h, k_w).entries
+        return np.where(mask, g, 0.0)
 
     def p_box(g):
         g = p_supp(g)
-        if math.isinf(b):
-            return g
-        return project_l21_ball(KernelTensor(g), center, b).entries
+        if not math.isinf(b):
+            g = _l21_shrink(g, center, b)
+        if not np.all(np.isfinite(g)):
+            raise UsageError("kernel contains non-finite entries")
+        return g
 
     def p_spec(g):
         if math.isinf(s):
             return g
         return _grid_spectral_clip(g, s)
 
-    return p_supp, p_box, p_spec, center_grid
+    return p_supp, p_box, p_spec, center
 
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
-    dist = group_norm_21(KernelTensor(grid - center_grid))
-    return dist, grid_norm(grid)
+    return norm_21(grid - center_grid), grid_norm(grid)
 
 
 def _rel_excess(value: float, bound: float) -> float:
@@ -273,26 +301,52 @@ def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
     )
 
 
+def _cycles(kernel: KernelTensor, cs: ConstraintSet, rounds: int):
+    """Yield the support-restricted grid after each of `rounds` cycles
+    C1 & C3 -> C2 -> C3."""
+    if rounds < 1:
+        raise UsageError("rounds must be >= 1")
+    p_supp, p_box, p_spec, _ = cs._steps
+    grid = _prepare(kernel, cs)
+    for _ in range(rounds):
+        grid = p_supp(p_spec(p_box(grid)))
+        yield grid
+
+
 def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
                             rounds: int = DEFAULT_BUDGETS["alternating"],
-                            tol: float = 1e-3):
+                            tol: float = DEFAULT_TOL):
     """Cyclic projections C1 & C3 -> C2 -> C3.
 
     Violations are measured at the end of each full cycle; the support
     constraint holds exactly after its projection, the other two are
     approached. Returns the support-restricted iterate and a report.
     """
-    if rounds < 1:
-        raise UsageError("rounds must be >= 1")
-    p_supp, p_box, p_spec, center_grid = _grid_projections(cs)
-    grid = _prepare(kernel, cs)
+    *_, center_grid = cs._steps
     trajectory = []
-    for _ in range(rounds):
-        grid = p_supp(p_spec(p_box(grid)))
+    for grid in _cycles(kernel, cs, rounds):
         dist, lip = _measure(grid, center_grid)
         trajectory.append(_excess(dist, lip, cs))
     out = KernelTensor(extract_kernel_grid(grid, *cs.support))
     return out, _report(cs, rounds, trajectory, dist, lip, tol)
+
+
+def alternate(kernel: KernelTensor, cs: ConstraintSet,
+              rounds: int) -> KernelTensor:
+    """The kernel `alternating_projections` returns, without measuring any
+    cycle."""
+    for grid in _cycles(kernel, cs, rounds):
+        pass
+    return KernelTensor(extract_kernel_grid(grid, *cs.support))
+
+
+def within_bounds(kernel: KernelTensor, cs: ConstraintSet, tol: float) -> bool:
+    """True when both relative excesses of a tap-window kernel are at most
+    tol: the test `alternating_projections` applies to its last cycle, on
+    the same measurement (embedding the taps rebuilds that cycle's grid)."""
+    *_, center_grid = cs._steps
+    grid = _prepare(kernel, cs)
+    return max(_excess(*_measure(grid, center_grid), cs)) <= tol
 
 
 def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
@@ -315,7 +369,8 @@ def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
 
 
 def dykstra(kernel: KernelTensor, cs: ConstraintSet,
-            iterations: int = DEFAULT_BUDGETS["dykstra"], tol: float = 1e-3):
+            iterations: int = DEFAULT_BUDGETS["dykstra"],
+            tol: float = DEFAULT_TOL):
     """Dykstra's corrected cycle over C1 & C3 and C2 on the grid.
 
     Two sets suffice: C3 is a subspace, so a correction for it would never
@@ -323,7 +378,7 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet,
     kernel is measured; Dykstra iterates are not Fejer monotone, so the
     iterates before it say little.
     """
-    p_supp, p_box, p_spec, center_grid = _grid_projections(cs)
+    p_supp, p_box, p_spec, center_grid = cs._steps
     grid = p_supp(dykstra_iterate(_prepare(kernel, cs), [p_box, p_spec],
                                   iterations))
     dist, lip = _measure(grid, center_grid)
@@ -346,7 +401,7 @@ def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
         raise UsageError("kernel and center shapes differ")
     diff = kernel.entries - center.entries
     if norm == "l21":
-        dist = group_norm_21(KernelTensor(diff)) if np.any(diff) else 0.0
+        dist = norm_21(diff) if np.any(diff) else 0.0
     elif norm == "spectral":
         if spec is None:
             raise UsageError("spectral radial projection needs a ConvSpec")
@@ -359,7 +414,8 @@ def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
 
 
 def radial_cycle(kernel: KernelTensor, cs: ConstraintSet,
-                 rounds: int = DEFAULT_BUDGETS["radial"], tol: float = 1e-3):
+                 rounds: int = DEFAULT_BUDGETS["radial"],
+                 tol: float = DEFAULT_TOL):
     """Alternate radial moves onto the two balls until both hold.
 
     The (2,1) ball is centered on the reference, the spectral ball on the
@@ -377,7 +433,7 @@ def radial_cycle(kernel: KernelTensor, cs: ConstraintSet,
         if math.isfinite(cs.lipschitz_bound):
             cur = radial_project(cur, origin, cs.lipschitz_bound, "spectral",
                                  cs.conv)
-        dist = group_norm_21(KernelTensor(cur.entries - reference))
+        dist = norm_21(cur.entries - reference)
         lip = operator_norm(cur, cs.conv).value
         trajectory.append(_excess(dist, lip, cs))
         if max(trajectory[-1]) <= tol:

@@ -23,6 +23,8 @@ __all__ = [
     "KernelTensor",
     "DenseMatrix",
     "DataBatch",
+    "fiber_norms",
+    "norm_21",
     "group_norm_21",
     "group_norm_matrix_21",
     "slice_norms",
@@ -126,14 +128,23 @@ class DataBatch:
         return self.samples.shape[1:]
 
 
+def fiber_norms(k: np.ndarray) -> np.ndarray:
+    """l2 length of every fiber (axis 1) of a kernel-shaped or grid array;
+    on a 2-D (out, in) matrix these are the row lengths."""
+    return np.sqrt(np.sum(k * k, axis=1, dtype=np.float64))
+
+
+def norm_21(k: np.ndarray) -> float:
+    """Grouped (2,1) norm of an array: the sum of its fiber_norms."""
+    return float(np.sum(fiber_norms(k), dtype=np.float64))
+
+
 def group_norm_21(kernel: KernelTensor) -> float:
     """Grouped (2,1) kernel norm: sum over (o, a, b) of fiber l2 lengths.
 
     Fibers run along the input-channel axis.
     """
-    k = kernel.entries
-    fiber = np.sqrt(np.sum(k * k, axis=1, dtype=np.float64))
-    return float(np.sum(fiber, dtype=np.float64))
+    return norm_21(kernel.entries)
 
 
 def group_norm_matrix_21(matrix: DenseMatrix) -> float:
@@ -142,8 +153,7 @@ def group_norm_matrix_21(matrix: DenseMatrix) -> float:
     Rows index outputs, so this matches group_norm_21 on a 1x1-kernel
     reshaped to a matrix.
     """
-    a = matrix.entries
-    return float(np.sum(np.sqrt(np.sum(a * a, axis=1, dtype=np.float64))))
+    return norm_21(matrix.entries)
 
 
 def slice_norms(kernel: KernelTensor, kind: str):

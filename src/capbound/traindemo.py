@@ -17,8 +17,8 @@ from .convop import ConvSpec, conv_adjoint_batch, conv_columns, \
     conv_forward_batch
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
-from .project import ConstraintSet, alternating_projections, \
-    init_scale_to_feasible
+from .project import DEFAULT_TOL, ConstraintSet, alternate, \
+    init_scale_to_feasible, within_bounds
 from .tensors import DataBatch, KernelTensor, data_norm, group_norm_21, \
     patch_norms
 
@@ -458,6 +458,11 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """A trained net and what training did. post_rounds_used counts the
+    projection cycles each layer ran after the last update (a multiple of
+    post_rounds); cap_hit says the post loop stopped at its 40x cap with a
+    layer still outside tolerance."""
+
     net: TinyNet
     references: tuple
     trajectory: tuple
@@ -465,6 +470,8 @@ class TrainResult:
     feasible: bool
     lip_bound: float
     dist_bound: float
+    post_rounds_used: int
+    cap_hit: bool
 
     @property
     def final(self) -> EpochStats:
@@ -477,15 +484,17 @@ def _constraint_sets(net: TinyNet, references, lip_bound, dist_bound):
             for blk, ref in zip(net.blocks, references)]
 
 
-def _project_all(net: TinyNet, sets, rounds: int) -> bool:
-    """One projection pass per layer; True when every layer converged."""
-    converged = True
+def _project_all(net: TinyNet, sets, rounds: int) -> None:
+    """One projection pass of `rounds` cycles per layer; measures nothing."""
     for blk, cs in zip(net.blocks, sets):
-        projected, report = alternating_projections(
-            KernelTensor(blk.conv.kernel), cs, rounds=rounds)
-        blk.conv.kernel = projected.entries
-        converged = report.converged and converged
-    return converged
+        blk.conv.kernel = alternate(KernelTensor(blk.conv.kernel), cs,
+                                    rounds).entries
+
+
+def _all_within(net: TinyNet, sets) -> bool:
+    """Measure every layer once; True when each is within DEFAULT_TOL."""
+    return all([within_bounds(KernelTensor(blk.conv.kernel), cs, DEFAULT_TOL)
+                for blk, cs in zip(net.blocks, sets)])
 
 
 def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
@@ -496,12 +505,15 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
 
     Kernels are first rescaled so every layer meets the Lipschitz bound
     exactly (making the constraint intersection nonempty around the start),
-    then one alternating-projection cycle runs every `cadence` updates and
-    `post_rounds` cycles run after the final update, repeated until joint
-    violations drop under 1e-3 relative (hard cap 40x the budget; running
-    out is reported through `feasible`). Infinite bounds leave the
-    trajectory bit-identical to plain SGD. Divergence is reported via the
-    result, never raised.
+    then one alternating-projection cycle runs every `cadence` updates,
+    unmeasured. After the final update, passes of `post_rounds` cycles run
+    until every layer's relative violations are within
+    `project.DEFAULT_TOL`; each layer is measured once at the end of each
+    pass, and nowhere else. The passes stop at 40x `post_rounds` cycles;
+    the result reports the cycles run (`post_rounds_used`), whether the cap
+    stopped them (`cap_hit`) and the verdict (`feasible`). Infinite bounds
+    leave the trajectory bit-identical to plain SGD. Divergence is reported
+    via the result, never raised.
     """
     labels = np.asarray(labels)
     if labels.shape != (batch.n,):
@@ -562,16 +574,19 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
             dists=net.distances(references),
         ))
     feasible = True
+    used = 0
     if project and not diverged and config.post_rounds > 0:
-        feasible = _project_all(net, sets, rounds=config.post_rounds)
-        used = config.post_rounds
+        feasible = False
         while not feasible and used < 40 * config.post_rounds:
-            feasible = _project_all(net, sets, rounds=config.post_rounds)
+            _project_all(net, sets, rounds=config.post_rounds)
             used += config.post_rounds
+            feasible = _all_within(net, sets)
+    # the post loop ends infeasible only at its cap
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,
-                       dist_bound=dist_bound)
+                       dist_bound=dist_bound, post_rounds_used=used,
+                       cap_hit=not feasible)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Independent scalar-loop reference implementations used only by tests.
 
 Everything here is written for obviousness, not speed: plain Python loops,
-no shared helpers with the package under test.
+no shared helpers with the package under test. The one exception is the
+measured projection pass at the end, which pins training's projection
+schedule to `alternating_projections` and its per-round reports.
 """
 
 import math
 
 import numpy as np
+
+from capbound.project import alternating_projections
+from capbound.tensors import KernelTensor
 
 
 def loop_group_norm_21(k):
@@ -260,3 +265,27 @@ def set_cover_minimum(points, centers, eps):
             if covered_by[:, list(subset)].any(axis=1).all():
                 return size
     return None
+
+
+def measured_project_all(net, sets, rounds):
+    """Projection pass that measures every round: `alternating_projections`
+    on each layer in turn. True when every layer's report converged."""
+    converged = True
+    for blk, cs in zip(net.blocks, sets):
+        projected, report = alternating_projections(
+            KernelTensor(blk.conv.kernel), cs, rounds=rounds)
+        blk.conv.kernel = projected.entries
+        converged = report.converged and converged
+    return converged
+
+
+def measured_post_loop(net, sets, post_rounds):
+    """Post-training passes of `post_rounds` measured cycles until every
+    layer converged, at most 40 x post_rounds cycles. Returns
+    (feasible, cycles run per layer)."""
+    feasible = measured_project_all(net, sets, post_rounds)
+    used = post_rounds
+    while not feasible and used < 40 * post_rounds:
+        feasible = measured_project_all(net, sets, post_rounds)
+        used += post_rounds
+    return feasible, used

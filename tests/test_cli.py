@@ -15,6 +15,7 @@ from capbound.cli import (
     ZERO_REFERENCE,
     ArchGraph,
     build_net,
+    build_parser,
     default_arch_doc,
     main,
     parse_archdoc,
@@ -25,7 +26,7 @@ from capbound.cli import (
 from capbound.convop import ConvSpec
 from capbound.errors import UsageError
 from capbound.lipschitz import operator_norm, power_iteration
-from capbound.project import init_scale_to_feasible
+from capbound.project import DEFAULT_TOL, init_scale_to_feasible
 from capbound.tensors import KernelTensor, group_norm_21
 from capbound.traindemo import BlockSpec, TinyNet, TrainConfig, synth_data, train_projected
 
@@ -715,6 +716,23 @@ def write_slater_pair(tmp_path, seed=7):
     arch_path = tmp_path / "arch_slater.json"
     arch_path.write_text(json.dumps(arch))
     return str(ckpt), str(arch_path), weights, refs, bounds
+
+
+@pytest.mark.parametrize("scheme", ["alternating", "dykstra"])
+def test_project_overflowing_fibers_exit_1(tmp_path, scheme):
+    ckpt, arch, weights, refs, _ = write_slater_pair(tmp_path)
+    huge = str(tmp_path / "huge.ckpt")
+    write_checkpoint(huge, {n: w * 1e160 for n, w in weights.items()}, refs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, _, err = run_cli(["project", huge, arch, "--out",
+                              str(tmp_path / "out.ckpt"), "--scheme", scheme])
+    assert rc == 1
+    assert err == "error: kernel contains non-finite entries\n"
+
+
+def test_project_tol_default_is_the_projection_tolerance():
+    args = build_parser().parse_args(["project", "c", "a", "--out", "o"])
+    assert args.tol == DEFAULT_TOL
 
 
 def test_project_feasible_checkpoint_is_byte_identical(tmp_path):

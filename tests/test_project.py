@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capbound import NumericalError, UsageError
+from capbound import project as project_module
 from capbound.convop import ConvSpec, materialize
 from capbound.lipschitz import (
     SCREEN_MARGIN,
@@ -20,8 +22,10 @@ from capbound.lipschitz import (
     top_singular_estimates,
 )
 from capbound.project import (
+    DEFAULT_TOL,
     ConstraintSet,
     _grid_spectral_clip,
+    alternate,
     alternating_projections,
     dykstra,
     dykstra_iterate,
@@ -29,7 +33,9 @@ from capbound.project import (
     project_l21_ball,
     project_spectral,
     project_support,
+    radial_cycle,
     radial_project,
+    within_bounds,
 )
 from capbound.tensors import KernelTensor, group_norm_21
 
@@ -513,6 +519,45 @@ def test_dykstra_lands_on_the_long_run_projection():
         out, _ = dykstra(kernel, cs, 400)
         want = _textbook(kernel, cs, 3000)
         assert _relative_gap(out.entries, want) <= 1e-6, trial
+
+
+def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
+    # entries near 1e160 square past the float range, so the (2,1) shrink
+    # turns NaN; the cycle must stop there, not hand NaN to the clip's SVD
+    rng = np.random.default_rng(28)
+    spec = ConvSpec((2, 4, 4), (3, 3))
+    reference = rand_kernel(rng, (2, 2, 3, 3))
+    kernel = rand_kernel(rng, (2, 2, 3, 3), scale=1e160)
+    cs = ConstraintSet(reference=reference, distance_bound=1.0,
+                       lipschitz_bound=2.0, conv=spec)
+    clips = []
+    real_clip = project_module._grid_spectral_clip
+    monkeypatch.setattr(project_module, "_grid_spectral_clip",
+                        lambda g, s: clips.append(1) or real_clip(g, s))
+    for run in (alternating_projections, dykstra):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(UsageError, match="non-finite"):
+            run(kernel, cs)
+    assert clips == []
+
+
+def test_defaults_share_one_tolerance():
+    for run in (alternating_projections, dykstra, radial_cycle):
+        assert inspect.signature(run).parameters["tol"].default == DEFAULT_TOL
+    assert DEFAULT_TOL == 1e-3
+
+
+def test_alternate_returns_the_measured_cycle_kernel():
+    rng = np.random.default_rng(29)
+    for rounds in (1, 4):
+        kernel, cs = infeasible_case(rng)
+        out, report = alternating_projections(kernel, cs, rounds)
+        np.testing.assert_array_equal(alternate(kernel, cs, rounds).entries,
+                                      out.entries)
+        assert within_bounds(out, cs, DEFAULT_TOL) == report.converged
+        assert within_bounds(out, cs, max(report.trajectory[-1]))
+    with pytest.raises(UsageError):
+        alternate(kernel, cs, 0)
 
 
 def test_infinite_bounds_leave_kernel_alone():

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound import UsageError, traindemo
+from capbound import UsageError, project, traindemo
 from capbound.capacity import (
     capacity_terms,
     comparison_suite,
@@ -35,7 +36,7 @@ from capbound.traindemo import (
 )
 
 from oracles import central_difference_grads, loop_maxpool_backward, \
-    loop_patch_max_norm
+    loop_patch_max_norm, measured_post_loop, measured_project_all
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +532,106 @@ def test_lr_decay_schedule_applies():
     train_projected(net_b, batch, labels, one, project=False)
     for ka, kb in zip(net_a.kernels, net_b.kernels):
         np.testing.assert_allclose(ka, kb, atol=1e-9)
+
+
+RESIDUAL = (BlockSpec(1, 4, 3), BlockSpec(4, 4, 3, shortcut="identity"),
+            BlockSpec(4, 8, 3, pool="max3", shortcut="double"))
+# (task, blocks, net seed, s, b, post_rounds). Every cell's post loop needs
+# several passes (45, 30, 30, 45 and 60 cycles); the last cell runs into the
+# 40-cycle cap.
+PROJECTED_CELLS = [
+    ("rings", BLOCKS, 0, 1.0, 0.5, 15),
+    ("rings", BLOCKS, 1, 1.5, 3.0, 15),
+    ("rings", BLOCKS, 2, 1.0, 0.5, 15),
+    ("blobs", RESIDUAL, 1, 1.5, 3.0, 15),
+    ("blobs", RESIDUAL, 0, 1.0, 0.5, 15),
+    ("blobs", RESIDUAL, 0, 1.0, 0.5, 1),
+]
+
+
+def projected_cell(task, blocks, seed, s, b, post_rounds):
+    batch, labels = synth_data(task, 48, seed=1)
+    config = TrainConfig(epochs=4, seed=seed, cadence=3,
+                         post_rounds=post_rounds)
+    return (TinyNet(blocks, seed=seed), batch, labels, config,
+            dict(lip_bound=s, dist_bound=b))
+
+
+@pytest.mark.parametrize("cell", PROJECTED_CELLS)
+def test_projection_schedule_matches_the_measured_oracle(cell, monkeypatch):
+    # Training cycles unmeasured and measures each layer once per post pass;
+    # the oracle measures every cycle and decides from the reports.
+    net, batch, labels, config, bounds = projected_cell(*cell)
+    res = train_projected(net, batch, labels, config, **bounds)
+
+    oracle_net, *_ = projected_cell(*cell)
+    with monkeypatch.context() as patch:
+        patch.setattr(traindemo, "_project_all", measured_project_all)
+        oracle = train_projected(oracle_net, batch, labels,
+                                 replace(config, post_rounds=0), **bounds)
+    sets = traindemo._constraint_sets(oracle_net, oracle.references,
+                                      bounds["lip_bound"],
+                                      bounds["dist_bound"])
+    feasible, used = measured_post_loop(oracle_net, sets, config.post_rounds)
+
+    assert res.trajectory == oracle.trajectory
+    for got, want in zip(net.kernels, oracle_net.kernels):
+        np.testing.assert_array_equal(got, want)
+    assert res.feasible == feasible
+    assert res.post_rounds_used == used
+    assert res.cap_hit == (not feasible)
+    assert used > config.post_rounds      # every cell needs several passes
+
+
+def test_post_loop_reports_the_cap():
+    net, batch, labels, config, bounds = projected_cell(*PROJECTED_CELLS[-1])
+    res = train_projected(net, batch, labels, config, **bounds)
+    assert res.post_rounds_used == 40 * config.post_rounds
+    assert res.cap_hit and not res.feasible
+    unprojected = train_projected(*projected_cell(*PROJECTED_CELLS[0])[:4],
+                                  project=False)
+    assert unprojected.post_rounds_used == 0
+    assert unprojected.feasible and not unprojected.cap_hit
+
+
+def test_projection_measures_only_after_post_passes(monkeypatch):
+    measured = []
+    real_norm = project.grid_norm
+    monkeypatch.setattr(project, "grid_norm",
+                        lambda grid: measured.append(1) or real_norm(grid))
+    passes = []                         # (rounds, measurements before, during)
+    real_pass = traindemo._project_all
+
+    def counted_pass(net, sets, rounds):
+        before = len(measured)
+        real_pass(net, sets, rounds)
+        passes.append((rounds, before, len(measured) - before))
+
+    monkeypatch.setattr(traindemo, "_project_all", counted_pass)
+    net, batch, labels, config, bounds = projected_cell(*PROJECTED_CELLS[0])
+    res = train_projected(net, batch, labels, config, **bounds)
+
+    layers = len(net.blocks)
+    steps = config.epochs * math.ceil(batch.n / config.batch_size)
+    cadence = passes[:steps // config.cadence]
+    post = passes[len(cadence):]
+    assert [r for r, _, _ in cadence] == [1] * len(cadence)
+    assert all(during == 0 for _, _, during in passes)
+    assert len(post) == res.post_rounds_used // config.post_rounds >= 2
+    # each post pass is followed by one measurement of every layer
+    assert [before for _, before, _ in post] == [
+        i * layers for i in range(len(post))]
+    assert len(measured) == len(post) * layers
+
+
+def test_overflowing_fibers_stop_a_training_projection_pass():
+    net = TinyNet(BLOCKS, seed=0)
+    sets = traindemo._constraint_sets(net, [k.copy() for k in net.kernels],
+                                      2.0, 1.0)
+    net.blocks[1].conv.kernel = net.blocks[1].conv.kernel * 1e160
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(UsageError, match="non-finite"):
+        traindemo._project_all(net, sets, 1)
 
 
 # ---------------------------------------------------------------------------
