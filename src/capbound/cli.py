@@ -74,10 +74,16 @@ from .traindemo import (
 
 CKPT_MAGIC = "CAPBOUND-CKPT"
 CKPT_VERSION = 1
-_HEADER_RE = re.compile(r"^CAPBOUND-CKPT v(\d+) manifest_bytes=(\d+)$")
+# bounded digit runs: int() refuses strings past 4300 digits
+_HEADER_RE = re.compile(
+    r"^CAPBOUND-CKPT v(\d{1,9}) manifest_bytes=(\d{1,18})$")
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _NP_TO_DTYPE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 ZERO_REFERENCE = "zero"
+# What json.loads raises on malformed text: ValueError covers bad UTF-8,
+# bad syntax and integers past int()'s digit limit; RecursionError deep
+# nesting.
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,7 @@ def read_checkpoint(path: str) -> Checkpoint:
         raise UsageError("checkpoint shorter than the declared manifest")
     try:
         manifest = json.loads(body[:manifest_bytes].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except _JSON_ERRORS as exc:
         raise UsageError(f"manifest does not parse: {exc}") from exc
     if not isinstance(manifest, dict):
         raise UsageError("manifest must be a JSON object")
@@ -317,6 +323,12 @@ def read_checkpoint(path: str) -> Checkpoint:
 # absent means unconstrained.
 
 ARCH_VERSION = 1
+# Largest grid a layer may have, in elements (c_out * c_in * h * w; 2**27
+# float64 values are 1 GiB). The exact spectral routes embed each kernel on
+# that grid, and it bounds the layer's input (c_in * h * w) and output
+# (c_out * out_h * out_w) activations per sample too. A layer past the cap
+# is refused while the doc is parsed, before anything of its size exists.
+MAX_LAYER_ELEMENTS = 2**27
 
 
 @dataclass(frozen=True)
@@ -392,7 +404,7 @@ def _bound(raw, name: str, field: str) -> float:
 def parse_archdoc(text: str) -> ArchGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise UsageError(f"architecture document does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("architecture document must be a JSON object")
@@ -448,6 +460,10 @@ def parse_archdoc(text: str) -> ArchGraph:
 
         # BlockSpec holds the pool/shortcut/channel rules; these need shapes
         oh, ow = spec.out_spatial
+        if c_out * c * h * w > MAX_LAYER_ELEMENTS:
+            raise ResourceError(
+                f"block {name!r}: {c_out * c * h * w} grid elements exceed "
+                f"the cap of {MAX_LAYER_ELEMENTS}")
         if pool == "max3":
             if min(oh, ow) < 3:
                 raise UsageError(
@@ -787,7 +803,7 @@ def cmd_project(args) -> int:
         row = {"name": layer.name, "scheme": args.scheme,
                "lip_bound": layer.lip_bound, "dist_bound": layer.dist_bound,
                "error": None, "projected": False, "converged": True,
-               "rounds_run": 0}
+               "rounds_run": 0, "clip_svds": 0}
         dist0, lip0 = _measure_layer(weight, reference, layer)
         row["dist_before"], row["lip_before"] = dist0, lip0
 
@@ -824,7 +840,8 @@ def cmd_project(args) -> int:
             projected, rep = run(KernelTensor(weight), cs, rounds,
                                  tol=args.tol)
             dist1, lip1 = rep.final_dist, rep.final_lip
-            row.update(rounds_run=rep.rounds_run, converged=rep.converged)
+            row.update(rounds_run=rep.rounds_run, converged=rep.converged,
+                       clip_svds=rep.clip_svds)
         out_weights[layer.name] = projected.entries
         row["dist_after"], row["lip_after"] = dist1, lip1
         rows.append(row)

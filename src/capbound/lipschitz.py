@@ -10,7 +10,8 @@ full h x w grid. Every exact spectral computation, here and in the
 projections, starts from that half stack. A Gram screen
 (`top_singular_estimates`, eigenvalues of each matrix's smaller Gram
 matrix) picks the frequencies whose top singular value can matter, so the
-spectral norm (`grid_norm`) and the spectral clip SVD only those.
+spectral norm (`grid_norm`) and the spectral clip SVD only those; a
+projection run screens only its first clip this way (see `project`).
 Everything else falls back to
 power iteration on the forward/adjoint pair, or a dense SVD of an
 operator materialized with `convop.materialize` (`dense_spectral_norm`).
@@ -153,11 +154,15 @@ def frequency_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stacked, np.tile(column, h)
 
 
-# Relative margin of the Gram screen. Forming and diagonalizing a matrix's
+# Relative margin of the screens. Forming and diagonalizing a matrix's
 # Gram matrix moves its top singular value estimate by about n * eps relative
 # (n the channel count, 4e-15 at 16 channels), far inside this margin, so a
 # matrix the screen leaves out provably has a top singular value below the
-# level it was screened against.
+# level it was screened against. The same margin covers the rounding of the
+# projections' remembered Weyl bound (see `project`): an SVD's top value plus
+# one rounded Frobenius norm per clip since, each off by at most about
+# m * eps relative (m the matrix's real entries, 512 at 16 x 16 channels),
+# so under 1e-11 of the bound after a hundred clips.
 SCREEN_MARGIN = 1e-10
 
 

@@ -12,14 +12,26 @@ clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
 is the orthogonal projection onto the full-grid Lipschitz ball). Only the
 rfft2 half of the frequencies is clipped: the grid is real, clipping
 commutes with conjugation, and the inverse real transform restores each
-left-out conjugate partner. Of those, only the frequencies the Gram screen
+left-out conjugate partner. Of those, only the frequencies the screen
 (`lipschitz.may_reach`) cannot place below s are decomposed; the rest
 clip to themselves and pass through. Strides above 1 have no such frequency
 split and are rejected.
 
-Alternation and Dykstra cycle two closed-form steps on raw grid arrays,
-built once per constraint set: the clip onto C2 and the exact projection
-onto C1 & C3, the (2,1) shrink of the kernel restricted to its taps.
+The screen is cold or warm. A cold clip bounds each frequency's top
+singular value by the Gram screen (`lipschitz.top_singular_estimates`).
+Each projection run's clips share a memory (`_RunClip`): the last clip
+input's frequency stack and an upper bound on each of its matrices' top
+singular value. Every clip after the first bounds a frequency by that
+bound plus the Frobenius norm of the frequency's change, by Weyl's
+inequality sigma_max(A + D) <= sigma_max(A) + |D|_2 <= sigma_max(A) + |D|_F,
+and a decomposed frequency's bound resets to its SVD's top value. Both
+screens skip only frequencies whose clip is the identity, so the warm
+screen decomposes a different set but returns the same bits.
+
+Alternation and Dykstra cycle two closed-form steps on raw grid arrays:
+the clip onto C2, made fresh for each run, and the exact projection onto
+C1 & C3, the (2,1) shrink of the kernel restricted to its taps, built once
+per constraint set.
 `alternating_projections` measures every cycle; `alternate` runs the same
 cycles and measures nothing, and `within_bounds` measures a kernel the way
 a cycle's last round is measured. `radial_cycle` instead rescales straight
@@ -95,7 +107,8 @@ class ConstraintSet:
 
     @functools.cached_property
     def _steps(self):
-        """The cycle steps of `_grid_projections`, built on first use."""
+        """The stateless cycle steps of `_grid_projections`, built on
+        first use."""
         return _grid_projections(self)
 
 
@@ -109,6 +122,8 @@ class FeasibilityReport:
     iterate, so its trajectory is that one pair while `rounds_run` counts
     its iterations. The last pair always measures the returned kernel.
     Non-convergence is reported through `converged`, never raised.
+    clip_svds counts the frequency matrices the run's spectral clips passed
+    to the SVD (0 for runs that do not clip).
     """
 
     rounds_run: int
@@ -119,6 +134,7 @@ class FeasibilityReport:
     lipschitz_bound: float
     converged: bool
     tol: float
+    clip_svds: int = 0
 
 
 def _l1_ball_threshold(v: np.ndarray, budget: float) -> float:
@@ -185,15 +201,61 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
     return KernelTensor(_grid_spectral_clip(grid, s))
 
 
-def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
+class _RunClip:
+    """The clip onto C2 for one projection run, with the run's screen
+    memory (see the module docstring). Never shared between runs."""
+
+    def __init__(self, s: float):
+        self.s = s
+        self.stack = None   # the last clip input's frequency stack
+        self.bound = None   # per frequency, >= that input's sigma_max
+        self.svds = 0       # frequency matrices passed to the SVD
+
+    def __call__(self, grid: np.ndarray) -> np.ndarray:
+        if math.isinf(self.s):
+            return grid
+        return _grid_spectral_clip(grid, self.s, self)
+
+
+def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of stack - prior, scaled to unit peak
+    like the Gram screen, so that neither huge nor tiny changes overflow
+    or underflow."""
+    change = np.subtract(stack, prior, order="C")
+    change = change.view(np.float64).reshape(len(stack), -1)
+    np.abs(change, out=change)
+    peak = np.max(change, axis=1)
+    change /= np.where(peak > 0, peak, 1.0)[:, None]
+    return peak * np.sqrt(np.einsum("ij,ij->i", change, change))
+
+
+def _grid_spectral_clip(grid: np.ndarray, s: float,
+                        memory: _RunClip | None = None) -> np.ndarray:
+    """Clip every frequency matrix of a real grid at s. Screens cold
+    without a memory; with one, screens by and updates the run's bound."""
     c_out, c_in, h, w = grid.shape
     stacked, _ = frequency_matrices(grid)
+    if memory is None or memory.stack is None:
+        bound = top_singular_estimates(stacked)
+    else:
+        bound = memory.bound + _change_norms(stacked, memory.stack)
     # A matrix the screen leaves out has every singular value below s, so
     # its clip is the identity; the others lose U max(sv - s, 0) V^H.
-    hot = may_reach(top_singular_estimates(stacked), s)
-    u, sv, vh = np.linalg.svd(stacked[hot], full_matrices=False)
-    stacked[hot] -= (u * np.maximum(sv - s, 0.0)[:, None, :]) @ vh
+    hot = may_reach(bound, s)
+    if memory is not None:
+        # The run keeps this clip's input (stacked, once `picked` is put
+        # back) and its bound, which the SVD tightens. Taking them before
+        # the SVD frees the last clip's stack, and with u and vh dropped
+        # after it a warm clip's peak memory stays at a cold clip's.
+        memory.stack, memory.bound = stacked, bound
+        memory.svds += int(np.count_nonzero(hot))
+    picked = stacked[hot]
+    u, sv, vh = np.linalg.svd(picked, full_matrices=False)
+    bound[hot] = sv[:, 0]
+    stacked[hot] = picked - (u * np.maximum(sv - s, 0.0)[:, None, :]) @ vh
+    del u, vh
     rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
+    stacked[hot] = picked
     # irfft drops the imaginary part of the self-conjugate columns (0, and
     # w/2 for even w); every other column's partner is implied exactly.
     self_conjugate = [0, w // 2] if w % 2 == 0 else [0]
@@ -228,18 +290,18 @@ def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTens
 def _grid_projections(cs: ConstraintSet):
     """The closed-form steps every cycle is built from, on raw grid arrays.
 
-    p_supp projects onto C3 and p_spec onto C2. p_box = p_l21 o p_supp is
-    the exact projection onto C1 & C3: the reference is zero off the tap
-    window and each (2,1) fiber sits at one tap, so the shrink keeps the
-    fibers p_supp zeroed at zero. Every cycle passes p_box once, so its
-    finiteness check is the cycle's: a NaN from an overflowing shrink stops
-    there, before the clip's SVD. The center grid is shared and read-only.
+    p_supp projects onto C3, and the run's `_RunClip` onto C2. p_box =
+    p_l21 o p_supp is the exact projection onto C1 & C3: the reference is
+    zero off the tap window and each (2,1) fiber sits at one tap, so the
+    shrink keeps the fibers p_supp zeroed at zero. Every cycle passes p_box
+    once, so its finiteness check is the cycle's: a NaN from an overflowing
+    shrink stops there, before the clip's SVD. The steps hold no state
+    between calls, so every run shares them; the center grid is read-only.
     """
     center = embed_kernel_grid(cs.reference, cs.conv)
     center.setflags(write=False)
     mask = _support_mask(*center.shape[2:], *cs.support)
     b = cs.distance_bound
-    s = cs.lipschitz_bound
 
     def p_supp(g):
         return np.where(mask, g, 0.0)
@@ -252,12 +314,7 @@ def _grid_projections(cs: ConstraintSet):
             raise UsageError("kernel contains non-finite entries")
         return g
 
-    def p_spec(g):
-        if math.isinf(s):
-            return g
-        return _grid_spectral_clip(g, s)
-
-    return p_supp, p_box, p_spec, center
+    return p_supp, p_box, center
 
 
 def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
@@ -286,7 +343,8 @@ def _excess(dist: float, lip: float, cs: ConstraintSet) -> tuple[float, float]:
 
 
 def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
-            dist: float, lip: float, tol: float) -> FeasibilityReport:
+            dist: float, lip: float, tol: float,
+            clip_svds: int = 0) -> FeasibilityReport:
     """Report on a run whose last trajectory entry measured the returned
     kernel at (dist, lip)."""
     return FeasibilityReport(
@@ -298,18 +356,20 @@ def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
         lipschitz_bound=cs.lipschitz_bound,
         converged=max(trajectory[-1]) <= tol,
         tol=tol,
+        clip_svds=clip_svds,
     )
 
 
-def _cycles(kernel: KernelTensor, cs: ConstraintSet, rounds: int):
+def _cycles(kernel: KernelTensor, cs: ConstraintSet, rounds: int,
+            clip: _RunClip):
     """Yield the support-restricted grid after each of `rounds` cycles
-    C1 & C3 -> C2 -> C3."""
+    C1 & C3 -> C2 -> C3, clipping with the run's `clip`."""
     if rounds < 1:
         raise UsageError("rounds must be >= 1")
-    p_supp, p_box, p_spec, _ = cs._steps
+    p_supp, p_box, _ = cs._steps
     grid = _prepare(kernel, cs)
     for _ in range(rounds):
-        grid = p_supp(p_spec(p_box(grid)))
+        grid = p_supp(clip(p_box(grid)))
         yield grid
 
 
@@ -323,19 +383,20 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
     approached. Returns the support-restricted iterate and a report.
     """
     *_, center_grid = cs._steps
+    clip = _RunClip(cs.lipschitz_bound)
     trajectory = []
-    for grid in _cycles(kernel, cs, rounds):
+    for grid in _cycles(kernel, cs, rounds, clip):
         dist, lip = _measure(grid, center_grid)
         trajectory.append(_excess(dist, lip, cs))
     out = KernelTensor(extract_kernel_grid(grid, *cs.support))
-    return out, _report(cs, rounds, trajectory, dist, lip, tol)
+    return out, _report(cs, rounds, trajectory, dist, lip, tol, clip.svds)
 
 
 def alternate(kernel: KernelTensor, cs: ConstraintSet,
               rounds: int) -> KernelTensor:
     """The kernel `alternating_projections` returns, without measuring any
     cycle."""
-    for grid in _cycles(kernel, cs, rounds):
+    for grid in _cycles(kernel, cs, rounds, _RunClip(cs.lipschitz_bound)):
         pass
     return KernelTensor(extract_kernel_grid(grid, *cs.support))
 
@@ -378,13 +439,14 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet,
     kernel is measured; Dykstra iterates are not Fejer monotone, so the
     iterates before it say little.
     """
-    p_supp, p_box, p_spec, center_grid = cs._steps
-    grid = p_supp(dykstra_iterate(_prepare(kernel, cs), [p_box, p_spec],
+    p_supp, p_box, center_grid = cs._steps
+    clip = _RunClip(cs.lipschitz_bound)
+    grid = p_supp(dykstra_iterate(_prepare(kernel, cs), [p_box, clip],
                                   iterations))
     dist, lip = _measure(grid, center_grid)
     out = KernelTensor(extract_kernel_grid(grid, *cs.support))
     return out, _report(cs, iterations, [_excess(dist, lip, cs)], dist, lip,
-                        tol)
+                        tol, clip.svds)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,

@@ -1,16 +1,24 @@
 """Independent scalar-loop reference implementations used only by tests.
 
 Everything here is written for obviousness, not speed: plain Python loops,
-no shared helpers with the package under test. The one exception is the
-measured projection pass at the end, which pins training's projection
-schedule to `alternating_projections` and its per-round reports.
+no shared helpers with the package under test. The exceptions are at the
+end: the measured projection passes, which pin training's projection
+schedule to `alternating_projections` and its per-round reports, and the
+cold-clip cycle, which pins the projection cycles' remembered clip screen
+to the package's own cold clip, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from capbound.project import alternating_projections
+from capbound.lipschitz import embed_kernel_grid, extract_kernel_grid
+from capbound.project import (
+    _grid_spectral_clip,
+    alternating_projections,
+    project_l21_ball,
+    project_support,
+)
 from capbound.tensors import KernelTensor
 
 
@@ -289,3 +297,36 @@ def measured_post_loop(net, sets, post_rounds):
         feasible = measured_project_all(net, sets, post_rounds)
         used += post_rounds
     return feasible, used
+
+
+def cold_clip_cycle(kernel, cs, rounds, corrected):
+    """The projection cycle over C1 & C3 and C2 with every spectral clip
+    screened cold, by the Gram screen alone, as `project_spectral` clips:
+    Dykstra's two-set cycle when corrected, else plain alternation. Returns
+    the taps of the support-restricted last iterate."""
+    k_h, k_w = cs.support
+    center = KernelTensor(embed_kernel_grid(cs.reference, cs.conv))
+
+    def p_supp(g):
+        return project_support(KernelTensor(g), k_h, k_w).entries
+
+    def p_box(g):
+        return project_l21_ball(KernelTensor(p_supp(g)), center,
+                                cs.distance_bound).entries
+
+    def p_spec(g):
+        if math.isinf(cs.lipschitz_bound):
+            return g
+        return _grid_spectral_clip(g, cs.lipschitz_bound)
+
+    x = embed_kernel_grid(kernel, cs.conv)
+    corrections = [np.zeros_like(x), np.zeros_like(x)]
+    for _ in range(rounds):
+        if corrected:
+            for i, p in enumerate((p_box, p_spec)):
+                y = p(x + corrections[i])
+                corrections[i] = x + corrections[i] - y
+                x = y
+        else:
+            x = p_supp(p_spec(p_box(x)))
+    return extract_kernel_grid(p_supp(x), k_h, k_w)

@@ -5,15 +5,20 @@ import io
 import itertools
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from capbound.cli import (
+    MAX_LAYER_ELEMENTS,
     ZERO_REFERENCE,
     ArchGraph,
+    Checkpoint,
     build_net,
     build_parser,
     default_arch_doc,
@@ -24,9 +29,16 @@ from capbound.cli import (
     write_checkpoint,
 )
 from capbound.convop import ConvSpec
-from capbound.errors import UsageError
+from capbound.errors import ResourceError, UsageError
 from capbound.lipschitz import operator_norm, power_iteration
-from capbound.project import DEFAULT_TOL, init_scale_to_feasible
+from capbound.project import (
+    DEFAULT_TOL,
+    ConstraintSet,
+    alternating_projections,
+    dykstra,
+    init_scale_to_feasible,
+    radial_cycle,
+)
 from capbound.tensors import KernelTensor, group_norm_21
 from capbound.traindemo import BlockSpec, TinyNet, TrainConfig, synth_data, train_projected
 
@@ -226,6 +238,54 @@ def test_checkpoint_reader_rejects_broken_headers(tmp_path):
         read_checkpoint(str(path))
 
 
+def _valid_checkpoint_bytes() -> bytes:
+    rng = np.random.default_rng(9)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.ckpt")
+        write_checkpoint(path, {"a": rng.standard_normal((2, 1, 3, 3)),
+                                "b": rng.standard_normal((1, 2, 1, 1))},
+                         {"a": rng.standard_normal((2, 1, 3, 3)),
+                          "b": ZERO_REFERENCE})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_CKPT = _valid_checkpoint_bytes()
+_HEADER = b"CAPBOUND-CKPT v1 manifest_bytes="
+
+
+def _with_manifest(text: bytes) -> bytes:
+    return _HEADER + str(len(text)).encode() + b"\n" + text
+
+
+def checkpoint_blobs():
+    """Arbitrary bytes, truncations and single-byte changes of a valid
+    checkpoint."""
+    size = len(VALID_CKPT)
+    truncated = st.integers(0, size).map(lambda n: VALID_CKPT[:n])
+    changed = st.tuples(st.integers(0, size - 1), st.integers(0, 255)).map(
+        lambda at: VALID_CKPT[:at[0]] + bytes([at[1]]) + VALID_CKPT[at[0] + 1:])
+    return st.one_of(st.binary(max_size=300), truncated, changed)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(checkpoint_blobs())
+@example(VALID_CKPT)
+@example(_HEADER + b"9" * 5000 + b"\n{}")       # past int()'s digit limit
+@example(_with_manifest(b"[" * 100000))           # nests past the recursion limit
+@example(_with_manifest(b'{"format_version": 1' + b"0" * 5000 + b"}"))
+def test_read_checkpoint_fuzz_yields_checkpoint_or_input_error(tmp_path,
+                                                               blob):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        ckpt = read_checkpoint(str(path))
+    except (UsageError, ResourceError):
+        return
+    assert isinstance(ckpt, Checkpoint)
+
+
 # ---------------------------------------------------------------------------
 # architecture documents
 
@@ -368,12 +428,67 @@ def mutated_arch_docs(draw):
 @given(st.one_of(JSON_VALUES, arch_docs(), mutated_arch_docs()))
 @example({"format_version": 1, "input": [1, 8, 8], "kappa": 2,
           "blocks": [{"name": "a", "c_out": 2, "k": 3, "s": 10**400}]})
+@example({"format_version": 1, "input": [1, 8, 8], "kappa": 2,
+          "blocks": [{"name": "a", "c_out": 2**64, "k": 3}]})
 def test_parse_archdoc_fuzz_yields_graph_or_usage_error(doc):
+    """A graph, a UsageError, or a ResourceError for a layer past the size
+    cap."""
     try:
         graph = parse_archdoc(json.dumps(doc))
-    except UsageError:
+    except (UsageError, ResourceError):
         return
     assert isinstance(graph, ArchGraph)
+
+
+@pytest.mark.parametrize("text", [
+    '{"format_version": 1' + "0" * 5000 + "}",   # past int()'s digit limit
+    "[" * 100000,                                 # past the recursion limit
+])
+def test_archdoc_text_that_json_cannot_read_is_a_usage_error(text):
+    with pytest.raises(UsageError, match="does not parse"):
+        parse_archdoc(text)
+
+
+def _one_layer_doc(c, h, w, c_out=1):
+    return {"format_version": 1, "input": [c, h, w], "kappa": 2,
+            "blocks": [{"name": "a", "c_out": c_out, "k": 3, "s": 1.0}]}
+
+
+def test_archdoc_size_cap():
+    """The cap admits a layer whose grid has exactly MAX_LAYER_ELEMENTS
+    elements, far above the 16 x 16 x 16 x 16 grid of the benchmark's
+    widest layer, and refuses one more row of it."""
+    assert MAX_LAYER_ELEMENTS >= 1000 * 16**4
+    c, w = 2, MAX_LAYER_ELEMENTS // 2**10 // 4
+    assert 2 * c * 2**10 * w == MAX_LAYER_ELEMENTS
+    fits = _one_layer_doc(c, 2**10, w, c_out=2)
+    assert parse_archdoc(json.dumps(fits)).layers[0].kernel_shape == (
+        2, 2, 3, 3)
+    over = _one_layer_doc(c, 2**10 + 1, w, c_out=2)
+    with pytest.raises(ResourceError, match="grid elements exceed the cap"):
+        parse_archdoc(json.dumps(over))
+
+
+@pytest.mark.parametrize("command", ["spectra", "project"])
+def test_oversized_arch_doc_exits_2_before_allocating(tmp_path, command):
+    """"input": [1, 200000, 200000] would embed a 1 -> 1 3x3 kernel on a
+    grid of 4e10 elements; the run is refused, and the arrays it allocates
+    on the way stay small."""
+    ckpt = str(tmp_path / "tiny.ckpt")
+    write_checkpoint(ckpt, {"a": np.ones((1, 1, 3, 3))}, {"a": ZERO_REFERENCE})
+    arch = tmp_path / "huge.json"
+    arch.write_text(json.dumps(_one_layer_doc(1, 200000, 200000)))
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(_subcommand_argv(command, ckpt, str(arch),
+                                              tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err.startswith("resource failure: block 'a': 40000000000 grid "
+                          "elements exceed the cap")
+    assert peak < 2**20
 
 
 @settings(max_examples=100, deadline=None)
@@ -856,6 +971,28 @@ def test_project_distance_only_constraint_works_on_strided_layer(tmp_path):
     assert row["projected"] and row["error"] is None
     projected = read_checkpoint(out).weight("a")
     assert group_norm_21(KernelTensor(projected)) <= 1.0 + 1e-9
+
+
+def test_project_json_rows_count_the_clip_svds(tmp_path):
+    """Each projected row carries its run's `clip_svds`: positive for the
+    clipping schemes, 0 for radial moves; the text report is unchanged."""
+    ckpt, arch, weights, refs, _ = write_slater_pair(tmp_path)
+    graph = parse_archdoc(open(arch, encoding="utf-8").read())
+    out = str(tmp_path / "out.ckpt")
+    for scheme, run in (("alternating", alternating_projections),
+                        ("dykstra", dykstra), ("radial", radial_cycle)):
+        rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
+                               "--scheme", scheme, "--json"])
+        assert rc == 0
+        for row, layer in zip(json.loads(text)["layers"], graph.layers):
+            cs = ConstraintSet(KernelTensor(refs[layer.name]),
+                               layer.dist_bound, layer.lip_bound, layer.spec)
+            want = run(KernelTensor(weights[layer.name]), cs)[1].clip_svds
+            assert row["projected"] and row["clip_svds"] == want
+            assert (want > 0) == (scheme != "radial")
+        rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
+                               "--scheme", scheme])
+        assert rc == 0 and "svd" not in text
 
 
 @pytest.mark.parametrize("scheme", ["alternating", "dykstra", "radial"])

@@ -25,6 +25,7 @@ from capbound.project import (
     DEFAULT_TOL,
     ConstraintSet,
     _grid_spectral_clip,
+    _RunClip,
     alternate,
     alternating_projections,
     dykstra,
@@ -41,6 +42,7 @@ from capbound.tensors import KernelTensor, group_norm_21
 
 from oracles import (
     bisect_l21_shrinkage,
+    cold_clip_cycle,
     full_frequency_svd,
     full_spectrum_clip,
     textbook_projection_cycle,
@@ -380,6 +382,47 @@ def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
         _grid_spectral_clip(grid, s)
 
 
+@st.composite
+def clip_sequences(draw):
+    c_out, c_in = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    jumps = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0, 10.0]),
+                          min_size=1, max_size=6))
+    magnitude = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    return c_out, c_in, h, w, jumps, magnitude, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clip_sequences())
+@example((1, 1, 4, 4, [0.3, 0.3, 0.3], 1.0, 2))       # scalar frequencies
+@example((2, 2, 4, 4, [0.3, 0.3, 0.3], 1.0, 3))       # steps with |D|_F < 1
+@example((3, 2, 4, 3, [10.0, 0.0, 1.0], 1e-150, 3))
+@example((4, 4, 6, 6, [1e-3, 0.5, 10.0], 1e150, 4))
+def test_remembered_screen_clips_like_the_cold_screen(case):
+    """Clip inputs that jump at random, by steps small and large against
+    s: after every clip of one run each frequency's top singular value is
+    at most s, and the output equals the cold clip's bit for bit."""
+    c_out, c_in, h, w, jumps, magnitude, seed = case
+    rng = np.random.default_rng(seed)
+    s = magnitude
+
+    def spectral_noise(scale):
+        """Gaussian grid whose largest frequency has top singular value
+        scale."""
+        noise = rng.standard_normal((c_out, c_in, h, w))
+        return noise * (scale / grid_norm(noise))
+
+    grid = spectral_noise(0.9 * s)
+    clip = _RunClip(s)
+    for jump in jumps:
+        grid = grid + spectral_noise(jump * s)
+        got = clip(grid)
+        np.testing.assert_array_equal(got, _grid_spectral_clip(grid, s))
+        top = np.linalg.svd(frequency_matrices(got)[0], compute_uv=False)
+        assert np.all(top[:, 0] <= s * (1 + 1e-12))
+    assert clip.svds <= len(jumps) * h * (w // 2 + 1)
+
+
 def test_spectral_rejects_strided_spec():
     rng = np.random.default_rng(17)
     spec = ConvSpec((1, 4, 4), (2, 2), strides=(2, 2))
@@ -521,6 +564,65 @@ def test_dykstra_lands_on_the_long_run_projection():
         assert _relative_gap(out.entries, want) <= 1e-6, trial
 
 
+def binding_case(rng, c_in, c_out, h):
+    """A 3x3 layer whose projection lies on both balls: the reference sits
+    at operator norm 1.5 inside s = 1.8, the kernel is 1.6 times it plus
+    noise, and b is half the kernel's distance."""
+    spec = ConvSpec((c_in, h, h), (3, 3))
+    shape = (c_out, c_in, 3, 3)
+    ref = rng.standard_normal(shape) * math.sqrt(2.0 / (c_in * 9))
+    noise = rng.standard_normal(shape) * (0.2 * np.linalg.norm(ref)
+                                          / math.sqrt(ref.size))
+    ref = init_scale_to_feasible(KernelTensor(ref), spec, 1.5)
+    kernel = KernelTensor(1.6 * ref.entries + noise)
+    b = 0.5 * group_norm_21(KernelTensor(kernel.entries - ref.entries))
+    return kernel, ConstraintSet(ref, b, 1.8, spec)
+
+
+@pytest.mark.parametrize("c_in,c_out,h", [(16, 16, 8), (2, 3, 5), (1, 1, 6)])
+def test_remembered_clips_match_the_cold_clip_cycle(c_in, c_out, h):
+    rng = np.random.default_rng(30 + c_in)
+    kernel, cs = binding_case(rng, c_in, c_out, h)
+    out, report = dykstra(kernel, cs, 60)
+    np.testing.assert_array_equal(
+        out.entries, cold_clip_cycle(kernel, cs, 60, corrected=True))
+    # both balls bind at the projection
+    assert report.final_dist == pytest.approx(cs.distance_bound, rel=1e-2)
+    assert report.final_lip == pytest.approx(cs.lipschitz_bound, rel=1e-2)
+    # the remembered bound skipped some frequencies
+    assert 0 < report.clip_svds < 60 * h * (h // 2 + 1)
+    want = cold_clip_cycle(kernel, cs, 15, corrected=False)
+    out, report = alternating_projections(kernel, cs, 15)
+    np.testing.assert_array_equal(out.entries, want)
+    np.testing.assert_array_equal(alternate(kernel, cs, 15).entries, want)
+
+
+def test_a_run_screens_cold_once(monkeypatch):
+    """Only a run's first clip runs the Gram screen; every later clip
+    screens by the bound it remembers."""
+    rng = np.random.default_rng(31)
+    kernel, cs = binding_case(rng, 4, 4, 6)
+    calls = []
+    real = project_module.top_singular_estimates
+    monkeypatch.setattr(project_module, "top_singular_estimates",
+                        lambda stacked: calls.append(1) or real(stacked))
+    dykstra(kernel, cs, 20)
+    assert len(calls) == 1
+    alternating_projections(kernel, cs, 5)
+    assert len(calls) == 2
+
+
+def test_clip_svds_counts_the_decomposed_frequencies():
+    """At s = 0 every frequency of every clip reaches s and is decomposed;
+    radial moves clip nothing."""
+    rng = np.random.default_rng(32)
+    kernel, cs = binding_case(rng, 2, 3, 5)
+    zero = ConstraintSet(cs.reference, cs.distance_bound, 0.0, cs.conv)
+    for run in (alternating_projections, dykstra):
+        assert run(kernel, zero, 4)[1].clip_svds == 4 * 5 * 3
+    assert radial_cycle(kernel, cs)[1].clip_svds == 0
+
+
 def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
     # entries near 1e160 square past the float range, so the (2,1) shrink
     # turns NaN; the cycle must stop there, not hand NaN to the clip's SVD
@@ -532,8 +634,9 @@ def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
                        lipschitz_bound=2.0, conv=spec)
     clips = []
     real_clip = project_module._grid_spectral_clip
-    monkeypatch.setattr(project_module, "_grid_spectral_clip",
-                        lambda g, s: clips.append(1) or real_clip(g, s))
+    monkeypatch.setattr(
+        project_module, "_grid_spectral_clip",
+        lambda g, *rest: clips.append(1) or real_clip(g, *rest))
     for run in (alternating_projections, dykstra):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(UsageError, match="non-finite"):
