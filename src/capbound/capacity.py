@@ -78,7 +78,9 @@ class LayerRecord:
         if not (math.isfinite(self.lip) and self.lip > 0):
             raise UsageError("layer lipschitz bound must be finite and > 0")
         if not (math.isfinite(self.dist) and self.dist >= 0):
-            raise UsageError("layer distance bound must be finite and >= 0")
+            raise UsageError(
+                f"layer distance to the reference (measured, or its bound) "
+                f"must be finite and >= 0, got {self.dist!r}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise UsageError("layer rho must be finite and > 0")
         if self.weight is not None:

@@ -324,10 +324,13 @@ def read_checkpoint(path: str) -> Checkpoint:
 
 ARCH_VERSION = 1
 # Largest grid a layer may have, in elements (c_out * c_in * h * w; 2**27
-# float64 values are 1 GiB). The exact spectral routes embed each kernel on
-# that grid, and it bounds the layer's input (c_in * h * w) and output
+# float64 values are 1 GiB). The exact spectral routes build each kernel's
+# frequency stack, c_out * c_in * h * (w//2 + 1) complex values, about that
+# size, and the cap bounds the layer's input (c_in * h * w) and output
 # (c_out * out_h * out_w) activations per sample too. A layer past the cap
-# is refused while the doc is parsed, before anything of its size exists.
+# is refused while the doc is parsed, before anything of its size exists;
+# a batch of n samples is refused (`ArchGraph.check_batch`) when n times a
+# layer's largest per-sample array passes the cap.
 MAX_LAYER_ELEMENTS = 2**27
 
 
@@ -365,6 +368,21 @@ class ArchGraph:
     def feature_dim(self) -> int:
         c, h, w = self.layers[-1].out_shape
         return c * h * w
+
+    def check_batch(self, n: int, flag: str) -> None:
+        """Refuse a batch of n samples before any of it exists, when n times
+        some layer's largest per-sample array (its input, its conv output,
+        or its (c_in k_h k_w, out_h out_w) window matrix) passes
+        MAX_LAYER_ELEMENTS."""
+        per_sample = max(
+            max(math.prod(layer.in_shape),
+                (layer.c_out + math.prod(layer.kernel_shape[1:]))
+                * math.prod(layer.spec.out_spatial))
+            for layer in self.layers)
+        if n * per_sample > MAX_LAYER_ELEMENTS:
+            raise ResourceError(
+                f"{flag} {n}: {n * per_sample} batch elements exceed the cap "
+                f"of {MAX_LAYER_ELEMENTS}")
 
     def executable_reason(self) -> str | None:
         """Why the graph cannot be run as a TinyNet, or None if it can."""
@@ -609,34 +627,54 @@ def _fmt(x, width: int = 11) -> str:
 # analyze
 
 
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
 def _load_logit_record(path: str):
     """(logits, labels, gamma) of a `--dump-logits` record.
 
-    Any file that is not such a record raises UsageError.
+    Any file that is not such a record raises UsageError. Each member's
+    header is read first, and one that declares more than 1 GiB (the bytes
+    of MAX_LAYER_ELEMENTS float64 values) raises ResourceError before
+    anything of that size is allocated.
     """
     def bad(why):
         return UsageError(f"logit record {path!r} {why}")
+
+    def read(zf, field):
+        name = f"{field}.npy"
+        if name not in zf.namelist():
+            raise bad(f"is missing field {field!r}")
+        with zf.open(name) as fp:
+            version = np.lib.format.read_magic(fp)
+            if version not in _NPY_HEADERS:
+                raise bad(f"field {field!r} has .npy version {version}")
+            shape, _, dtype = _NPY_HEADERS[version](fp)
+            size = math.prod(shape) * dtype.itemsize
+            if size > 8 * MAX_LAYER_ELEMENTS:
+                raise ResourceError(
+                    f"logit record {path!r} field {field!r} declares {size} "
+                    f"bytes, past the cap of {8 * MAX_LAYER_ELEMENTS}")
+            fp.seek(0)
+            return np.lib.format.read_array(fp, allow_pickle=False)
 
     # zipfile raises RuntimeError/NotImplementedError for encrypted members
     # or unknown compression, zlib.error for a corrupt deflate stream
     unreadable = (OSError, ValueError, EOFError, RuntimeError,
                   zipfile.BadZipFile, zlib.error)
     try:
-        rec = np.load(path)
+        with zipfile.ZipFile(path) as zf:
+            logits, labels, gamma = [read(zf, field) for field in
+                                     ("logits", "labels", "gamma")]
+    except (UsageError, ResourceError):
+        raise
     except unreadable as exc:
         raise bad(f"cannot be read: {exc}") from exc
-    if not isinstance(rec, np.lib.npyio.NpzFile):
-        raise bad("is not an .npz archive")
-    with rec:
-        for field in ("logits", "labels", "gamma"):
-            if field not in rec:
-                raise bad(f"is missing field {field!r}")
-        try:
-            logits, labels, gamma = rec["logits"], rec["labels"], rec["gamma"]
-        except unreadable as exc:
-            raise bad(f"cannot be read: {exc}") from exc
     if logits.dtype.kind not in "iuf" or logits.ndim != 2:
         raise bad("needs real (n, kappa) logits")
+    if not np.all(np.isfinite(logits)):
+        raise bad("has non-finite logits")
     if labels.dtype.kind not in "iu" or labels.size == 0:
         raise bad("needs at least one integer label")
     if gamma.dtype.kind not in "iuf" or gamma.shape != ():
@@ -647,6 +685,7 @@ def _load_logit_record(path: str):
 def cmd_analyze(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     graph = load_archdoc(args.archdoc)
+    graph.check_batch(args.n, "--n")
     net, references = build_net(graph, ckpt)
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
 
@@ -904,6 +943,8 @@ def cmd_train_demo(args) -> int:
     if reason is not None:   # reject before any data or files are made
         raise UsageError(reason)
     names = [layer.name for layer in graph.layers]
+    graph.check_batch(args.n, "--n")
+    graph.check_batch(args.n_test, "--n-test")
 
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
     test_batch, test_labels = synth_data(args.task, args.n_test,

@@ -89,7 +89,9 @@ class LayerNode:
         if not (self.lip > 0) or not math.isfinite(self.lip):
             raise UsageError("layer needs a finite lipschitz > 0")
         if self.dist < 0 or not math.isfinite(self.dist):
-            raise UsageError("layer distance bound must be finite and >= 0")
+            raise UsageError(
+                f"layer distance to the reference (measured, or its bound) "
+                f"must be finite and >= 0, got {self.dist!r}")
         if self.w < 1:
             raise UsageError("layer needs w >= 1 parameters")
 

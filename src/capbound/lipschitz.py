@@ -4,27 +4,32 @@ The exact route only exists for circular padding at stride 1 (the operator
 is then block-circulant and a 2D DFT block-diagonalizes it, one small
 c_out x c_in matrix per frequency). Kernels are real, so the DFT is
 conjugate-symmetric, F(-u, -v) = conj F(u, v), and conjugate matrices share
-their singular values: `frequency_matrices` takes the rfft2 half of the
-grid, h * (w//2 + 1) matrices, and counts how often each one occurs in the
-full h x w grid. Every exact spectral computation, here and in the
-projections, starts from that half stack. A Gram screen
-(`top_singular_estimates`, eigenvalues of each matrix's smaller Gram
-matrix) picks the frequencies whose top singular value can matter, so the
-spectral norm (`grid_norm`) and the spectral clip SVD only those; a
-projection run screens only its first clip this way (see `project`).
-Everything else falls back to
-power iteration on the forward/adjoint pair, or a dense SVD of an
-operator materialized with `convop.materialize` (`dense_spectral_norm`).
+their singular values: every exact spectral computation, here and in the
+projections, works on the rfft2 half, h * (w//2 + 1) matrices, each counted
+by how often it occurs in the full h x w grid. A kernel's half stack comes
+straight from its taps and goes straight back to them (`taps_to_stack`,
+`stack_to_taps`: per-axis DFT factors cached per geometry, no grid, no
+FFT); `frequency_matrices` and `stack_to_grid` are the rfft2/irfft front
+ends for kernels that fill a grid. Both inverses drop the imaginary part of
+the self-conjugate columns only below 1e-9 of max(1, the inverted stack's
+peak) (`_require_real`). A Gram screen (`top_singular_estimates`,
+eigenvalues of each matrix's smaller Gram matrix) picks the frequencies
+whose top singular value can matter, so the spectral norm (`stack_norm`)
+and the spectral clip SVD only those; a projection run screens only its
+first clip this way (see `project`). Everything else falls back to power
+iteration on the forward/adjoint pair, or a dense SVD of an operator
+materialized with `convop.materialize` (`dense_spectral_norm`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convop import ConvSpec, conv_adjoint, conv_forward
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .tensors import DenseMatrix, KernelTensor, offsets
 
 __all__ = [
@@ -32,8 +37,12 @@ __all__ = [
     "SpectrumReport",
     "power_iteration",
     "frequency_matrices",
+    "taps_to_stack",
+    "stack_to_taps",
+    "stack_to_grid",
     "top_singular_estimates",
     "may_reach",
+    "stack_norm",
     "grid_norm",
     "grid_spectrum",
     "fft_exact_spectrum",
@@ -133,25 +142,92 @@ def extract_kernel_grid(grid: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
     return grid[:, :, rows[:, None], cols[None, :]].copy()
 
 
+def _columns(w: int) -> np.ndarray:
+    """Multiplicity of each rfft2 column: 1 for the self-conjugate columns
+    0 and (w even) w/2, 2 for the others, whose partner w - v is left out."""
+    column = np.full(w // 2 + 1, 2)
+    column[0] = 1
+    if w % 2 == 0:
+        column[-1] = 1
+    return column
+
+
 def frequency_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct c_out x c_in DFT matrices of a real (c_out, c_in, h, w)
     grid kernel, and how often each occurs in the full h x w grid.
 
     Returns the rfft2 half, stacked (h * (w//2 + 1), c_out, c_in) in
-    row-major (u, v) order, and the multiplicity of each matrix: 1 in column
-    0 and, for even w, column w/2 (their conjugate partners lie in the same
-    column and are stacked themselves), 2 in every other column (the
-    partner, column w - v, is left out).
+    row-major (u, v) order, and each matrix's multiplicity (`_columns`).
     """
     c_out, c_in, h, w = grid.shape
     f = np.fft.rfft2(grid, axes=(2, 3))
     half = f.shape[3]
     stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * half, c_out, c_in)
-    column = np.full(half, 2)
-    column[0] = 1
-    if w % 2 == 0:
-        column[-1] = 1
-    return stacked, np.tile(column, h)
+    return stacked, np.tile(_columns(w), h)
+
+
+@functools.lru_cache(maxsize=64)
+def _dft_factors(h: int, w: int, k_h: int, k_w: int):
+    """Per-axis DFT factors between a k_h x k_w tap window and the rfft2
+    half of the h x w grid, cached per geometry and read-only.
+
+    Forward, rows[u, a] = exp(-2 pi i (r_a u mod h) / h) for tap row a at
+    grid row r_a = (a - k_h//2) mod h (as `embed_kernel_grid` places it),
+    and cols[v, b] the same over the w//2 + 1 half columns. Inverse, their
+    conjugates transposed, over h, and over w weighted by `_columns`.
+    """
+    def factor(n, k, freqs):
+        phase = (offsets(k) % n)[:, None] * np.arange(freqs) % n
+        return np.exp(-2j * np.pi * phase / n)
+
+    rows = factor(h, k_h, h)
+    cols = factor(w, k_w, w // 2 + 1)
+    factors = (rows.T.copy(), cols.T.copy(), rows.conj() / h,
+               cols.conj() * (_columns(w) / w))
+    for f in factors:
+        f.setflags(write=False)
+    return factors
+
+
+def taps_to_stack(taps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The `frequency_matrices` stack of a (c_out, c_in, k_h, k_w) tap
+    window on the circular h x w grid: one product along w, one along h."""
+    c_out, c_in, k_h, k_w = taps.shape
+    rows, cols, _, _ = _dft_factors(h, w, k_h, k_w)
+    flat = np.moveaxis(taps, (2, 3), (0, 1)).reshape(k_h, k_w, c_out * c_in)
+    half = cols @ flat                                # (k_h, w//2 + 1, m)
+    return (rows @ half.reshape(k_h, -1)).reshape(-1, c_out, c_in)
+
+
+def _require_real(rows: np.ndarray, stacked: np.ndarray, w: int) -> None:
+    """After the inverse along h (rows, columns on axis 1), a self-conjugate
+    column's imaginary part is dropped, not implied by a partner: refuse
+    one above 1e-9 of max(1, peak |entry| of the stack inverted)."""
+    worst = float(np.max(np.abs(rows[:, _columns(w) == 1].imag)))
+    if worst > 1e-9 and worst > 1e-9 * float(np.max(np.abs(stacked))):
+        raise NumericalError(
+            f"frequency stack has imaginary residue {worst}")
+
+
+def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
+                  k_w: int) -> np.ndarray:
+    """The k_h x k_w tap window of the real grid whose rfft2 half is
+    `stacked`, inverted only at the taps (the inverse, then C3)."""
+    _, c_out, c_in = stacked.shape
+    _, _, rows, cols = _dft_factors(h, w, k_h, k_w)
+    half = (rows @ stacked.reshape(h, -1)).reshape(k_h, -1, c_out * c_in)
+    _require_real(half, stacked, w)
+    taps = (cols @ half).real.reshape(k_h, k_w, c_out, c_in)
+    return np.ascontiguousarray(np.moveaxis(taps, (0, 1), (2, 3)))
+
+
+def stack_to_grid(stacked: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The real (c_out, c_in, h, w) grid whose rfft2 half is `stacked`."""
+    _, c_out, c_in = stacked.shape
+    rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
+    _require_real(rows, stacked, w)
+    out = np.fft.irfft(rows, n=w, axis=1)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (2, 3)))
 
 
 # Relative margin of the screens. Forming and diagonalizing a matrix's
@@ -189,25 +265,38 @@ def may_reach(estimates: np.ndarray, level: float) -> np.ndarray:
     return ~(estimates < (1.0 - SCREEN_MARGIN) * level)
 
 
-def grid_norm(grid: np.ndarray) -> float:
-    """Spectral norm of the circular stride-1 operator whose kernel is the
-    full (c_out, c_in, h, w) grid: the SVD runs only on the frequencies the
-    screen places within SCREEN_MARGIN of the largest estimate, which
-    always include the arg-max frequency."""
-    stacked, _ = frequency_matrices(grid)
+def stack_norm(stacked: np.ndarray) -> float:
+    """Largest singular value over a frequency stack: the SVD runs only on
+    the frequencies the screen places within SCREEN_MARGIN of the largest
+    estimate, which always include the arg-max frequency."""
     estimates = top_singular_estimates(stacked)
     candidates = stacked[may_reach(estimates, np.max(estimates))]
     return float(np.max(np.linalg.svd(candidates, compute_uv=False)[:, 0]))
+
+
+def _spectrum(stacked: np.ndarray, multiplicity: np.ndarray) -> SpectrumReport:
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
+    return SpectrumReport(values=values, max_value=float(values[0]))
+
+
+def grid_norm(grid: np.ndarray) -> float:
+    """Spectral norm of the circular stride-1 operator whose kernel is the
+    full (c_out, c_in, h, w) grid (`stack_norm` of its stack)."""
+    return stack_norm(frequency_matrices(grid)[0])
 
 
 def grid_spectrum(grid: np.ndarray) -> SpectrumReport:
     """All singular values of the circular stride-1 operator whose kernel
     is the full (c_out, c_in, h, w) grid: one SVD per distinct frequency,
     each repeated by its multiplicity (h * w * min(c_out, c_in) values)."""
-    stacked, multiplicity = frequency_matrices(grid)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
-    return SpectrumReport(values=values, max_value=float(values[0]))
+    return _spectrum(*frequency_matrices(grid))
+
+
+def _kernel_stack(kernel: KernelTensor, spec: ConvSpec) -> np.ndarray:
+    _require_fft_eligible(kernel, spec)
+    _, h, w = spec.input_shape
+    return taps_to_stack(kernel.entries, h, w)
 
 
 def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
@@ -217,11 +306,12 @@ def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
     operator's full multiset (up to padding zeros when channel counts
     differ, which the dense operator also has).
     """
-    return grid_spectrum(embed_kernel_grid(kernel, spec))
+    _, h, w = spec.input_shape
+    return _spectrum(_kernel_stack(kernel, spec), np.tile(_columns(w), h))
 
 
 def fft_exact_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
-    value = grid_norm(embed_kernel_grid(kernel, spec))
+    value = stack_norm(_kernel_stack(kernel, spec))
     return SpectralEstimate(value, "fft_exact", 0, 0.0)
 
 

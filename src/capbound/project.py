@@ -28,10 +28,15 @@ and a decomposed frequency's bound resets to its SVD's top value. Both
 screens skip only frequencies whose clip is the identity, so the warm
 screen decomposes a different set but returns the same bits.
 
-Alternation and Dykstra cycle two closed-form steps on raw grid arrays:
-the clip onto C2, made fresh for each run, and the exact projection onto
-C1 & C3, the (2,1) shrink of the kernel restricted to its taps, built once
-per constraint set.
+Alternation and Dykstra cycle two closed-form steps and never build a
+grid: the exact projection onto C1 & C3, the (2,1) shrink of the taps
+around the reference taps (`_p_box`), and the clip onto C2, made fresh for
+each run, on the taps' frequency stack (`lipschitz.taps_to_stack`). An
+alternating round is taps -> p_box -> stack -> clip -> taps, where
+inverting only at the taps (`lipschitz.stack_to_taps`) is the projection
+onto C3. Dykstra iterates on the stack itself (see `dykstra`).
+`project_spectral`, whose result really fills the grid, runs the same
+stack clip between rfft2 and irfft.
 `alternating_projections` measures every cycle; `alternate` runs the same
 cycles and measures nothing, and `within_bounds` measures a kernel the way
 a cycle's last round is measured. `radial_cycle` instead rescales straight
@@ -40,21 +45,23 @@ onto each ball.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convop import ConvSpec
-from .errors import NumericalError, UsageError
+from .errors import UsageError
 from .lipschitz import (
+    _require_fft_eligible,
     embed_kernel_grid,
-    extract_kernel_grid,
     frequency_matrices,
-    grid_norm,
     may_reach,
     operator_norm,
+    stack_norm,
+    stack_to_grid,
+    stack_to_taps,
+    taps_to_stack,
     top_singular_estimates,
 )
 from .tensors import KernelTensor, fiber_norms, norm_21
@@ -104,12 +111,6 @@ class ConstraintSet:
     @property
     def support(self) -> tuple[int, int]:
         return self.conv.kernel_shape
-
-    @functools.cached_property
-    def _steps(self):
-        """The stateless cycle steps of `_grid_projections`, built on
-        first use."""
-        return _grid_projections(self)
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,9 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
 
 class _RunClip:
     """The clip onto C2 for one projection run, with the run's screen
-    memory (see the module docstring). Never shared between runs."""
+    memory (see the module docstring). Never shared between runs. `clip`
+    clips a frequency stack; calling the object clips a real grid through
+    the same stack clip."""
 
     def __init__(self, s: float):
         self.s = s
@@ -211,10 +214,41 @@ class _RunClip:
         self.bound = None   # per frequency, >= that input's sigma_max
         self.svds = 0       # frequency matrices passed to the SVD
 
-    def __call__(self, grid: np.ndarray) -> np.ndarray:
+    def clip(self, stacked: np.ndarray) -> np.ndarray:
+        """Clip every matrix of a frequency stack at s. The run's first
+        clip screens cold; later clips screen by and update the run's
+        bound. Returns a new stack and keeps the input as the memory."""
         if math.isinf(self.s):
-            return grid
-        return _grid_spectral_clip(grid, self.s, self)
+            return stacked
+        if self.stack is None:
+            bound = top_singular_estimates(stacked)
+        else:
+            bound = self.bound + _change_norms(stacked, self.stack)
+        # A matrix the screen leaves out has every singular value below s,
+        # so its clip is the identity; the others lose U max(sv - s, 0) V^H.
+        hot = may_reach(bound, self.s)
+        # Taking the memory before the SVD frees the last clip's stack, and
+        # with u and vh dropped before the output is made a warm clip's
+        # peak memory stays at a cold clip's.
+        self.stack, self.bound = stacked, bound
+        self.svds += int(np.count_nonzero(hot))
+        picked = stacked[hot]
+        u, sv, vh = np.linalg.svd(picked, full_matrices=False)
+        bound[hot] = sv[:, 0]
+        picked -= (u * np.maximum(sv - self.s, 0.0)[:, None, :]) @ vh
+        del u, vh
+        out = stacked.copy()
+        out[hot] = picked
+        return out
+
+    def __call__(self, grid: np.ndarray) -> np.ndarray:
+        h, w = grid.shape[2:]
+        return stack_to_grid(self.clip(frequency_matrices(grid)[0]), h, w)
+
+
+def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
+    """Clip every frequency matrix of a real grid at s, screened cold."""
+    return _RunClip(s)(grid)
 
 
 def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -229,96 +263,42 @@ def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return peak * np.sqrt(np.einsum("ij,ij->i", change, change))
 
 
-def _grid_spectral_clip(grid: np.ndarray, s: float,
-                        memory: _RunClip | None = None) -> np.ndarray:
-    """Clip every frequency matrix of a real grid at s. Screens cold
-    without a memory; with one, screens by and updates the run's bound."""
-    c_out, c_in, h, w = grid.shape
-    stacked, _ = frequency_matrices(grid)
-    if memory is None or memory.stack is None:
-        bound = top_singular_estimates(stacked)
-    else:
-        bound = memory.bound + _change_norms(stacked, memory.stack)
-    # A matrix the screen leaves out has every singular value below s, so
-    # its clip is the identity; the others lose U max(sv - s, 0) V^H.
-    hot = may_reach(bound, s)
-    if memory is not None:
-        # The run keeps this clip's input (stacked, once `picked` is put
-        # back) and its bound, which the SVD tightens. Taking them before
-        # the SVD frees the last clip's stack, and with u and vh dropped
-        # after it a warm clip's peak memory stays at a cold clip's.
-        memory.stack, memory.bound = stacked, bound
-        memory.svds += int(np.count_nonzero(hot))
-    picked = stacked[hot]
-    u, sv, vh = np.linalg.svd(picked, full_matrices=False)
-    bound[hot] = sv[:, 0]
-    stacked[hot] = picked - (u * np.maximum(sv - s, 0.0)[:, None, :]) @ vh
-    del u, vh
-    rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
-    stacked[hot] = picked
-    # irfft drops the imaginary part of the self-conjugate columns (0, and
-    # w/2 for even w); every other column's partner is implied exactly.
-    self_conjugate = [0, w // 2] if w % 2 == 0 else [0]
-    worst_imag = float(np.max(np.abs(rows[:, self_conjugate].imag)))
-    scale = max(1.0, float(np.max(np.abs(grid))))
-    if worst_imag > 1e-9 * scale:
-        raise NumericalError(
-            f"spectral clip produced imaginary residue {worst_imag}"
-        )
-    out = np.fft.irfft(rows, n=w, axis=1)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (2, 3)))
-
-
-def _support_mask(h: int, w: int, k_h: int, k_w: int) -> np.ndarray:
-    """(h, w) mask of the grid cells the k_h x k_w tap window covers."""
+def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
+    """Zero all grid entries outside the k_h x k_w tap window."""
+    g = grid_kernel.entries
+    h, w = g.shape[2:]
     if k_h > h or k_w > w:
         raise UsageError("support window exceeds the grid")
     rows = (np.arange(k_h) - k_h // 2) % h
     cols = (np.arange(k_w) - k_w // 2) % w
     mask = np.zeros((h, w), dtype=bool)
     mask[rows[:, None], cols[None, :]] = True
-    return mask
-
-
-def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
-    """Zero all grid entries outside the k_h x k_w tap window."""
-    g = grid_kernel.entries
-    mask = _support_mask(*g.shape[2:], k_h, k_w)
     return KernelTensor(np.where(mask, g, 0.0))
 
 
-def _grid_projections(cs: ConstraintSet):
-    """The closed-form steps every cycle is built from, on raw grid arrays.
-
-    p_supp projects onto C3, and the run's `_RunClip` onto C2. p_box =
-    p_l21 o p_supp is the exact projection onto C1 & C3: the reference is
-    zero off the tap window and each (2,1) fiber sits at one tap, so the
-    shrink keeps the fibers p_supp zeroed at zero. Every cycle passes p_box
-    once, so its finiteness check is the cycle's: a NaN from an overflowing
-    shrink stops there, before the clip's SVD. The steps hold no state
-    between calls, so every run shares them; the center grid is read-only.
-    """
-    center = embed_kernel_grid(cs.reference, cs.conv)
-    center.setflags(write=False)
-    mask = _support_mask(*center.shape[2:], *cs.support)
-    b = cs.distance_bound
-
-    def p_supp(g):
-        return np.where(mask, g, 0.0)
-
-    def p_box(g):
-        g = p_supp(g)
-        if not math.isinf(b):
-            g = _l21_shrink(g, center, b)
-        if not np.all(np.isfinite(g)):
-            raise UsageError("kernel contains non-finite entries")
-        return g
-
-    return p_supp, p_box, center
+def _to_stack(taps: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    return taps_to_stack(taps, *cs.conv.input_shape[1:])
 
 
-def _measure(grid: np.ndarray, center_grid: np.ndarray) -> tuple[float, float]:
-    return norm_21(grid - center_grid), grid_norm(grid)
+def _to_taps(stacked: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    return stack_to_taps(stacked, *cs.conv.input_shape[1:], *cs.support)
+
+
+def _p_box(taps: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """The exact projection onto C1 & C3 of a tap-window kernel: its (2,1)
+    shrink around the reference taps. Every cycle passes it once, so its
+    finiteness check is the cycle's: a NaN from an overflowing shrink stops
+    there, before the clip's SVD."""
+    if not math.isinf(cs.distance_bound):
+        taps = _l21_shrink(taps, cs.reference.entries, cs.distance_bound)
+    if not np.all(np.isfinite(taps)):
+        raise UsageError("kernel contains non-finite entries")
+    return taps
+
+
+def _measure(taps: np.ndarray, cs: ConstraintSet) -> tuple[float, float]:
+    return (norm_21(taps - cs.reference.entries),
+            stack_norm(_to_stack(taps, cs)))
 
 
 def _rel_excess(value: float, bound: float) -> float:
@@ -331,10 +311,10 @@ def _rel_excess(value: float, bound: float) -> float:
 
 
 def _prepare(kernel: KernelTensor, cs: ConstraintSet) -> np.ndarray:
-    cs.conv.check_kernel(kernel)
+    _require_fft_eligible(kernel, cs.conv)
     if kernel.c_out != cs.reference.c_out:
         raise UsageError("kernel and reference output channels differ")
-    return embed_kernel_grid(kernel, cs.conv)
+    return kernel.entries
 
 
 def _excess(dist: float, lip: float, cs: ConstraintSet) -> tuple[float, float]:
@@ -362,15 +342,18 @@ def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
 
 def _cycles(kernel: KernelTensor, cs: ConstraintSet, rounds: int,
             clip: _RunClip):
-    """Yield the support-restricted grid after each of `rounds` cycles
-    C1 & C3 -> C2 -> C3, clipping with the run's `clip`."""
+    """Yield the taps after each of `rounds` cycles C1 & C3 -> C2 -> C3,
+    clipping with the run's `clip`: taps -> p_box -> stack -> clip -> taps,
+    where inverting only at the taps is the projection onto C3. Without a
+    spectral bound the cycle is p_box alone."""
     if rounds < 1:
         raise UsageError("rounds must be >= 1")
-    p_supp, p_box, _ = cs._steps
-    grid = _prepare(kernel, cs)
+    taps = _prepare(kernel, cs)
     for _ in range(rounds):
-        grid = p_supp(clip(p_box(grid)))
-        yield grid
+        taps = _p_box(taps, cs)
+        if not math.isinf(clip.s):
+            taps = _to_taps(clip.clip(_to_stack(taps, cs)), cs)
+        yield taps
 
 
 def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
@@ -382,32 +365,29 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
     constraint holds exactly after its projection, the other two are
     approached. Returns the support-restricted iterate and a report.
     """
-    *_, center_grid = cs._steps
     clip = _RunClip(cs.lipschitz_bound)
     trajectory = []
-    for grid in _cycles(kernel, cs, rounds, clip):
-        dist, lip = _measure(grid, center_grid)
+    for taps in _cycles(kernel, cs, rounds, clip):
+        dist, lip = _measure(taps, cs)
         trajectory.append(_excess(dist, lip, cs))
-    out = KernelTensor(extract_kernel_grid(grid, *cs.support))
-    return out, _report(cs, rounds, trajectory, dist, lip, tol, clip.svds)
+    return KernelTensor(taps), _report(cs, rounds, trajectory, dist, lip,
+                                       tol, clip.svds)
 
 
 def alternate(kernel: KernelTensor, cs: ConstraintSet,
               rounds: int) -> KernelTensor:
     """The kernel `alternating_projections` returns, without measuring any
     cycle."""
-    for grid in _cycles(kernel, cs, rounds, _RunClip(cs.lipschitz_bound)):
+    for taps in _cycles(kernel, cs, rounds, _RunClip(cs.lipschitz_bound)):
         pass
-    return KernelTensor(extract_kernel_grid(grid, *cs.support))
+    return KernelTensor(taps)
 
 
 def within_bounds(kernel: KernelTensor, cs: ConstraintSet, tol: float) -> bool:
     """True when both relative excesses of a tap-window kernel are at most
     tol: the test `alternating_projections` applies to its last cycle, on
-    the same measurement (embedding the taps rebuilds that cycle's grid)."""
-    *_, center_grid = cs._steps
-    grid = _prepare(kernel, cs)
-    return max(_excess(*_measure(grid, center_grid), cs)) <= tol
+    the same measurement."""
+    return max(_excess(*_measure(_prepare(kernel, cs), cs), cs)) <= tol
 
 
 def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
@@ -415,38 +395,46 @@ def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:
 
     Converges to the orthogonal projection of x0 onto the intersection of
     the (convex) sets, unlike plain alternation which only reaches some
-    intersection point.
+    intersection point. Iterates in x0's dtype, promoted to at least float
+    (a complex x0 stays complex).
     """
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0)
+    x = x.astype(np.result_type(x.dtype, float))
     corrections = [np.zeros_like(x) for _ in projections]
     for _ in range(iterations):
         for i, p in enumerate(projections):
-            y = p(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
+            shifted = x + corrections[i]
+            x = p(shifted)
+            corrections[i] = shifted - x
     return x
 
 
 def dykstra(kernel: KernelTensor, cs: ConstraintSet,
             iterations: int = DEFAULT_BUDGETS["dykstra"],
             tol: float = DEFAULT_TOL):
-    """Dykstra's corrected cycle over C1 & C3 and C2 on the grid.
+    """Dykstra's corrected cycle over C1 & C3 and C2, in stack space.
 
     Two sets suffice: C3 is a subspace, so a correction for it would never
-    move the projected point (Boyle & Dykstra 1986). Only the returned
-    kernel is measured; Dykstra iterates are not Fejer monotone, so the
-    iterates before it say little.
+    move the projected point (Boyle & Dykstra 1986). The iterate is the
+    frequency stack: the box step maps it to taps, projects, and maps back;
+    the clip step clips it. Stack and real grid are linear images of each
+    other and p_box reads only the taps, so this is the grid cycle, with no
+    transform of the grid. Only the returned kernel is measured; Dykstra
+    iterates are not Fejer monotone, so the iterates before it say little.
     """
-    p_supp, p_box, center_grid = cs._steps
     clip = _RunClip(cs.lipschitz_bound)
-    grid = p_supp(dykstra_iterate(_prepare(kernel, cs), [p_box, clip],
-                                  iterations))
-    dist, lip = _measure(grid, center_grid)
-    out = KernelTensor(extract_kernel_grid(grid, *cs.support))
-    return out, _report(cs, iterations, [_excess(dist, lip, cs)], dist, lip,
-                        tol, clip.svds)
+
+    def box(stacked):
+        return _to_stack(_p_box(_to_taps(stacked, cs), cs), cs)
+
+    stacked = dykstra_iterate(_to_stack(_prepare(kernel, cs), cs),
+                              [box, clip.clip], iterations)
+    taps = _to_taps(stacked, cs)
+    dist, lip = _measure(taps, cs)
+    return KernelTensor(taps), _report(
+        cs, iterations, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,

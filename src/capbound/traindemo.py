@@ -461,7 +461,8 @@ class TrainResult:
     """A trained net and what training did. post_rounds_used counts the
     projection cycles each layer ran after the last update (a multiple of
     post_rounds); cap_hit says the post loop stopped at its 40x cap with a
-    layer still outside tolerance."""
+    layer still outside tolerance. A diverged run is never feasible, and
+    its post loop never runs, so it never hits the cap."""
 
     net: TinyNet
     references: tuple
@@ -513,7 +514,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     the result reports the cycles run (`post_rounds_used`), whether the cap
     stopped them (`cap_hit`) and the verdict (`feasible`). Infinite bounds
     leave the trajectory bit-identical to plain SGD. Divergence is reported
-    via the result, never raised.
+    via the result (`diverged`, and never `feasible`), never raised.
     """
     labels = np.asarray(labels)
     if labels.shape != (batch.n,):
@@ -573,9 +574,9 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
             lips=net.lipschitz(),
             dists=net.distances(references),
         ))
-    feasible = True
+    feasible = not diverged
     used = 0
-    if project and not diverged and config.post_rounds > 0:
+    if project and feasible and config.post_rounds > 0:
         feasible = False
         while not feasible and used < 40 * config.post_rounds:
             _project_all(net, sets, rounds=config.post_rounds)
@@ -586,7 +587,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,
                        dist_bound=dist_bound, post_rounds_used=used,
-                       cap_hit=not feasible)
+                       cap_hit=not (feasible or diverged))
 
 
 # ---------------------------------------------------------------------------

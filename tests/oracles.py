@@ -12,12 +12,11 @@ import math
 
 import numpy as np
 
-from capbound.lipschitz import embed_kernel_grid, extract_kernel_grid
+from capbound.lipschitz import stack_to_taps, taps_to_stack
 from capbound.project import (
-    _grid_spectral_clip,
+    _RunClip,
     alternating_projections,
     project_l21_ball,
-    project_support,
 )
 from capbound.tensors import KernelTensor
 
@@ -300,33 +299,35 @@ def measured_post_loop(net, sets, post_rounds):
 
 
 def cold_clip_cycle(kernel, cs, rounds, corrected):
-    """The projection cycle over C1 & C3 and C2 with every spectral clip
-    screened cold, by the Gram screen alone, as `project_spectral` clips:
-    Dykstra's two-set cycle when corrected, else plain alternation. Returns
-    the taps of the support-restricted last iterate."""
+    """The projection cycle over C1 & C3 and C2 on the package's own
+    tap/stack route, with every spectral clip screened cold, by a fresh
+    clip memory: Dykstra's two-set cycle on the frequency stack when
+    corrected, else plain alternation on the taps. Returns the taps of the
+    last iterate."""
+    _, h, w = cs.conv.input_shape
     k_h, k_w = cs.support
-    center = KernelTensor(embed_kernel_grid(cs.reference, cs.conv))
 
-    def p_supp(g):
-        return project_support(KernelTensor(g), k_h, k_w).entries
-
-    def p_box(g):
-        return project_l21_ball(KernelTensor(p_supp(g)), center,
+    def p_box(taps):
+        return project_l21_ball(KernelTensor(taps), cs.reference,
                                 cs.distance_bound).entries
 
-    def p_spec(g):
-        if math.isinf(cs.lipschitz_bound):
-            return g
-        return _grid_spectral_clip(g, cs.lipschitz_bound)
+    def p_spec(stacked):
+        return _RunClip(cs.lipschitz_bound).clip(stacked)
 
-    x = embed_kernel_grid(kernel, cs.conv)
+    def to_taps(stacked):
+        return stack_to_taps(stacked, h, w, k_h, k_w)
+
+    taps = kernel.entries
+    if not corrected:
+        for _ in range(rounds):
+            taps = to_taps(p_spec(taps_to_stack(p_box(taps), h, w)))
+        return taps
+    sets = (lambda x: taps_to_stack(p_box(to_taps(x)), h, w), p_spec)
+    x = taps_to_stack(taps, h, w)
     corrections = [np.zeros_like(x), np.zeros_like(x)]
     for _ in range(rounds):
-        if corrected:
-            for i, p in enumerate((p_box, p_spec)):
-                y = p(x + corrections[i])
-                corrections[i] = x + corrections[i] - y
-                x = y
-        else:
-            x = p_supp(p_spec(p_box(x)))
-    return extract_kernel_grid(p_supp(x), k_h, k_w)
+        for i, p in enumerate(sets):
+            y = p(x + corrections[i])
+            corrections[i] = x + corrections[i] - y
+            x = y
+    return to_taps(x)

@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -491,6 +492,30 @@ def test_oversized_arch_doc_exits_2_before_allocating(tmp_path, command):
     assert peak < 2**20
 
 
+def test_batch_flags_are_capped_before_allocating(tmp_path):
+    """n samples are refused when n times a layer's largest per-sample
+    array passes the cap; on the stock net that is block1's 4x4 output and
+    window matrix, (8 + 8*3*3) * 16 = 1280 elements."""
+    graph = parse_archdoc(json.dumps(default_arch_doc()))
+    graph.check_batch(MAX_LAYER_ELEMENTS // 1280, "--n")
+    with pytest.raises(ResourceError, match="batch elements exceed the cap"):
+        graph.check_batch(MAX_LAYER_ELEMENTS // 1280 + 1, "--n")
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    huge = str(10**12)
+    for flag, argv in [("--n", ["analyze", ckpt, arch, "--n", huge]),
+                       ("--n", ["train-demo", "--n", huge]),
+                       ("--n-test", ["train-demo", "--n-test", huge])]:
+        tracemalloc.start()
+        try:
+            rc, _, err = run_cli(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert err.startswith(f"resource failure: {flag} {huge}: "), err
+        assert peak < 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(arch_docs())
 @example({"format_version": 1, "input": [1, 5, 5], "kappa": 2, "blocks": [
@@ -637,7 +662,7 @@ GOOD_RECORD = {"logits": np.array([[1.0, 0.0]]), "labels": np.array([0]),
 @pytest.mark.parametrize("malformed", [
     "object array", "plain npy", "vector gamma", "string gamma",
     "corrupt zip", "missing field", "float labels", "no samples",
-    "empty file"])
+    "empty file", "nan logits"])
 def test_analyze_rejects_malformed_logit_records(tmp_path, malformed):
     path = str(tmp_path / "record.npz")
     fields = dict(GOOD_RECORD)
@@ -653,6 +678,8 @@ def test_analyze_rejects_malformed_logit_records(tmp_path, malformed):
         fields["labels"] = np.array([0.0])
     elif malformed == "no samples":
         fields.update(logits=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
+    elif malformed == "nan logits":
+        fields["logits"] = np.array([[np.nan, 0.0]])
     np.savez(path, **fields)
     if malformed == "plain npy":
         path = str(tmp_path / "record.npy")
@@ -666,6 +693,76 @@ def test_analyze_rejects_malformed_logit_records(tmp_path, malformed):
     rc, _, err = run_cli(["analyze", ckpt, arch, "--n", "16",
                           "--equal-ramp-to", path])
     assert rc == 1 and err.startswith("error: logit record"), err
+
+
+def _npy_member(header: dict, data: bytes = b"") -> bytes:
+    """A version 1.0 .npy member whose header says `header` and whose data
+    is `data`, however many bytes the header asks for."""
+    fp = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fp, header)
+    return fp.getvalue() + data
+
+
+def _logit_record_bytes(**members) -> bytes:
+    """An .npz archive of GOOD_RECORD with some members' bytes replaced."""
+    fp = io.BytesIO()
+    np.savez(fp, **GOOD_RECORD)
+    if not members:
+        return fp.getvalue()
+    out = io.BytesIO()
+    with zipfile.ZipFile(fp) as src, zipfile.ZipFile(out, "w") as dst:
+        for name in src.namelist():
+            dst.writestr(name, members.get(name[:-4], src.read(name)))
+    return out.getvalue()
+
+
+VALID_RECORD = _logit_record_bytes()
+HUGE_SHAPE_RECORD = _logit_record_bytes(logits=_npy_member(
+    {"descr": "<f8", "fortran_order": False, "shape": (10**12, 2)}))
+WIDE_DTYPE_RECORD = _logit_record_bytes(gamma=_npy_member(
+    {"descr": "|V1000000000000", "fortran_order": False, "shape": ()}))
+
+
+def logit_record_blobs():
+    """Arbitrary bytes, truncations and single-byte changes of a valid
+    logit record."""
+    size = len(VALID_RECORD)
+    truncated = st.integers(0, size).map(lambda n: VALID_RECORD[:n])
+    changed = st.tuples(st.integers(0, size - 1), st.integers(0, 255)).map(
+        lambda at: (VALID_RECORD[:at[0]] + bytes([at[1]])
+                    + VALID_RECORD[at[0] + 1:]))
+    return st.one_of(st.binary(max_size=300), truncated, changed)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(logit_record_blobs())
+@example(VALID_RECORD)
+@example(HUGE_SHAPE_RECORD)
+@example(WIDE_DTYPE_RECORD)
+@example(_logit_record_bytes(gamma=b"not an npy member"))
+def test_logit_record_fuzz_exits_cleanly(tmp_path, blob):
+    """Every record `analyze --equal-ramp-to` reads either loads or is
+    refused as bad input or as too large, before anything of its declared
+    size is allocated."""
+    demo = tmp_path / "demo"
+    if not demo.exists():
+        demo.mkdir()
+        write_demo_pair(demo)
+    path = tmp_path / "fuzz.npz"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(["analyze", str(demo / "demo.ckpt"),
+                              str(demo / "arch.json"), "--n", "2",
+                              "--equal-ramp-to", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+    assert rc == 0 or err.startswith(("error: logit record",
+                                      "resource failure: logit record",
+                                      "numerical failure: no margin")), err
 
 
 def test_analyze_measures_each_block_once(tmp_path, monkeypatch):
@@ -1071,6 +1168,18 @@ def test_train_demo_divergent_cell_marked_run_continues():
     doc = json.loads(out)
     assert len(doc["cells"]) == 2
     assert all(c["diverged"] for c in doc["cells"])
+
+
+def test_train_demo_diverged_cell_is_not_feasible():
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, out, _ = run_cli(["train-demo", "--task", "blobs", "--n", "32",
+                              "--epochs", "2", "--lr", "1e150",
+                              "--lip-grid", "2", "--dist-grid", "1",
+                              "--json"])
+    assert rc == 0
+    [cell] = json.loads(out)["cells"]
+    assert cell["diverged"]
+    assert not cell["feasible"] and not cell["cap_hit"]
 
 
 def test_train_demo_save_dir_artifacts(tmp_path):

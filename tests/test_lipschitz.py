@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capbound.convop import ConvSpec, materialize
-from capbound.errors import UsageError
+from capbound.errors import NumericalError, UsageError
 from capbound.lipschitz import (
     dense_spectral_norm,
     embed_kernel_grid,
     extract_kernel_grid,
     fft_exact_norm,
     fft_exact_spectrum,
+    frequency_matrices,
     operator_norm,
     power_iteration,
+    stack_to_grid,
+    stack_to_taps,
+    taps_to_stack,
 )
 from capbound.tensors import KernelTensor
 
@@ -37,6 +43,60 @@ def test_embed_extract_round_trip():
     np.testing.assert_array_equal(back, kern.entries)
     # everything outside the support window is zero
     assert np.count_nonzero(grid) <= kern.entries.size
+
+
+@st.composite
+def tap_geometries(draw):
+    c_out, c_in = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k_h, k_w = draw(st.integers(1, h)), draw(st.integers(1, w))
+    return c_out, c_in, h, w, k_h, k_w, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tap_geometries())
+@example((3, 2, 5, 7, 3, 3, 1))        # odd h and w
+@example((2, 4, 6, 4, 3, 2, 2))        # even h and w
+@example((2, 3, 1, 4, 1, 3, 3))        # h = 1
+@example((3, 2, 4, 1, 2, 1, 4))        # w = 1
+@example((1, 1, 5, 6, 5, 6, 5))        # k = h and k = w, c_in = c_out = 1
+@example((16, 16, 16, 16, 3, 3, 6))
+def test_tap_transform_matches_the_grid_route(case):
+    """taps_to_stack is the rfft2 stack of the embedded grid, stack_to_taps
+    takes it back to the taps, and both inverses invert the grid's stack."""
+    c_out, c_in, h, w, k_h, k_w, seed = case
+    taps = np.random.default_rng(seed).standard_normal((c_out, c_in, k_h, k_w))
+    grid = embed_kernel_grid(KernelTensor(taps), ConvSpec((c_in, h, w),
+                                                          (k_h, k_w)))
+    want, _ = frequency_matrices(grid)
+    stacked = taps_to_stack(taps, h, w)
+    assert stacked.shape == want.shape == (h * (w // 2 + 1), c_out, c_in)
+    atol = 1e-14 * max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(stacked, want, rtol=0, atol=atol)
+    for route in (stacked, want):
+        np.testing.assert_allclose(stack_to_taps(route, h, w, k_h, k_w), taps,
+                                   rtol=0, atol=atol)
+    np.testing.assert_allclose(stack_to_grid(want, h, w), grid, rtol=0,
+                               atol=atol)
+
+
+@pytest.mark.parametrize("w,column", [(6, 0), (6, 3), (5, 0)])
+def test_tap_inverse_guard_sees_self_conjugate_residue(w, column):
+    """Frequency (1, column) and its partner (h - 1, column) share a
+    self-conjugate column; tilting one of them alone leaves an imaginary
+    part there after the inverse along h, which must raise, however large
+    the stack, while the untilted stack inverts at any scale."""
+    h, k = 4, 3
+    taps = np.random.default_rng(5).standard_normal((2, 2, k, k))
+    for scale in (1e-12, 1.0, 1e18):
+        stacked = taps_to_stack(taps * scale, h, w)
+        np.testing.assert_allclose(stack_to_taps(stacked, h, w, k, k),
+                                   taps * scale, rtol=0, atol=1e-14 * scale)
+        if scale < 1:
+            continue    # the guard is absolute below unit scale
+        stacked[w // 2 + 1 + column] *= 1 + 1e-6j
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            stack_to_taps(stacked, h, w, k, k)
 
 
 def test_fft_spectrum_matches_direct_dft_oracle():

@@ -287,8 +287,11 @@ def test_half_spectrum_route_matches_full_spectrum(case):
     np.testing.assert_allclose(values, full, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(values, dense[: values.size], rtol=0,
                                atol=1e-10 * scale)
+    # the kernel routes build their one stack from the taps, the grid
+    # routes theirs with rfft2: equal within rounding, not bit for bit
+    assert exact_lip(kernel, spec) == values[0]
     lip = grid_spectrum(grid).max_value
-    assert lip == exact_lip(kernel, spec) == values[0]
+    assert abs(lip - values[0]) <= 1e-12 * scale
     assert lip == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
 
     s = {"zero": 0.0, "inside": float(rng.uniform(0.1, 0.9)) * lip,
@@ -633,15 +636,34 @@ def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
     cs = ConstraintSet(reference=reference, distance_bound=1.0,
                        lipschitz_bound=2.0, conv=spec)
     clips = []
-    real_clip = project_module._grid_spectral_clip
+    real_clip = project_module._RunClip.clip
     monkeypatch.setattr(
-        project_module, "_grid_spectral_clip",
-        lambda g, *rest: clips.append(1) or real_clip(g, *rest))
+        project_module._RunClip, "clip",
+        lambda self, x: clips.append(1) or real_clip(self, x))
     for run in (alternating_projections, dykstra):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(UsageError, match="non-finite"):
             run(kernel, cs)
     assert clips == []
+
+
+def test_cycles_and_measurements_run_no_fft(monkeypatch):
+    """The projection cycles, Dykstra and the exact measurements build
+    their frequency stacks from the taps: no grid transform runs."""
+    rng = np.random.default_rng(33)
+    kernel, cs = binding_case(rng, 3, 2, 5)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a grid FFT ran")
+
+    for name in ("rfft2", "ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    out = alternate(kernel, cs, 3)
+    assert alternating_projections(kernel, cs, 3)[1].rounds_run == 3
+    assert dykstra(kernel, cs, 3)[1].rounds_run == 3
+    within_bounds(out, cs, DEFAULT_TOL)
+    assert fft_exact_norm(out, cs.conv).value == \
+        fft_exact_spectrum(out, cs.conv).max_value
 
 
 def test_defaults_share_one_tolerance():
@@ -726,6 +748,16 @@ def test_dykstra_two_disc_lens():
 def test_dykstra_iterate_validates():
     with pytest.raises(UsageError):
         dykstra_iterate(np.zeros(2), [lambda x: x], 0)
+
+
+def test_dykstra_iterate_keeps_a_complex_start_complex():
+    # frequency stacks are complex; a float iterate would drop their
+    # imaginary parts
+    x0 = np.array([1.0 + 2.0j, -3.0j])
+    np.testing.assert_array_equal(dykstra_iterate(x0, [lambda x: x], 2), x0)
+    got = dykstra_iterate([1, 2], [lambda x: x / 2], 1)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

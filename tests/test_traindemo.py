@@ -504,6 +504,19 @@ def test_divergence_is_reported_not_raised():
     assert res.diverged
 
 
+def test_a_diverged_projected_run_is_not_feasible():
+    # the loss turns non-finite, so the post loop never runs; the verdict
+    # must not default to feasible
+    batch, labels = synth_data("blobs", 32, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = train_projected(TinyNet(BLOCKS, seed=1), batch, labels,
+                              TrainConfig(epochs=4, lr=1e150, seed=0),
+                              lip_bound=2.0, dist_bound=1.0)
+    assert res.diverged
+    assert not res.feasible and not res.cap_hit
+    assert res.post_rounds_used == 0
+
+
 def test_train_projected_validation():
     batch, labels = synth_data("blobs", 16, seed=0)
     net = TinyNet(BLOCKS, seed=0)
@@ -596,9 +609,9 @@ def test_post_loop_reports_the_cap():
 
 def test_projection_measures_only_after_post_passes(monkeypatch):
     measured = []
-    real_norm = project.grid_norm
-    monkeypatch.setattr(project, "grid_norm",
-                        lambda grid: measured.append(1) or real_norm(grid))
+    real_norm = project.stack_norm
+    monkeypatch.setattr(project, "stack_norm",
+                        lambda stack: measured.append(1) or real_norm(stack))
     passes = []                         # (rounds, measurements before, during)
     real_pass = traindemo._project_all
 
