@@ -35,8 +35,8 @@ from .project import (
     DEFAULT_BUDGETS,
     DEFAULT_TOL,
     ConstraintSet,
+    admm,
     alternating_projections,
-    dykstra,
     project_l21_ball,
     radial_cycle,
 )
@@ -713,7 +713,9 @@ def cmd_analyze(args) -> int:
 
     ramp = ramp_risk(logits, labels, gamma)
     if args.dump_logits is not None:
-        np.savez(args.dump_logits, logits=logits, labels=labels, gamma=gamma)
+        # through a handle: given a name, np.savez would append ".npz"
+        with open(args.dump_logits, "wb") as fh:
+            np.savez(fh, logits=logits, labels=labels, gamma=gamma)
 
     stats, dstats = comparison_stats_from_net(net, references, batch)
     inp = CapacityInput(dstats.blocks, batch.n, dstats.data_norm, gamma)
@@ -827,7 +829,7 @@ def cmd_project(args) -> int:
     graph = load_archdoc(args.archdoc)
     resolved = resolve_tensors(graph, ckpt)
     # built per call, so a rebinding of these module names is honoured
-    run = {"alternating": alternating_projections, "dykstra": dykstra,
+    run = {"alternating": alternating_projections, "dykstra": admm,
            "radial": radial_cycle}[args.scheme]
 
     out_weights = {}
@@ -1125,12 +1127,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archdoc")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--scheme", choices=tuple(DEFAULT_BUDGETS),
-                   default="alternating")
+                   default="alternating",
+                   help="alternating cycles, the nearest point (dykstra: "
+                        "ADMM with a residual stop) or radial rescaling")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                    help="relative excess a converged layer may keep")
     budgets = ", ".join(f"{k} {v}" for k, v in DEFAULT_BUDGETS.items())
     p.add_argument("--max-iters", type=int, default=None,
-                   help=f"rounds or iterations (default: {budgets})")
+                   help=f"rounds or iterations; for dykstra a cap, and "
+                        f"rounds_run reports the iterations used "
+                        f"(default: {budgets})")
     _add_common(p)
     p.set_defaults(func=cmd_project)
 

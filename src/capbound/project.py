@@ -28,13 +28,16 @@ and a decomposed frequency's bound resets to its SVD's top value. Both
 screens skip only frequencies whose clip is the identity, so the warm
 screen decomposes a different set but returns the same bits.
 
-Alternation and Dykstra cycle two closed-form steps and never build a
+Alternation, Dykstra and ADMM run two closed-form steps and never build a
 grid: the exact projection onto C1 & C3, the (2,1) shrink of the taps
 around the reference taps (`_p_box`), and the clip onto C2, made fresh for
 each run, on the taps' frequency stack (`lipschitz.taps_to_stack`). An
 alternating round is taps -> p_box -> stack -> clip -> taps, where
 inverting only at the taps (`lipschitz.stack_to_taps`) is the projection
-onto C3. Dykstra iterates on the stack itself (see `dykstra`).
+onto C3. Dykstra iterates on the stack itself (see `dykstra`) for a fixed
+count. `admm` splits the same two steps for the same nearest point and
+stops once a residual test certifies both bounds to tol; it is the
+nearest-point scheme behind `capbound project`.
 `project_spectral`, whose result really fills the grid, runs the same
 stack clip between rfft2 and irfft.
 `alternating_projections` measures every cycle; `alternate` runs the same
@@ -77,6 +80,7 @@ __all__ = [
     "within_bounds",
     "dykstra",
     "dykstra_iterate",
+    "admm",
     "radial_project",
     "radial_cycle",
     "init_scale_to_feasible",
@@ -85,7 +89,8 @@ __all__ = [
 ]
 
 # Default budget of each scheme: cycles for alternation and radial moves,
-# iterations for Dykstra.
+# iterations for Dykstra, and the iteration cap of ADMM, which serves the
+# "dykstra" (nearest-point) scheme of `capbound project`.
 DEFAULT_BUDGETS = {"alternating": 15, "dykstra": 100, "radial": 15}
 # Relative excess over each bound that a converged projection (and a
 # feasible trained layer) may keep.
@@ -119,9 +124,11 @@ class FeasibilityReport:
 
     trajectory holds (dist_rel_violation, lip_rel_violation) pairs; relative
     means excess over the bound divided by the bound. Alternating and radial
-    cycles log one pair per completed cycle; Dykstra measures only its last
-    iterate, so its trajectory is that one pair while `rounds_run` counts
-    its iterations. The last pair always measures the returned kernel.
+    cycles log one pair per completed cycle; Dykstra and ADMM measure only
+    their last iterate, so their trajectory is that one pair while
+    `rounds_run` counts the iterations run (for ADMM, the ones used before
+    its residual stop or its cap). The last pair always measures the
+    returned kernel.
     Non-convergence is reported through `converged`, never raised.
     clip_svds counts the frequency matrices the run's spectral clips passed
     to the SVD (0 for runs that do not clip).
@@ -435,6 +442,53 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet,
     dist, lip = _measure(taps, cs)
     return KernelTensor(taps), _report(
         cs, iterations, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
+
+
+def admm(kernel: KernelTensor, cs: ConstraintSet,
+         iterations: int = DEFAULT_BUDGETS["dykstra"],
+         tol: float = DEFAULT_TOL):
+    """Scaled-form ADMM (Boyd et al. 2011, section 3.1.1) over the two steps
+    of `dykstra`: the same nearest point of C1 & C3 and C2, stopped by a
+    residual test instead of a fixed count. `iterations` is a cap.
+
+    With t0 the input's taps and x0 = T(t0) their stack, start at z = x0,
+    u = 0 and repeat
+      p = p_box((t0 + rho T+(z - u)) / (1 + rho)),   z = clip(T(p) + u),
+      u += T(p) - z,
+    where T is `_to_stack`, T+ is `_to_taps` and rho is the number of
+    frequency matrices over 5. The x-update runs on the taps: T is a scaled
+    isometry onto them and p_box reads only the taps. The run stops once
+    every frequency's |T(p)_f - z_f|_F is at most s tol / 2, which by Weyl's
+    inequality certifies lip(p) <= s (1 + tol / 2) while p meets C1 & C3
+    exactly, and the relative dual residual rho |z_k - z_{k-1}| is at most
+    10 tol |T(p) - x0| (Boyd et al. section 3.3). Only the returned p is
+    measured, and `rounds_run` counts the iterations used.
+    """
+    if iterations < 1:
+        raise UsageError("iterations must be >= 1")
+    taps = _prepare(kernel, cs)
+    clip = _RunClip(cs.lipschitz_bound)
+    s, rounds = cs.lipschitz_bound, 1
+    if math.isinf(s):
+        p = _p_box(taps, cs)
+    else:
+        _, h, w = cs.conv.input_shape
+        rho = h * (w // 2 + 1) / 5
+        x0 = z = _to_stack(taps, cs)
+        u = np.zeros_like(x0)
+        for rounds in range(1, iterations + 1):
+            p = _p_box((taps + rho * _to_taps(z - u, cs)) / (1 + rho), cs)
+            stacked = _to_stack(p, cs)
+            z_prev, z = z, clip.clip(stacked + u)
+            primal = np.max(_change_norms(stacked, z))
+            u += stacked - z
+            if (primal <= 0.5 * tol * s
+                    and rho * np.linalg.norm(z - z_prev)
+                    <= 10 * tol * np.linalg.norm(stacked - x0)):
+                break
+    dist, lip = _measure(p, cs)
+    return KernelTensor(p), _report(
+        cs, rounds, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,

@@ -45,7 +45,9 @@ def margin_values(logits, labels) -> np.ndarray:
     own = logits[idx, labels]
     rest = logits.copy()
     rest[idx, labels] = -np.inf
-    return own - rest.max(axis=1)
+    # logits of opposite sign near the float limit have an inf margin
+    with np.errstate(over="ignore"):
+        return own - rest.max(axis=1)
 
 
 def ramp_loss(r, gamma: float):

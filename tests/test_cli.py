@@ -35,8 +35,8 @@ from capbound.lipschitz import operator_norm, power_iteration
 from capbound.project import (
     DEFAULT_TOL,
     ConstraintSet,
+    admm,
     alternating_projections,
-    dykstra,
     init_scale_to_feasible,
     radial_cycle,
 )
@@ -655,6 +655,22 @@ def test_analyze_equal_ramp_flow(tmp_path):
     assert "numerical failure" in err
 
 
+def test_analyze_dump_logits_writes_the_name_it_is_given(tmp_path):
+    """A record name without ".npz" is written as given and reads back."""
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    record = str(tmp_path / "rec")
+    rc, out, _ = run_cli(["analyze", ckpt, arch, "--n", "64", "--gamma",
+                          "0.8", "--dump-logits", record, "--json"])
+    assert rc == 0 and os.path.isfile(record)
+    assert not os.path.exists(record + ".npz")
+    rc, again, err = run_cli(["analyze", ckpt, arch, "--n", "64",
+                              "--equal-ramp-to", record, "--json"])
+    assert rc == 0, err
+    doc = json.loads(again)
+    assert doc["gamma_source"]["reference"] == record
+    assert abs(doc["ramp_risk"] - json.loads(out)["ramp_risk"]) <= 1e-3
+
+
 GOOD_RECORD = {"logits": np.array([[1.0, 0.0]]), "labels": np.array([0]),
                "gamma": 0.5}
 
@@ -1077,7 +1093,7 @@ def test_project_json_rows_count_the_clip_svds(tmp_path):
     graph = parse_archdoc(open(arch, encoding="utf-8").read())
     out = str(tmp_path / "out.ckpt")
     for scheme, run in (("alternating", alternating_projections),
-                        ("dykstra", dykstra), ("radial", radial_cycle)):
+                        ("dykstra", admm), ("radial", radial_cycle)):
         rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
                                "--scheme", scheme, "--json"])
         assert rc == 0
@@ -1090,6 +1106,21 @@ def test_project_json_rows_count_the_clip_svds(tmp_path):
         rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
                                "--scheme", scheme])
         assert rc == 0 and "svd" not in text
+
+
+def test_project_nearest_point_max_iters_is_a_cap(tmp_path):
+    """For the nearest-point scheme --max-iters caps the iterations, and
+    `rounds_run` reports the ones used: all 5 here, fewer than the default
+    cap of 100 without the flag."""
+    ckpt, arch, _, _, _ = write_slater_pair(tmp_path)
+    out = str(tmp_path / "out.ckpt")
+    for extra, check in ((["--max-iters", "5"], lambda n: n == 5),
+                         ([], lambda n: 5 < n < 100)):
+        rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
+                               "--scheme", "dykstra", "--json", *extra])
+        assert rc == 0
+        rows = json.loads(text)["layers"]
+        assert all(r["projected"] and check(r["rounds_run"]) for r in rows)
 
 
 @pytest.mark.parametrize("scheme", ["alternating", "dykstra", "radial"])

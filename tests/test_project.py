@@ -26,6 +26,7 @@ from capbound.project import (
     ConstraintSet,
     _grid_spectral_clip,
     _RunClip,
+    admm,
     alternate,
     alternating_projections,
     dykstra,
@@ -624,6 +625,66 @@ def test_clip_svds_counts_the_decomposed_frequencies():
     for run in (alternating_projections, dykstra):
         assert run(kernel, zero, 4)[1].clip_svds == 4 * 5 * 3
     assert radial_cycle(kernel, cs)[1].clip_svds == 0
+
+
+def test_admm_lands_near_the_long_run_projection():
+    """Stopped at tol, ADMM lands within 1e-2 of the distance from the
+    start to the nearest point, on layers where both balls bind. On the
+    last layer the primal test alone would stop at 5 iterations, 1.4e-2
+    away; the dual-residual test keeps the run going."""
+    rng = np.random.default_rng(34)
+    cases = [binding_case(rng, 2, 3, 5), binding_case(rng, 1, 1, 6),
+             infeasible_case(rng), infeasible_case(rng),
+             binding_case(np.random.default_rng(41), 3, 2, 5)]
+    for trial, (kernel, cs) in enumerate(cases):
+        out, report = admm(kernel, cs)
+        assert report.converged and report.rounds_run < 100, trial
+        want = _textbook(kernel, cs, 3000)
+        gap = (np.linalg.norm(out.entries - want)
+               / np.linalg.norm(kernel.entries - want))
+        assert gap <= 1e-2, trial
+
+
+def test_admm_stops_only_on_a_certified_kernel():
+    """A run that stops before its cap has reached the residual test, so
+    its kernel meets the (2,1) ball and lip <= s (1 + tol / 2)."""
+    rng = np.random.default_rng(35)
+    cases = [binding_case(rng, c_in, c_out, h) for c_in, c_out, h in
+             ((16, 16, 8), (2, 3, 5), (1, 8, 10), (4, 4, 6))]
+    cases += [infeasible_case(rng) for _ in range(6)]
+    stopped = 0
+    for (kernel, cs), tol in zip(cases, [1e-3, 1e-2] * len(cases)):
+        for cap in (10, 100):
+            out, report = admm(kernel, cs, cap, tol)
+            if report.rounds_run == cap:
+                continue
+            stopped += 1
+            assert report.converged
+            s, b = cs.lipschitz_bound, cs.distance_bound
+            assert exact_lip(out, cs.conv) <= s * (1 + tol / 2) * (1 + 1e-12)
+            dist = group_norm_21(
+                KernelTensor(out.entries - cs.reference.entries))
+            assert dist <= b * (1 + 1e-12)
+    assert stopped >= len(cases)
+
+
+def test_admm_box_only_input_stops_at_the_shrink():
+    """When the (2,1) shrink alone lands inside the spectral ball, ADMM
+    stops within 2 iterations on that shrink; without a spectral bound it
+    returns the shrink after one."""
+    rng = np.random.default_rng(36)
+    for _ in range(4):
+        kernel, cs = binding_case(rng, int(rng.integers(1, 5)),
+                                  int(rng.integers(1, 5)), 6)
+        want = project_l21_ball(kernel, cs.reference, cs.distance_bound)
+        for s in (4 * exact_lip(want, cs.conv), math.inf):
+            box = ConstraintSet(cs.reference, cs.distance_bound, s, cs.conv)
+            out, report = admm(kernel, box)
+            assert report.converged
+            assert report.rounds_run <= (2 if math.isfinite(s) else 1)
+            assert _relative_gap(out.entries, want.entries) <= 1e-15
+    with pytest.raises(UsageError):
+        admm(kernel, cs, iterations=0)
 
 
 def test_overflowing_fibers_raise_before_the_clip(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,15 @@ def test_margin_hand_values():
         margin_values(logits, np.array([0, 3]))
     with pytest.raises(UsageError):
         margin_values(logits[:, :1], np.array([0, 0]))
+
+
+def test_margin_past_the_float_range_is_inf_without_a_warning():
+    logits = np.array([[1e308, -1e308], [0.2, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = margin_values(logits, np.array([0, 1]))
+    assert got[0] == math.inf
+    assert got[1] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_ramp_loss_frozen_points():
