@@ -9,16 +9,16 @@ projections, works on the rfft2 half, h * (w//2 + 1) matrices, each counted
 by how often it occurs in the full h x w grid. A kernel's half stack comes
 straight from its taps and goes straight back to them (`taps_to_stack`,
 `stack_to_taps`: per-axis DFT factors cached per geometry, no grid, no
-FFT); `frequency_matrices` and `stack_to_grid` are the rfft2/irfft front
-ends for kernels that fill a grid. Both inverses drop the imaginary part of
-the self-conjugate columns only below 1e-9 of max(1, the inverted stack's
-peak) (`_require_real`). A Gram screen (`top_singular_estimates`,
-eigenvalues of each matrix's smaller Gram matrix) picks the frequencies
-whose top singular value can matter, so the spectral norm (`stack_norm`)
-and the spectral clip SVD only those; a projection run screens only its
-first clip this way (see `project`). Everything else falls back to power
-iteration on the forward/adjoint pair, or a dense SVD of an operator
-materialized with `convop.materialize` (`dense_spectral_norm`).
+FFT); a kernel that fills the grid is the h x w tap window. The inverse
+drops the imaginary part of the self-conjugate columns only below 1e-9 of
+max(1, the inverted stack's peak, the input scale of the clip that made
+it) (`_require_real`). A Gram screen (`top_singular_estimates`, eigenvalues
+of each matrix's smaller Gram matrix) picks the frequencies whose top
+singular value can matter, so the spectral norm (`stack_norm`) and the
+spectral clip SVD only those; a projection run screens only its first clip
+this way (see `project`). Everything else falls back to power iteration on
+the forward/adjoint pair, or a dense SVD of an operator materialized with
+`convop.materialize` (`dense_spectral_norm`).
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ __all__ = [
     "SpectralEstimate",
     "SpectrumReport",
     "power_iteration",
-    "frequency_matrices",
     "taps_to_stack",
     "stack_to_taps",
-    "stack_to_grid",
     "top_singular_estimates",
     "may_reach",
     "stack_norm",
-    "grid_norm",
-    "grid_spectrum",
     "fft_exact_spectrum",
     "fft_exact_norm",
     "dense_spectral_norm",
@@ -152,20 +148,6 @@ def _columns(w: int) -> np.ndarray:
     return column
 
 
-def frequency_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct c_out x c_in DFT matrices of a real (c_out, c_in, h, w)
-    grid kernel, and how often each occurs in the full h x w grid.
-
-    Returns the rfft2 half, stacked (h * (w//2 + 1), c_out, c_in) in
-    row-major (u, v) order, and each matrix's multiplicity (`_columns`).
-    """
-    c_out, c_in, h, w = grid.shape
-    f = np.fft.rfft2(grid, axes=(2, 3))
-    half = f.shape[3]
-    stacked = np.moveaxis(f, (2, 3), (0, 1)).reshape(h * half, c_out, c_in)
-    return stacked, np.tile(_columns(w), h)
-
-
 @functools.lru_cache(maxsize=64)
 def _dft_factors(h: int, w: int, k_h: int, k_w: int):
     """Per-axis DFT factors between a k_h x k_w tap window and the rfft2
@@ -190,8 +172,9 @@ def _dft_factors(h: int, w: int, k_h: int, k_w: int):
 
 
 def taps_to_stack(taps: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The `frequency_matrices` stack of a (c_out, c_in, k_h, k_w) tap
-    window on the circular h x w grid: one product along w, one along h."""
+    """The rfft2 half of a (c_out, c_in, k_h, k_w) tap window on the
+    circular h x w grid, stacked (h * (w//2 + 1), c_out, c_in) in row-major
+    (u, v) order: one product along w, one along h."""
     c_out, c_in, k_h, k_w = taps.shape
     rows, cols, _, _ = _dft_factors(h, w, k_h, k_w)
     flat = np.moveaxis(taps, (2, 3), (0, 1)).reshape(k_h, k_w, c_out * c_in)
@@ -199,35 +182,32 @@ def taps_to_stack(taps: np.ndarray, h: int, w: int) -> np.ndarray:
     return (rows @ half.reshape(k_h, -1)).reshape(-1, c_out, c_in)
 
 
-def _require_real(rows: np.ndarray, stacked: np.ndarray, w: int) -> None:
-    """After the inverse along h (rows, columns on axis 1), a self-conjugate
-    column's imaginary part is dropped, not implied by a partner: refuse
-    one above 1e-9 of max(1, peak |entry| of the stack inverted)."""
+def _require_real(rows: np.ndarray, stacked: np.ndarray, w: int,
+                  scale: float) -> None:
+    """After `stack_to_taps`' inverse along h (rows, columns on axis 1), a
+    self-conjugate column's imaginary part is dropped, not implied by a
+    partner: refuse one above 1e-9 of max(scale, peak |entry| of the stack
+    inverted)."""
     worst = float(np.max(np.abs(rows[:, _columns(w) == 1].imag)))
-    if worst > 1e-9 and worst > 1e-9 * float(np.max(np.abs(stacked))):
+    if (worst > 1e-9 * scale
+            and worst > 1e-9 * float(np.max(np.abs(stacked)))):
         raise NumericalError(
             f"frequency stack has imaginary residue {worst}")
 
 
 def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
-                  k_w: int) -> np.ndarray:
+                  k_w: int, scale: float = 1.0) -> np.ndarray:
     """The k_h x k_w tap window of the real grid whose rfft2 half is
-    `stacked`, inverted only at the taps (the inverse, then C3)."""
+    `stacked`, inverted only at the taps (the inverse, then C3). `scale`
+    (at least 1) is the magnitude the stack's rounding is relative to when
+    that exceeds the stack's own, as for a clip's output far below its
+    input: conjugate partners clipped apart round apart."""
     _, c_out, c_in = stacked.shape
     _, _, rows, cols = _dft_factors(h, w, k_h, k_w)
     half = (rows @ stacked.reshape(h, -1)).reshape(k_h, -1, c_out * c_in)
-    _require_real(half, stacked, w)
+    _require_real(half, stacked, w, scale)
     taps = (cols @ half).real.reshape(k_h, k_w, c_out, c_in)
     return np.ascontiguousarray(np.moveaxis(taps, (0, 1), (2, 3)))
-
-
-def stack_to_grid(stacked: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The real (c_out, c_in, h, w) grid whose rfft2 half is `stacked`."""
-    _, c_out, c_in = stacked.shape
-    rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
-    _require_real(rows, stacked, w)
-    out = np.fft.irfft(rows, n=w, axis=1)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (2, 3)))
 
 
 # Relative margin of the screens. Forming and diagonalizing a matrix's
@@ -274,25 +254,6 @@ def stack_norm(stacked: np.ndarray) -> float:
     return float(np.max(np.linalg.svd(candidates, compute_uv=False)[:, 0]))
 
 
-def _spectrum(stacked: np.ndarray, multiplicity: np.ndarray) -> SpectrumReport:
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
-    return SpectrumReport(values=values, max_value=float(values[0]))
-
-
-def grid_norm(grid: np.ndarray) -> float:
-    """Spectral norm of the circular stride-1 operator whose kernel is the
-    full (c_out, c_in, h, w) grid (`stack_norm` of its stack)."""
-    return stack_norm(frequency_matrices(grid)[0])
-
-
-def grid_spectrum(grid: np.ndarray) -> SpectrumReport:
-    """All singular values of the circular stride-1 operator whose kernel
-    is the full (c_out, c_in, h, w) grid: one SVD per distinct frequency,
-    each repeated by its multiplicity (h * w * min(c_out, c_in) values)."""
-    return _spectrum(*frequency_matrices(grid))
-
-
 def _kernel_stack(kernel: KernelTensor, spec: ConvSpec) -> np.ndarray:
     _require_fft_eligible(kernel, spec)
     _, h, w = spec.input_shape
@@ -307,7 +268,10 @@ def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
     differ, which the dense operator also has).
     """
     _, h, w = spec.input_shape
-    return _spectrum(_kernel_stack(kernel, spec), np.tile(_columns(w), h))
+    sv = np.linalg.svd(_kernel_stack(kernel, spec), compute_uv=False)
+    multiplicity = np.tile(_columns(w), h)
+    values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
+    return SpectrumReport(values=values, max_value=float(values[0]))
 
 
 def fft_exact_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:

@@ -38,8 +38,8 @@ onto C3. Dykstra iterates on the stack itself (see `dykstra`) for a fixed
 count. `admm` splits the same two steps for the same nearest point and
 stops once a residual test certifies both bounds to tol; it is the
 nearest-point scheme behind `capbound project`.
-`project_spectral`, whose result really fills the grid, runs the same
-stack clip between rfft2 and irfft.
+`project_spectral`, whose result fills the grid, clips the same stack
+and inverts it at all h x w positions. No step runs an FFT.
 `alternating_projections` measures every cycle; `alternate` runs the same
 cycles and measures nothing, and `within_bounds` measures a kernel the way
 a cycle's last round is measured. `radial_cycle` instead rescales straight
@@ -58,11 +58,9 @@ from .errors import UsageError
 from .lipschitz import (
     _require_fft_eligible,
     embed_kernel_grid,
-    frequency_matrices,
     may_reach,
     operator_norm,
     stack_norm,
-    stack_to_grid,
     stack_to_taps,
     taps_to_stack,
     top_singular_estimates,
@@ -138,10 +136,7 @@ class FeasibilityReport:
     trajectory: list
     final_dist: float
     final_lip: float
-    distance_bound: float
-    lipschitz_bound: float
     converged: bool
-    tol: float
     clip_svds: int = 0
 
 
@@ -198,28 +193,35 @@ def project_l21_ball(kernel: KernelTensor, center: KernelTensor, b: float) -> Ke
 def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTensor:
     """Orthogonal projection onto the full-grid spectral ball Lip <= s.
 
-    Embeds the kernel on the circular grid, clips every frequency matrix's
-    singular values at s, and inverts the transform. The result generally
-    has full grid support (no re-restriction to the tap window here).
-    Circular stride-1 only.
+    Clips every frequency matrix of the kernel's stack at s and inverts at
+    all h x w positions. The result generally has full grid support (no
+    re-restriction to the tap window here) and comes back in grid order,
+    as `lipschitz.embed_kernel_grid` lays a kernel out. Circular stride-1
+    only.
     """
     if s < 0:
         raise UsageError("lipschitz bound must be >= 0")
-    grid = embed_kernel_grid(kernel, spec)  # validates eligibility
-    return KernelTensor(_grid_spectral_clip(grid, s))
+    _require_fft_eligible(kernel, spec)
+    c_in, h, w = spec.input_shape
+    clip = _RunClip(s)
+    clipped = clip.clip(taps_to_stack(kernel.entries, h, w))
+    window = KernelTensor(stack_to_taps(clipped, h, w, h, w, clip.scale))
+    return KernelTensor(embed_kernel_grid(window, ConvSpec((c_in, h, w),
+                                                           (h, w))))
 
 
 class _RunClip:
     """The clip onto C2 for one projection run, with the run's screen
-    memory (see the module docstring). Never shared between runs. `clip`
-    clips a frequency stack; calling the object clips a real grid through
-    the same stack clip."""
+    memory (see the module docstring). Never shared between runs."""
 
     def __init__(self, s: float):
         self.s = s
         self.stack = None   # the last clip input's frequency stack
         self.bound = None   # per frequency, >= that input's sigma_max
         self.svds = 0       # frequency matrices passed to the SVD
+        # max(1, the largest bound after the last clip): the input's scale,
+        # which bounds the rounding of the clip's output at any s
+        self.scale = 1.0
 
     def clip(self, stacked: np.ndarray) -> np.ndarray:
         """Clip every matrix of a frequency stack at s. The run's first
@@ -242,20 +244,12 @@ class _RunClip:
         picked = stacked[hot]
         u, sv, vh = np.linalg.svd(picked, full_matrices=False)
         bound[hot] = sv[:, 0]
+        self.scale = max(1.0, float(bound.max()))
         picked -= (u * np.maximum(sv - self.s, 0.0)[:, None, :]) @ vh
         del u, vh
         out = stacked.copy()
         out[hot] = picked
         return out
-
-    def __call__(self, grid: np.ndarray) -> np.ndarray:
-        h, w = grid.shape[2:]
-        return stack_to_grid(self.clip(frequency_matrices(grid)[0]), h, w)
-
-
-def _grid_spectral_clip(grid: np.ndarray, s: float) -> np.ndarray:
-    """Clip every frequency matrix of a real grid at s, screened cold."""
-    return _RunClip(s)(grid)
 
 
 def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -287,8 +281,12 @@ def _to_stack(taps: np.ndarray, cs: ConstraintSet) -> np.ndarray:
     return taps_to_stack(taps, *cs.conv.input_shape[1:])
 
 
-def _to_taps(stacked: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    return stack_to_taps(stacked, *cs.conv.input_shape[1:], *cs.support)
+def _to_taps(stacked: np.ndarray, cs: ConstraintSet,
+             clip: _RunClip) -> np.ndarray:
+    """The taps of a stack the run's `clip` has touched, guarded at the
+    clip's input scale."""
+    return stack_to_taps(stacked, *cs.conv.input_shape[1:], *cs.support,
+                         clip.scale)
 
 
 def _p_box(taps: np.ndarray, cs: ConstraintSet) -> np.ndarray:
@@ -329,9 +327,8 @@ def _excess(dist: float, lip: float, cs: ConstraintSet) -> tuple[float, float]:
             _rel_excess(lip, cs.lipschitz_bound))
 
 
-def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
-            dist: float, lip: float, tol: float,
-            clip_svds: int = 0) -> FeasibilityReport:
+def _report(rounds_run: int, trajectory: list, dist: float, lip: float,
+            tol: float, clip_svds: int = 0) -> FeasibilityReport:
     """Report on a run whose last trajectory entry measured the returned
     kernel at (dist, lip)."""
     return FeasibilityReport(
@@ -339,10 +336,7 @@ def _report(cs: ConstraintSet, rounds_run: int, trajectory: list,
         trajectory=trajectory,
         final_dist=dist,
         final_lip=lip,
-        distance_bound=cs.distance_bound,
-        lipschitz_bound=cs.lipschitz_bound,
         converged=max(trajectory[-1]) <= tol,
-        tol=tol,
         clip_svds=clip_svds,
     )
 
@@ -359,7 +353,7 @@ def _cycles(kernel: KernelTensor, cs: ConstraintSet, rounds: int,
     for _ in range(rounds):
         taps = _p_box(taps, cs)
         if not math.isinf(clip.s):
-            taps = _to_taps(clip.clip(_to_stack(taps, cs)), cs)
+            taps = _to_taps(clip.clip(_to_stack(taps, cs)), cs, clip)
         yield taps
 
 
@@ -377,8 +371,8 @@ def alternating_projections(kernel: KernelTensor, cs: ConstraintSet,
     for taps in _cycles(kernel, cs, rounds, clip):
         dist, lip = _measure(taps, cs)
         trajectory.append(_excess(dist, lip, cs))
-    return KernelTensor(taps), _report(cs, rounds, trajectory, dist, lip,
-                                       tol, clip.svds)
+    return KernelTensor(taps), _report(rounds, trajectory, dist, lip, tol,
+                                       clip.svds)
 
 
 def alternate(kernel: KernelTensor, cs: ConstraintSet,
@@ -434,14 +428,14 @@ def dykstra(kernel: KernelTensor, cs: ConstraintSet,
     clip = _RunClip(cs.lipschitz_bound)
 
     def box(stacked):
-        return _to_stack(_p_box(_to_taps(stacked, cs), cs), cs)
+        return _to_stack(_p_box(_to_taps(stacked, cs, clip), cs), cs)
 
     stacked = dykstra_iterate(_to_stack(_prepare(kernel, cs), cs),
                               [box, clip.clip], iterations)
-    taps = _to_taps(stacked, cs)
+    taps = _to_taps(stacked, cs, clip)
     dist, lip = _measure(taps, cs)
     return KernelTensor(taps), _report(
-        cs, iterations, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
+        iterations, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
 
 
 def admm(kernel: KernelTensor, cs: ConstraintSet,
@@ -477,7 +471,8 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
         x0 = z = _to_stack(taps, cs)
         u = np.zeros_like(x0)
         for rounds in range(1, iterations + 1):
-            p = _p_box((taps + rho * _to_taps(z - u, cs)) / (1 + rho), cs)
+            p = _p_box((taps + rho * _to_taps(z - u, cs, clip)) / (1 + rho),
+                       cs)
             stacked = _to_stack(p, cs)
             z_prev, z = z, clip.clip(stacked + u)
             primal = np.max(_change_norms(stacked, z))
@@ -488,7 +483,7 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
                 break
     dist, lip = _measure(p, cs)
     return KernelTensor(p), _report(
-        cs, rounds, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
+        rounds, [_excess(dist, lip, cs)], dist, lip, tol, clip.svds)
 
 
 def radial_project(kernel: KernelTensor, center: KernelTensor, radius: float,
@@ -542,7 +537,7 @@ def radial_cycle(kernel: KernelTensor, cs: ConstraintSet,
         trajectory.append(_excess(dist, lip, cs))
         if max(trajectory[-1]) <= tol:
             break
-    return cur, _report(cs, len(trajectory), trajectory, dist, lip, tol)
+    return cur, _report(len(trajectory), trajectory, dist, lip, tol)
 
 
 def init_scale_to_feasible(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTensor:

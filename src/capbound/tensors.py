@@ -130,8 +130,23 @@ class DataBatch:
 
 def fiber_norms(k: np.ndarray) -> np.ndarray:
     """l2 length of every fiber (axis 1) of a kernel-shaped or grid array;
-    on a 2-D (out, in) matrix these are the row lengths."""
-    return np.sqrt(np.sum(k * k, axis=1, dtype=np.float64))
+    on a 2-D (out, in) matrix these are the row lengths.
+
+    A finite fiber whose squares overflow (entries past about 1e154) is
+    measured again scaled to unit peak, so its length is finite unless it
+    really exceeds the float range; every other length is the plain one,
+    and a fiber with a non-finite entry measures non-finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(k * k, axis=1, dtype=np.float64))
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.all(np.isfinite(k), axis=1)
+        fibers = np.moveaxis(k, 1, -1)[over].astype(np.float64)
+        peak = np.max(np.abs(fibers), axis=1)
+        unit = fibers / peak[:, None]
+        with np.errstate(over="ignore"):
+            norms[over] = peak * np.sqrt(np.sum(unit * unit, axis=1))
+    return norms
 
 
 def norm_21(k: np.ndarray) -> float:

@@ -420,11 +420,14 @@ class TinyNet:
 # training
 
 
+WEIGHT_DECAY = 1e-4     # SGD's L2 weight decay
+LOG_GAMMA = 1.0         # gamma of the ramp risk each epoch records
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.05
     momentum: float = 0.9
-    weight_decay: float = 1e-4
     batch_size: int = 16
     epochs: int = 30
     cadence: int = 15       # SGD steps between projection cycles
@@ -432,19 +435,14 @@ class TrainConfig:
     seed: int = 0
     decay_epochs: tuple = ()
     decay_factor: float = 5.0
-    log_gamma: float = 1.0  # gamma used for the trajectory's ramp risk
 
     def __post_init__(self):
         if not (self.lr > 0) or not (0 <= self.momentum < 1):
             raise UsageError("need lr > 0 and momentum in [0, 1)")
-        if self.weight_decay < 0:
-            raise UsageError("weight decay must be >= 0")
         if min(self.batch_size, self.epochs, self.cadence) < 1:
             raise UsageError("batch size, epochs and cadence must be >= 1")
         if self.post_rounds < 0 or self.decay_factor <= 0:
             raise UsageError("bad post_rounds or decay_factor")
-        if not (self.log_gamma > 0):
-            raise UsageError("log_gamma must be > 0")
 
 
 @dataclass(frozen=True)
@@ -555,7 +553,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
             for blk, vel in zip(net.blocks, velocity):
                 vel *= config.momentum
                 vel -= lr * (blk.conv.grad
-                             + config.weight_decay * blk.conv.kernel)
+                             + WEIGHT_DECAY * blk.conv.kernel)
                 blk.conv.kernel = blk.conv.kernel + vel
             step += 1
             if project and step % config.cadence == 0:
@@ -572,7 +570,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
             train_error=zero_one_error(train_logits, labels),
             test_error=test_error,
             mean_loss=float(np.mean(losses)) if losses else math.nan,
-            ramp=ramp_risk(train_logits, labels, config.log_gamma),
+            ramp=ramp_risk(train_logits, labels, LOG_GAMMA),
             lips=net.lipschitz(),
             dists=net.distances(references),
         ))

@@ -150,6 +150,25 @@ def full_frequency_svd(grid):
     return np.linalg.svd(stacked, full_matrices=False)
 
 
+def rfft2_stack(grid):
+    """The rfft2 half of a real (c_out, c_in, h, w) grid's frequency
+    matrices, stacked (h * (w//2 + 1), c_out, c_in) in row-major (u, v)
+    order, by FFT: the reference for `taps_to_stack`."""
+    c_out, c_in, h, w = np.shape(grid)
+    f = np.fft.rfft2(np.asarray(grid, dtype=float), axes=(2, 3))
+    return np.moveaxis(f, (2, 3), (0, 1)).reshape(-1, c_out, c_in)
+
+
+def irfft2_grid(stacked, h, w):
+    """The real (c_out, c_in, h, w) grid whose rfft2 half is `stacked`, by
+    ifft along h and irfft along w: the reference for `stack_to_taps` at
+    the full h x w window."""
+    _, c_out, c_in = stacked.shape
+    rows = np.fft.ifft(stacked.reshape(h, -1, c_out, c_in), axis=0)
+    out = np.fft.irfft(rows, n=w, axis=1)
+    return np.moveaxis(out, (0, 1), (2, 3))
+
+
 def full_spectrum_clip(grid, s):
     """Clip every frequency matrix's singular values at s and invert with
     ifft2, keeping the real part."""

@@ -950,12 +950,34 @@ def write_slater_pair(tmp_path, seed=7):
 def test_project_overflowing_fibers_exit_1(tmp_path, scheme):
     ckpt, arch, weights, refs, _ = write_slater_pair(tmp_path)
     huge = str(tmp_path / "huge.ckpt")
-    write_checkpoint(huge, {n: w * 1e160 for n, w in weights.items()}, refs)
+    # layer b's offsets from its reference have fibers past the float range
+    # (two entries of 1.5e308), so its (2,1) shrink turns NaN
+    refs = dict(refs, b=np.sign(refs["b"]) * 1.5e308)
+    write_checkpoint(huge, weights, refs)
     with np.errstate(over="ignore", invalid="ignore"):
         rc, _, err = run_cli(["project", huge, arch, "--out",
                               str(tmp_path / "out.ckpt"), "--scheme", scheme])
     assert rc == 1
     assert err == "error: kernel contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("scheme", ["alternating", "dykstra", "radial"])
+def test_project_weights_past_the_square_range(tmp_path, scheme):
+    """Weights near 1e160 square past the float range, yet their (2,1)
+    distances are finite, so every scheme projects them into both balls."""
+    ckpt, arch, weights, refs, _ = write_slater_pair(tmp_path)
+    huge = str(tmp_path / "huge.ckpt")
+    write_checkpoint(huge, {n: w * 1e160 for n, w in weights.items()}, refs)
+    out = str(tmp_path / "out.ckpt")
+    with np.errstate(over="ignore"):
+        rc, text, err = run_cli(["project", huge, arch, "--out", out,
+                                 "--scheme", scheme, "--json"])
+    assert rc == 0, err
+    for row in json.loads(text)["layers"]:
+        assert 1e160 < row["dist_before"] < math.inf and row["converged"]
+        assert row["dist_after"] <= row["dist_bound"] * (1 + DEFAULT_TOL)
+        assert row["lip_after"] <= row["lip_bound"] * (1 + DEFAULT_TOL)
+    assert all(np.all(np.isfinite(a)) for a in read_checkpoint(out).arrays.values())
 
 
 def test_project_tol_default_is_the_projection_tolerance():

@@ -1,13 +1,21 @@
-"""Every import in the package and the scripts is read somewhere."""
+"""Every import in the package and the scripts is read somewhere, every
+name the scripts import from the package exists, and the package runs no
+FFT (its frequency stacks come from the taps)."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "capbound").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "capbound").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = PACKAGE + SCRIPTS
+
+
+def file_id(path):
+    return f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list:
@@ -38,7 +46,74 @@ def test_checker_sees_unused_and_exported_names():
     assert unused_imports(source) == [(1, "os"), (3, "c")]
 
 
-@pytest.mark.parametrize("path", SOURCES,
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES, ids=file_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> list:
+    """(module, name) for every `from capbound... import name`."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "capbound"
+            for alias in node.names]
+
+
+def resolves(module: str, name: str) -> bool:
+    """True when `from module import name` would succeed: the module has
+    the attribute, or `name` is a submodule of it."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_resolver_sees_missing_names():
+    assert resolves("capbound", "cli") and resolves("capbound.project", "admm")
+    assert not resolves("capbound.lipschitz", "frequency_matrices")
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=file_id)
+def test_script_imports_resolve(path):
+    imports = package_imports(path.read_text(encoding="utf-8"))
+    assert imports
+    assert [f"{m}.{n}" for m, n in imports if not resolves(m, n)] == []
+
+
+def fft_references(source: str) -> list:
+    """Lines that import numpy.fft or read the `fft` attribute of numpy
+    (under any name it was imported as)."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits = [a for a in node.names if a.name.startswith("numpy.fft")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hits = module.startswith("numpy.fft") or (
+                module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hits = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in numpy_names)
+        if hits:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fft_checker_sees_every_spelling():
+    source = ("import numpy as np\nimport numpy.fft\nfrom numpy import fft\n"
+              "from numpy.fft import rfft2\nx = np.fft.ifft\n"
+              "y = other.fft\nz = np.linalg\n")
+    assert fft_references(source) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=file_id)
+def test_package_runs_no_fft(path):
+    assert fft_references(path.read_text(encoding="utf-8")) == []

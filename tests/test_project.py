@@ -15,16 +15,15 @@ from capbound.lipschitz import (
     extract_kernel_grid,
     fft_exact_norm,
     fft_exact_spectrum,
-    frequency_matrices,
-    grid_norm,
-    grid_spectrum,
     operator_norm,
+    stack_norm,
+    stack_to_taps,
+    taps_to_stack,
     top_singular_estimates,
 )
 from capbound.project import (
     DEFAULT_TOL,
     ConstraintSet,
-    _grid_spectral_clip,
     _RunClip,
     admm,
     alternate,
@@ -70,6 +69,22 @@ def circ_spec(rng):
 def grid_spec(spec):
     c_in, h, w = spec.input_shape
     return ConvSpec((c_in, h, w), (h, w))
+
+
+def window_grid(window):
+    """The grid of a (c_out, c_in, h, w) tap window on the h x w grid."""
+    c_in, h, w = window.shape[1:]
+    return embed_kernel_grid(KernelTensor(window), ConvSpec((c_in, h, w),
+                                                            (h, w)))
+
+
+def clip_window(window, s):
+    """A full h x w tap window clipped at s by a fresh run clip, inverted at
+    every position (tap order)."""
+    h, w = window.shape[2:]
+    clip = _RunClip(s)
+    clipped = clip.clip(taps_to_stack(window, h, w))
+    return stack_to_taps(clipped, h, w, h, w, clip.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +287,9 @@ def half_spectrum_cases(draw):
 @example((2, 3, 1, 2, 1, 2, "inside", 6))     # h = 1, w = 2
 @example((4, 4, 8, 8, 3, 3, "inside", 7))
 def test_half_spectrum_route_matches_full_spectrum(case):
-    """The rfft2 route (clip, max singular value, full spectrum) against
-    every fft2 frequency and against the dense materialized operator."""
+    """The rfft2-half route (clip, max singular value, full spectrum)
+    against every fft2 frequency and against the dense materialized
+    operator."""
     c_out, c_in, h, w, k_h, k_w, clip, seed = case
     rng = np.random.default_rng(seed)
     spec = ConvSpec((c_in, h, w), (k_h, k_w))
@@ -288,16 +304,13 @@ def test_half_spectrum_route_matches_full_spectrum(case):
     np.testing.assert_allclose(values, full, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(values, dense[: values.size], rtol=0,
                                atol=1e-10 * scale)
-    # the kernel routes build their one stack from the taps, the grid
-    # routes theirs with rfft2: equal within rounding, not bit for bit
-    assert exact_lip(kernel, spec) == values[0]
-    lip = grid_spectrum(grid).max_value
-    assert abs(lip - values[0]) <= 1e-12 * scale
+    lip = exact_lip(kernel, spec)
+    assert lip == values[0]
     assert lip == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
 
     s = {"zero": 0.0, "inside": float(rng.uniform(0.1, 0.9)) * lip,
          "at_max": lip, "above": 1.5 * lip}[clip]
-    got = _grid_spectral_clip(grid, s)
+    got = project_spectral(kernel, spec, s).entries
     np.testing.assert_allclose(got, full_spectrum_clip(grid, s), rtol=0,
                                atol=1e-12 * scale)
     if s >= lip:
@@ -325,27 +338,31 @@ def screen_cases(draw):
 @example((3, 4, 4, 6, "inside", 0.0, 7))           # zero grid
 @example((3, 4, 4, 6, "inside", 1e160, 8))         # unscaled Gram overflows
 @example((4, 3, 5, 4, "at_frequency", 1e-160, 9))  # unscaled Gram underflows
+@example((1, 1, 3, 1, "zero", 1e160, 0))           # output is rounding alone
 def test_gram_screen_decomposes_every_frequency_that_matters(case):
-    """The screened clip against the fft2 oracle that clips every
-    frequency, and the screened spectral norm against the largest value of
-    the full spectrum, bit for bit; the screen's estimates stay within a
-    tenth of its margin of the SVD's top singular values."""
+    """The screened clip of a random full h x w tap window against the
+    fft2 oracle that clips every frequency of its grid, and the screened
+    spectral norm against the largest value of the full spectrum, bit for
+    bit; the screen's estimates stay within a tenth of its margin of the
+    SVD's top singular values."""
     c_out, c_in, h, w, level, magnitude, seed = case
     rng = np.random.default_rng(seed)
-    grid = rng.standard_normal((c_out, c_in, h, w)) * magnitude
-    stacked, _ = frequency_matrices(grid)
+    window = rng.standard_normal((c_out, c_in, h, w)) * magnitude
+    stacked = taps_to_stack(window, h, w)
     top = np.linalg.svd(stacked, compute_uv=False)[:, 0]
     estimates = top_singular_estimates(stacked)
     np.testing.assert_allclose(estimates, top, rtol=0.1 * SCREEN_MARGIN,
                                atol=0)
-    lip = grid_spectrum(grid).max_value
-    assert grid_norm(grid) == lip == float(np.max(top))
+    spec = ConvSpec((c_in, h, w), (h, w))
+    lip = fft_exact_spectrum(KernelTensor(window), spec).max_value
+    assert stack_norm(stacked) == lip == float(np.max(top))
 
     s = {"zero": 0.0, "inside": float(rng.uniform(0.1, 0.9)) * lip,
          "at_frequency": float(top[rng.integers(top.size)]), "at_max": lip,
          "above": 1.5 * lip}[level]
-    atol = 1e-12 * float(np.max(np.abs(grid)))
-    got = _grid_spectral_clip(grid, s)
+    atol = 1e-12 * float(np.max(np.abs(window)))
+    grid = window_grid(window)
+    got = window_grid(clip_window(window, s))
     np.testing.assert_allclose(got, full_spectrum_clip(grid, s), rtol=0,
                                atol=atol)
     if s >= lip:
@@ -354,24 +371,26 @@ def test_gram_screen_decomposes_every_frequency_that_matters(case):
 
 def test_screen_sends_non_finite_input_to_the_svd():
     """NaN estimates select their frequencies, so the SVD still rejects a
-    NaN grid instead of the screen passing it through."""
-    grid = np.ones((2, 2, 3, 4))
-    grid[0, 1, 2, 3] = np.nan
-    for route in (grid_norm, lambda g: _grid_spectral_clip(g, 1.0)):
+    NaN stack instead of the screen passing it through."""
+    window = np.ones((2, 2, 3, 4))
+    window[0, 1, 2, 3] = np.nan
+    stacked = taps_to_stack(window, 3, 4)
+    for route in (stack_norm, _RunClip(1.0).clip):
         with pytest.raises(np.linalg.LinAlgError):
-            route(grid)
+            route(stacked)
 
 
 @pytest.mark.parametrize("w,column", [(6, 0), (6, 3), (5, 0)])
 def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
                                                          column):
     """A frequency in column 0 (or w/2, w even) is its own conjugate
-    partner, so after clipping it must invert to a real grid; an imaginary
-    tilt planted in its SVD must raise instead of being dropped by irfft.
-    s lies below every frequency's top singular value, so the screen sends
-    the whole half stack to the SVD and u[column] is frequency (0, column)."""
-    grid = np.random.default_rng(32).standard_normal((2, 2, 4, w))
-    s = 0.5 * float(np.min(np.linalg.svd(frequency_matrices(grid)[0],
+    partner, so after clipping it must invert to a real window; an
+    imaginary tilt planted in its SVD must raise instead of being dropped
+    by the inverse. s lies below every frequency's top singular value, so
+    the screen sends the whole half stack to the SVD and u[column] is
+    frequency (0, column)."""
+    window = np.random.default_rng(32).standard_normal((2, 2, 4, w))
+    s = 0.5 * float(np.min(np.linalg.svd(taps_to_stack(window, 4, w),
                                          compute_uv=False)[:, 0]))
     true_svd = np.linalg.svd
 
@@ -383,7 +402,26 @@ def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
 
     monkeypatch.setattr(np.linalg, "svd", tilted_svd)
     with pytest.raises(NumericalError, match="imaginary residue"):
-        _grid_spectral_clip(grid, s)
+        clip_window(window, s)
+
+
+def test_clip_far_below_its_input_inverts():
+    """A clip's output is rounded at its input's scale, and conjugate
+    partners in a self-conjugate column round apart: an s far below the
+    kernel leaves an imaginary residue far above 1e-9 of the output, which
+    the inverse must not refuse, on any route that clips."""
+    rng = np.random.default_rng(34)
+    spec = ConvSpec((2, 5, 5), (3, 3))
+    kernel = rand_kernel(rng, (2, 2, 3, 3), scale=1e10)
+    # no distance ball, so the kernel reaches the clip at its own scale
+    cs = ConstraintSet(reference=rand_kernel(rng, (2, 2, 3, 3)),
+                       distance_bound=math.inf, lipschitz_bound=1.0,
+                       conv=spec)
+    got = project_spectral(kernel, spec, 1.0)
+    assert exact_lip(got, grid_spec(spec)) == pytest.approx(1.0, rel=1e-4)
+    for run in (alternating_projections, dykstra, admm):
+        assert np.all(np.isfinite(run(kernel, cs)[0].entries))
+    assert np.all(np.isfinite(alternate(kernel, cs, 3).entries))
 
 
 @st.composite
@@ -411,18 +449,18 @@ def test_remembered_screen_clips_like_the_cold_screen(case):
     s = magnitude
 
     def spectral_noise(scale):
-        """Gaussian grid whose largest frequency has top singular value
-        scale."""
-        noise = rng.standard_normal((c_out, c_in, h, w))
-        return noise * (scale / grid_norm(noise))
+        """The stack of a Gaussian h x w tap window whose largest frequency
+        has top singular value scale."""
+        noise = taps_to_stack(rng.standard_normal((c_out, c_in, h, w)), h, w)
+        return noise * (scale / stack_norm(noise))
 
-    grid = spectral_noise(0.9 * s)
+    stacked = spectral_noise(0.9 * s)
     clip = _RunClip(s)
     for jump in jumps:
-        grid = grid + spectral_noise(jump * s)
-        got = clip(grid)
-        np.testing.assert_array_equal(got, _grid_spectral_clip(grid, s))
-        top = np.linalg.svd(frequency_matrices(got)[0], compute_uv=False)
+        stacked = stacked + spectral_noise(jump * s)
+        got = clip.clip(stacked)
+        np.testing.assert_array_equal(got, _RunClip(s).clip(stacked))
+        top = np.linalg.svd(got, compute_uv=False)
         assert np.all(top[:, 0] <= s * (1 + 1e-12))
     assert clip.svds <= len(jumps) * h * (w // 2 + 1)
 
@@ -688,12 +726,13 @@ def test_admm_box_only_input_stops_at_the_shrink():
 
 
 def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
-    # entries near 1e160 square past the float range, so the (2,1) shrink
-    # turns NaN; the cycle must stop there, not hand NaN to the clip's SVD
+    # fibers of two entries at 1.5e308 are longer than the float range, so
+    # the (2,1) shrink turns NaN; the cycle must stop there, not hand NaN
+    # to the clip's SVD
     rng = np.random.default_rng(28)
     spec = ConvSpec((2, 4, 4), (3, 3))
     reference = rand_kernel(rng, (2, 2, 3, 3))
-    kernel = rand_kernel(rng, (2, 2, 3, 3), scale=1e160)
+    kernel = KernelTensor(np.sign(rng.standard_normal((2, 2, 3, 3))) * 1.5e308)
     cs = ConstraintSet(reference=reference, distance_bound=1.0,
                        lipschitz_bound=2.0, conv=spec)
     clips = []

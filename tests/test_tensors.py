@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +12,15 @@ from capbound.tensors import (
     DenseMatrix,
     KernelTensor,
     data_norm,
+    fiber_norms,
     group_norm_21,
     group_norm_matrix_21,
     patch_norms,
     slice_norms,
     window_index,
 )
+
+from capbound.project import project_l21_ball
 
 from oracles import loop_group_norm_21, loop_matrix_row_norm_sum, loop_patch_max_norm
 
@@ -38,6 +43,43 @@ def test_group_norm_21_matches_scalar_loop():
         got = group_norm_21(KernelTensor(k))
         want = loop_group_norm_21(k)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
+
+
+def test_norms_past_the_square_range_stay_finite():
+    """Entries near 1e200 square past the float range: the distance is
+    still 1e200 times the unit-scale one, and the (2,1) shrink of such a
+    kernel is finite, without a warning."""
+    k = np.random.default_rng(12).standard_normal((4, 4, 3, 3))
+    unit = group_norm_21(KernelTensor(k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = group_norm_21(KernelTensor(k * 1e200))
+        assert np.isfinite(big)
+        assert abs(big - 1e200 * unit) <= 1e-14 * (1e200 * unit)
+        center = KernelTensor(np.zeros_like(k))
+        got = project_l21_ball(KernelTensor(k * 1e200), center, 0.5 * big)
+    assert np.all(np.isfinite(got.entries))
+    assert group_norm_21(got) <= 0.5 * big * (1 + 1e-12)
+
+
+def test_fiber_norms_rescale_only_what_overflowed():
+    """In-range fibers keep the plain sqrt(sum(k * k)) bit for bit, and a
+    fiber with a non-finite entry still measures non-finite."""
+    k = np.random.default_rng(13).standard_normal((3, 4, 2, 2))
+    k[0, :, 0, 0] *= 1e300
+    k[1, 2, 0, 0] = np.inf
+    k[2, 1, 1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fiber_norms(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.sqrt(np.sum(k * k, axis=1))
+    assert np.isinf(plain[0, 0, 0]) and np.isfinite(got[0, 0, 0])
+    assert got[1, 0, 0] == np.inf and np.isnan(got[2, 1, 1])
+    np.testing.assert_array_equal(got.ravel()[1:], plain.ravel()[1:])
+    rows = np.array([[1e200, 1e200], [3.0, 4.0]])
+    np.testing.assert_allclose(fiber_norms(rows), [np.sqrt(2) * 1e200, 5.0],
+                               rtol=1e-15)
 
 
 def test_group_norm_21_frozen_value():
