@@ -15,7 +15,10 @@ kernel read at negated tap offsets, applied to the output scattered back onto
 the input grid (zeros between strided samples). Results are deterministic;
 they differ from a per-offset sum only in float rounding. `materialize`
 builds the dense matrix tap by tap through its own plan instead and stays
-the independent oracle.
+the independent oracle. Training (`traindemo.ConvLayer`) runs the same
+window_index gather on batch-last (c, h, w, n) activations, so its products
+cover the whole batch at once; the (n, c, h, w) operators here serve the
+measurements, the covers and the tests.
 """
 
 from __future__ import annotations

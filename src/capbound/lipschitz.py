@@ -16,14 +16,18 @@ it) (`_require_real`). A Gram screen (`top_singular_estimates`, eigenvalues
 of each matrix's smaller Gram matrix) picks the frequencies whose top
 singular value can matter, so the spectral norm (`stack_norm`) and the
 spectral clip SVD only those; a projection run screens only its first clip
-this way (see `project`). Everything else falls back to power iteration on
-the forward/adjoint pair, or a dense SVD of an operator materialized with
-`convop.materialize` (`dense_spectral_norm`).
+this way (see `project`). A decomposition that fails on a stack, or
+returns a non-finite value from it, raises NumericalError naming the
+stack's non-finite matrices (finite taps whose transform overflowed).
+Everything else falls back to power iteration on the forward/adjoint
+pair, or a dense SVD of an operator materialized with `convop.materialize`
+(`dense_spectral_norm`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +181,7 @@ def taps_to_stack(taps: np.ndarray, h: int, w: int) -> np.ndarray:
     (u, v) order: one product along w, one along h."""
     c_out, c_in, k_h, k_w = taps.shape
     rows, cols, _, _ = _dft_factors(h, w, k_h, k_w)
-    flat = np.moveaxis(taps, (2, 3), (0, 1)).reshape(k_h, k_w, c_out * c_in)
+    flat = taps.transpose(2, 3, 0, 1).reshape(k_h, k_w, c_out * c_in)
     half = cols @ flat                                # (k_h, w//2 + 1, m)
     return (rows @ half.reshape(k_h, -1)).reshape(-1, c_out, c_in)
 
@@ -207,7 +211,7 @@ def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
     half = (rows @ stacked.reshape(h, -1)).reshape(k_h, -1, c_out * c_in)
     _require_real(half, stacked, w, scale)
     taps = (cols @ half).real.reshape(k_h, k_w, c_out, c_in)
-    return np.ascontiguousarray(np.moveaxis(taps, (0, 1), (2, 3)))
+    return np.ascontiguousarray(taps.transpose(2, 3, 0, 1))
 
 
 # Relative margin of the screens. Forming and diagonalizing a matrix's
@@ -222,6 +226,22 @@ def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
 SCREEN_MARGIN = 1e-10
 
 
+def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
+    """Raise NumericalError naming a frequency stack's non-finite matrices
+    (finite taps whose transform overflowed), or the decomposition failure
+    `exc` on a finite stack; return if the stack is finite and no failure
+    is given. Callers check only after an SVD or `eigvalsh` failed or
+    returned a non-finite value, so a finite stack pays nothing."""
+    bad = int(np.count_nonzero(~np.isfinite(stacked).all(axis=(1, 2))))
+    if bad:
+        raise NumericalError(
+            f"frequency stack has non-finite entries in {bad} of "
+            f"{len(stacked)} matrices") from exc
+    if exc is not None:
+        raise NumericalError(
+            f"frequency stack decomposition failed: {exc}") from exc
+
+
 def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
     """Each matrix's largest singular value, from `eigvalsh` of its smaller
     Gram matrix. Each matrix is first scaled to unit peak, so its Gram
@@ -232,7 +252,10 @@ def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
     unit = stacked / np.where(peak > 0, peak, 1.0)[:, None, None]
     adjoint = unit.conj().swapaxes(1, 2)
     gram = unit @ adjoint if unit.shape[1] <= unit.shape[2] else adjoint @ unit
-    top = np.linalg.eigvalsh(gram)[:, -1]
+    try:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        _require_finite_stack(stacked, exc)
     return peak * np.sqrt(np.maximum(top, 0.0))
 
 
@@ -251,7 +274,14 @@ def stack_norm(stacked: np.ndarray) -> float:
     estimate, which always include the arg-max frequency."""
     estimates = top_singular_estimates(stacked)
     candidates = stacked[may_reach(estimates, np.max(estimates))]
-    return float(np.max(np.linalg.svd(candidates, compute_uv=False)[:, 0]))
+    try:
+        sv = np.linalg.svd(candidates, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        _require_finite_stack(stacked, exc)
+    value = float(np.max(sv[:, 0]))
+    if not math.isfinite(value):
+        _require_finite_stack(stacked)
+    return value
 
 
 def _kernel_stack(kernel: KernelTensor, spec: ConvSpec) -> np.ndarray:
@@ -268,9 +298,15 @@ def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
     differ, which the dense operator also has).
     """
     _, h, w = spec.input_shape
-    sv = np.linalg.svd(_kernel_stack(kernel, spec), compute_uv=False)
+    stacked = _kernel_stack(kernel, spec)
+    try:
+        sv = np.linalg.svd(stacked, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        _require_finite_stack(stacked, exc)
     multiplicity = np.tile(_columns(w), h)
     values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
+    if not math.isfinite(values[0]):    # NaN sorts last, so first here
+        _require_finite_stack(stacked)
     return SpectrumReport(values=values, max_value=float(values[0]))
 
 

@@ -57,6 +57,7 @@ from .convop import ConvSpec
 from .errors import UsageError
 from .lipschitz import (
     _require_fft_eligible,
+    _require_finite_stack,
     embed_kernel_grid,
     may_reach,
     operator_norm,
@@ -242,9 +243,15 @@ class _RunClip:
         self.stack, self.bound = stacked, bound
         self.svds += int(np.count_nonzero(hot))
         picked = stacked[hot]
-        u, sv, vh = np.linalg.svd(picked, full_matrices=False)
+        try:
+            u, sv, vh = np.linalg.svd(picked, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            _require_finite_stack(stacked, exc)
         bound[hot] = sv[:, 0]
-        self.scale = max(1.0, float(bound.max()))
+        peak = float(bound.max())
+        if not math.isfinite(peak):
+            _require_finite_stack(stacked)
+        self.scale = max(1.0, peak)
         picked -= (u * np.maximum(sv - self.s, 0.0)[:, None, :]) @ vh
         del u, vh
         out = stacked.copy()
@@ -262,6 +269,19 @@ def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
     peak = np.max(change, axis=1)
     change /= np.where(peak > 0, peak, 1.0)[:, None]
     return peak * np.sqrt(np.einsum("ij,ij->i", change, change))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of an array. One whose squares overflow (entries past
+    about 1e154) is measured again scaled to unit peak, as
+    `tensors.fiber_norms` does; every other norm is the plain one."""
+    with np.errstate(over="ignore"):
+        value = np.linalg.norm(a)
+        if math.isinf(value) and np.all(np.isfinite(a)):
+            real = a.view(np.float64) if np.iscomplexobj(a) else a
+            peak = np.max(np.abs(real))
+            value = peak * np.linalg.norm(a / peak)
+    return value
 
 
 def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
@@ -478,8 +498,8 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
             primal = np.max(_change_norms(stacked, z))
             u += stacked - z
             if (primal <= 0.5 * tol * s
-                    and rho * np.linalg.norm(z - z_prev)
-                    <= 10 * tol * np.linalg.norm(stacked - x0)):
+                    and rho * _norm(z - z_prev)
+                    <= 10 * tol * _norm(stacked - x0)):
                 break
     dist, lip = _measure(p, cs)
     return KernelTensor(p), _report(

@@ -13,14 +13,13 @@ import numpy as np
 
 from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
     ComparisonLayerStats, LayerRecord
-from .convop import ConvSpec, conv_adjoint_batch, conv_columns, \
-    conv_forward_batch
+from .convop import ConvSpec
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
 from .project import DEFAULT_TOL, ConstraintSet, alternate, \
     init_scale_to_feasible, within_bounds
 from .tensors import DataBatch, KernelTensor, data_norm, group_norm_21, \
-    patch_norms
+    patch_norms, window_index
 
 GRID_SIDE = 8
 MAXPOOL_LIP = 2.0       # 3x3 windows at stride 2: every input feeds <= 4
@@ -146,109 +145,160 @@ class Relu:
 
 
 def _pool_plan(h: int, w: int, size: int, stride: int, centered: bool):
+    """(size*size, out_h*out_w) flat pixel each tap of each window reads:
+    row t holds tap t (row-major over the window) at every cell, cells
+    row-major."""
     offs = np.arange(size) - (size // 2 if centered else 0)
     out_h = -(-h // stride)
     out_w = -(-w // stride)
     rows = (np.arange(out_h)[:, None] * stride + offs[None, :]) % h
     cols = (np.arange(out_w)[:, None] * stride + offs[None, :]) % w
     flat = rows[:, None, :, None] * w + cols[None, :, None, :]
-    return out_h, out_w, flat.reshape(out_h, out_w, size * size)
+    return out_h, out_w, flat.reshape(out_h * out_w, size * size).T.copy()
 
 
 class MaxPool:
-    """Max pooling with circular wrap, matching the conv offset convention."""
+    """Max pooling with circular wrap, matching the conv offset convention,
+    on batch-last (c, h, w, n) activations. Windows are reduced tap by tap,
+    one contiguous (c, cells, n) slab per tap."""
 
     def __init__(self, h: int, w: int, size: int, stride: int,
                  centered: bool = True):
         if size > min(h, w):
             raise UsageError("pool window larger than the input")
         self._h, self._w = h, w
-        self.out_h, self.out_w, self._idx = _pool_plan(h, w, size, stride,
-                                                       centered)
+        self.out_h, self.out_w, self._taps = _pool_plan(h, w, size, stride,
+                                                        centered)
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[:2]
-        return x.reshape(n, c, self._h * self._w)[:, :, self._idx]
+    def _slabs(self, taps):
+        """Each tap's (c, cells, n) slab of the last forward's input, for
+        the given rows of the tap plan."""
+        flat = self._x.reshape(self._x.shape[0], self._h * self._w, -1)
+        for pixels in taps:
+            yield flat.take(pixels, axis=1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return self._windows(x).max(axis=-1)
+        slabs = self._slabs(self._taps)
+        out = next(slabs)
+        for slab in slabs:
+            np.maximum(out, slab, out=out)
+        self._out = out     # read by backward: callers leave the output as is
+        return out.reshape(x.shape[0], self.out_h, self.out_w, x.shape[-1])
 
     @property
     def kink_margin(self) -> float:
         """Smallest gap between a window's top two entries in the last
         forward (computed on read)."""
-        windows = self._windows(self._x)
-        top2 = np.partition(windows, windows.shape[-1] - 2, axis=-1)
-        return float((top2[..., -1] - top2[..., -2]).min())
+        slabs = self._slabs(self._taps)
+        top = next(slabs)
+        second = np.full_like(top, -np.inf)
+        for slab in slabs:
+            np.maximum(second, np.minimum(top, slab), out=second)
+            np.maximum(top, slab, out=top)
+        return float((top - second).min())
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         # Only training reads the winners, so forward does not locate them.
-        arg = self._windows(self._x).argmax(axis=-1)
-        n, c = g.shape[:2]
+        # A window's winner is its first tap equal to the forward's max: the
+        # taps are visited last to first, so the first match is set last.
+        out = self._out
+        winner = np.zeros(out.shape, dtype=np.intp)
+        last = len(self._taps) - 1
+        for tap, slab in enumerate(self._slabs(self._taps[::-1])):
+            np.putmask(winner, slab == out, last - tap)
+        c, cells, n = out.shape
         size = self._h * self._w
-        out_h, out_w, taps = self._idx.shape
-        # each winner's pixel in the flat (n * c * h * w) input gradient
-        first = taps * np.arange(out_h * out_w).reshape(out_h, out_w)
-        pos = (np.take(self._idx, first + arg)
-               + size * np.arange(n * c).reshape(n, c, 1, 1))
-        dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=n * c * size)
+        # each winner's index in the flat (c * h * w * n) input gradient;
+        # bincount adds a pixel's windows in cell order, as a loop would
+        winner *= cells
+        winner += np.arange(cells)[:, None]
+        pos = self._taps.take(winner)
+        pos += size * np.arange(c)[:, None, None]
+        pos *= n
+        pos += np.arange(n)
+        dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=c * size * n)
         return dx.reshape(self._x.shape)
 
 
 class DoublingShortcut:
-    """Fixed channel-doubling map: plain and one-pixel-shifted 2x2/2 pools."""
+    """Fixed channel-doubling map: plain and one-pixel-shifted 2x2/2 pools.
+
+    The shifted half pools the input rolled one pixel down and right, i.e.
+    the 2x2 windows at offsets (-1, 0) of the input itself, so neither pass
+    rolls anything."""
 
     def __init__(self, h: int, w: int):
         if h % 2 or w % 2:
             raise UsageError("doubling shortcut needs even spatial dims")
         self._plain = MaxPool(h, w, 2, 2, centered=False)
-        self._shifted = MaxPool(h, w, 2, 2, centered=False)
+        self._shifted = MaxPool(h, w, 2, 2, centered=True)
 
     @property
     def kink_margin(self) -> float:
         return min(self._plain.kink_margin, self._shifted.kink_margin)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._c = x.shape[1]
-        rolled = np.roll(x, (1, 1), axis=(2, 3))
+        self._c = x.shape[0]
         return np.concatenate([self._plain.forward(x),
-                               self._shifted.forward(rolled)], axis=1)
+                               self._shifted.forward(x)])
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        plain = self._plain.backward(g[:, :self._c])
-        shifted = self._shifted.backward(g[:, self._c:])
-        return plain + np.roll(shifted, (-1, -1), axis=(2, 3))
+        return (self._plain.backward(g[:self._c])
+                + self._shifted.backward(g[self._c:]))
+
+
+def _columns(x: np.ndarray, kernel_shape, negate: bool = False) -> np.ndarray:
+    """(c*k_h*k_w, h*w*n) column matrix of a batch-last (c, h, w, n) array
+    under the circular stride-1 plan `tensors.window_index`: one gather."""
+    idx = window_index(x.shape[:3], kernel_shape, (1, 1), "circular", negate)
+    cols = x.reshape(-1, x.shape[-1]).take(idx, axis=0)
+    return cols.reshape(len(idx), -1)
 
 
 class ConvLayer:
-    """Trainable circular stride-1 convolution; gradients accumulate."""
+    """Trainable circular stride-1 convolution on batch-last (c, h, w, n)
+    activations; gradients accumulate. Each product (forward, kernel
+    gradient, input gradient) is one matrix product over the whole batch.
+
+    The kernel is validated here and by `TinyNet.set_kernels`; the updates
+    training assigns are read as they are, so a non-finite kernel shows as
+    a non-finite loss."""
 
     def __init__(self, kernel: np.ndarray, spec: ConvSpec):
         if spec.strides != (1, 1) or spec.padding != "circular":
             raise UsageError("trainable convolutions are circular, stride 1")
-        kernel = np.array(kernel, dtype=np.float64)
-        spec.check_kernel(KernelTensor(kernel))
-        self.kernel = kernel
+        kernel = KernelTensor(kernel)
+        spec.check_kernel(kernel)
+        self.kernel = np.array(kernel.entries)
         self.spec = spec
-        self.grad = np.zeros_like(kernel)
+        self.grad = np.zeros_like(self.kernel)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return conv_forward_batch(KernelTensor(self.kernel), self.spec, x)
+        cols = _columns(x, self.spec.kernel_shape)
+        out = self.kernel.reshape(len(self.kernel), -1) @ cols
+        return out.reshape((len(self.kernel),) + x.shape[1:])
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """Accumulate the kernel gradient; return the input gradient, or
         None when input_grad is False (nothing upstream reads it)."""
         # The output is linear in the kernel, with the input's columns as
-        # coefficients: grad[o, (i,a,b)] = sum_{n,p} g[n,o,p] cols[n,(i,a,b),p].
-        cols = conv_columns(self.spec, self._x)
-        n, c_out = g.shape[:2]
-        grad = (g.reshape(n, c_out, -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
+        # coefficients: grad[o, (i,a,b)] = sum_{p,t} g[o,p,t] cols[(i,a,b),p,t].
+        # The columns are gathered again: keeping them from forward would
+        # hold k_h*k_w times each layer's input alive between the passes.
+        cols = _columns(self._x, self.spec.kernel_shape)
+        grad = g.reshape(len(self.kernel), -1) @ cols.T
         self.grad += grad.reshape(self.kernel.shape)
-        if not input_grad:
-            return None
-        return conv_adjoint_batch(KernelTensor(self.kernel), self.spec, g)
+        return self.adjoint(g) if input_grad else None
+
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """The input gradient: the correlation of g with the channel-swapped
+        kernel at negated tap offsets (as `convop.conv_adjoint_batch`)."""
+        cols = _columns(g, self.spec.kernel_shape, negate=True)
+        swapped = self.kernel.transpose(1, 0, 2, 3).reshape(
+            self.kernel.shape[1], -1)
+        return (swapped @ cols).reshape((len(swapped),) + g.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +387,17 @@ class Block:
         return margin
 
 
+def _batch_last(xs: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> contiguous (c, h, w, n)."""
+    return np.ascontiguousarray(xs.transpose(1, 2, 3, 0))
+
+
 class TinyNet:
-    """Small conv net with a fixed simplex head on flattened features."""
+    """Small conv net with a fixed simplex head on flattened features.
+
+    `forward` takes (n, c, h, w) samples and returns (n, kappa) logits;
+    inside, the blocks run on batch-last (c, h, w, n) activations, so every
+    conv product covers the whole batch in one matrix product."""
 
     def __init__(self, blocks, kappa: int = 2, h: int = GRID_SIDE,
                  w: int = GRID_SIDE, seed: int = 0):
@@ -374,7 +433,7 @@ class TinyNet:
         for blk, kernel in zip(self.blocks, kernels):
             if kernel.shape != blk.conv.kernel.shape:
                 raise UsageError("kernel shape changed")
-            blk.conv.kernel = np.array(kernel, dtype=np.float64)
+            blk.conv.kernel = np.array(KernelTensor(kernel).entries)
 
     def zero_grads(self) -> None:
         for blk in self.blocks:
@@ -388,14 +447,15 @@ class TinyNet:
         if xs.ndim != 4 or xs.shape[1:] != self.input_shape:
             raise UsageError(
                 f"batch shape {xs.shape} != (n,)+{self.input_shape}")
-        y = xs
+        y = _batch_last(xs)
         for blk in self.blocks:
             y = blk.forward(y)
         self._feat_shape = y.shape
-        return y.reshape(y.shape[0], -1) @ self.classifier.T
+        return y.reshape(self.feature_dim, -1).T @ self.classifier.T
 
     def backward(self, g_logits: np.ndarray) -> None:
-        g = (np.asarray(g_logits) @ self.classifier).reshape(self._feat_shape)
+        g = (self.classifier.T @ np.asarray(g_logits).T).reshape(
+            self._feat_shape)
         for blk in reversed(self.blocks[1:]):
             g = blk.backward(g)
         # The input gradient of the first block feeds nothing trainable.
@@ -527,7 +587,8 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                 KernelTensor(blk.conv.kernel), blk.conv.spec,
                 lip_bound).entries
     references = tuple(blk.conv.kernel.copy() for blk in net.blocks)
-    sets = _constraint_sets(net, references, lip_bound, dist_bound)
+    sets = _constraint_sets(net, references, lip_bound, dist_bound) \
+        if project else ()
 
     rng = np.random.default_rng(config.seed)
     velocity = [np.zeros_like(k) for k in net.kernels]
@@ -695,8 +756,10 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     records = _block_records(net, references)
     stats = []
     acts = [batch.samples]
+    y = _batch_last(batch.samples)
     for blk in net.blocks:
-        acts.append(blk.forward(acts[-1]))
+        y = blk.forward(y)
+        acts.append(y.transpose(3, 0, 1, 2))
     b_vals = []
     for blk, act in zip(net.blocks, acts):
         b_vals.append(patch_norms(DataBatch(act), blk.spec.k, blk.spec.k,

@@ -980,6 +980,26 @@ def test_project_weights_past_the_square_range(tmp_path, scheme):
     assert all(np.all(np.isfinite(a)) for a in read_checkpoint(out).arrays.values())
 
 
+@pytest.mark.parametrize("command", [
+    ["project", "--scheme", "alternating"], ["project", "--scheme", "dykstra"],
+    ["project", "--scheme", "radial"], ["spectra"]])
+def test_overflowing_frequency_stacks_exit_2(tmp_path, command):
+    """Weights of 1.5e308 are finite, but their frequency stack overflows;
+    every exact measurement refuses it with one line, not a traceback."""
+    ckpt, arch, weights, refs, _ = write_slater_pair(tmp_path)
+    huge = str(tmp_path / "huge.ckpt")
+    write_checkpoint(huge, dict(weights, a=np.sign(weights["a"]) * 1.5e308),
+                     refs)
+    argv = [command[0], huge, arch] + command[1:]
+    if command[0] == "project":
+        argv += ["--out", str(tmp_path / "out.ckpt")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith("numerical failure: frequency stack has "
+                          "non-finite entries") and err.count("\n") == 1
+
+
 def test_project_tol_default_is_the_projection_tolerance():
     args = build_parser().parse_args(["project", "c", "a", "--out", "o"])
     assert args.tol == DEFAULT_TOL

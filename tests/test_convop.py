@@ -278,7 +278,35 @@ def test_windowed_route_matches_dense_operator(case):
                     conv_columns(spec, xs)).reshape(kern.shape)
     np.testing.assert_allclose(got, want, **tol)
     if padding == "circular" and strides == (1, 1):
+        # the training layer runs batch-last (c, h, w, n)
         layer = ConvLayer(kern.entries, spec)
-        np.testing.assert_allclose(layer.forward(xs), fwd, **tol)
-        np.testing.assert_allclose(layer.backward(ys), adj, **tol)
+        bl_fwd = layer.forward(np.ascontiguousarray(np.moveaxis(xs, 0, -1)))
+        np.testing.assert_allclose(np.moveaxis(bl_fwd, -1, 0), fwd, **tol)
+        bl_adj = layer.backward(np.ascontiguousarray(np.moveaxis(ys, 0, -1)))
+        np.testing.assert_allclose(np.moveaxis(bl_adj, -1, 0), adj, **tol)
         np.testing.assert_allclose(layer.grad, want, **tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_last_conv_layer_matches_the_batch_operators(seed):
+    """ConvLayer runs batch-last (c, h, w, n); its forward, kernel gradient
+    and input gradient are the (n, c, h, w) batch operators transposed."""
+    rng = np.random.default_rng(100 + seed)
+    c_in, c_out, n = (int(v) for v in rng.integers(1, 5, size=3))
+    h, w = (int(v) for v in rng.integers(2, 9, size=2))
+    kshape = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+    spec = ConvSpec((c_in, h, w), kshape)
+    kern = KernelTensor(rng.standard_normal((c_out, c_in) + kshape))
+    xs = rng.standard_normal((n, c_in, h, w))
+    ys = rng.standard_normal((n, c_out, h, w))
+    tol = dict(rtol=1e-12, atol=1e-12)
+    layer = ConvLayer(kern.entries, spec)
+    out = layer.forward(np.ascontiguousarray(np.moveaxis(xs, 0, -1)))
+    np.testing.assert_allclose(np.moveaxis(out, -1, 0),
+                               conv_forward_batch(kern, spec, xs), **tol)
+    dx = layer.backward(np.ascontiguousarray(np.moveaxis(ys, 0, -1)))
+    np.testing.assert_allclose(np.moveaxis(dx, -1, 0),
+                               conv_adjoint_batch(kern, spec, ys), **tol)
+    want = np.einsum("nop,nrp->or", ys.reshape(n, c_out, -1),
+                     conv_columns(spec, xs)).reshape(kern.shape)
+    np.testing.assert_allclose(layer.grad, want, **tol)

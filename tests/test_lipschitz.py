@@ -13,9 +13,12 @@ from capbound.lipschitz import (
     fft_exact_spectrum,
     operator_norm,
     power_iteration,
+    stack_norm,
     stack_to_taps,
     taps_to_stack,
+    top_singular_estimates,
 )
+from capbound.project import _RunClip
 from capbound.tensors import KernelTensor
 
 from oracles import dft_spectrum, irfft2_grid, rfft2_stack
@@ -212,3 +215,40 @@ def test_power_iteration_below_exact_spectral_norm():
         est = power_iteration(kern, spec, tol=1e-8)
         exact = fft_exact_norm(kern, spec).value
         assert est.value <= exact * (1 + 1e-8)
+
+
+def overflowing_stack():
+    """Finite taps whose transform overflows: three entries of 1.5e308 sum
+    past the float range at frequency 0."""
+    taps = np.zeros((2, 2, 3, 3))
+    taps[0, 0, 0, :] = 1.5e308
+    taps[1, 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return taps, taps_to_stack(taps, 4, 4)
+
+
+def test_non_finite_stacks_raise_numerical_error():
+    taps, stacked = overflowing_stack()
+    assert not np.all(np.isfinite(stacked))
+    spec = ConvSpec((2, 4, 4), (3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for measure in (lambda: stack_norm(stacked),
+                        lambda: fft_exact_norm(KernelTensor(taps), spec),
+                        lambda: fft_exact_spectrum(KernelTensor(taps), spec),
+                        lambda: _RunClip(1.0).clip(stacked.copy())):
+            with pytest.raises(NumericalError, match="non-finite entries"):
+                measure()
+
+
+def test_a_failed_gram_screen_raises_numerical_error(monkeypatch):
+    _, stacked = overflowing_stack()
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite entries in"):
+            top_singular_estimates(stacked)
+    with pytest.raises(NumericalError, match="did not converge"):
+        top_singular_estimates(np.ones((3, 2, 2), dtype=complex))

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -370,13 +371,14 @@ def test_gram_screen_decomposes_every_frequency_that_matters(case):
 
 
 def test_screen_sends_non_finite_input_to_the_svd():
-    """NaN estimates select their frequencies, so the SVD still rejects a
-    NaN stack instead of the screen passing it through."""
+    """NaN estimates select their frequencies, so the SVD still sees a NaN
+    stack instead of the screen passing it through, and its failure is
+    reported as the stack's."""
     window = np.ones((2, 2, 3, 4))
     window[0, 1, 2, 3] = np.nan
     stacked = taps_to_stack(window, 3, 4)
     for route in (stack_norm, _RunClip(1.0).clip):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError, match="non-finite entries"):
             route(stacked)
 
 
@@ -704,6 +706,29 @@ def test_admm_stops_only_on_a_certified_kernel():
                 KernelTensor(out.entries - cs.reference.entries))
             assert dist <= b * (1 + 1e-12)
     assert stopped >= len(cases)
+
+
+def test_admm_stops_as_at_unit_scale_past_the_square_range():
+    """Scaled by 2**530, every square in the dual-residual test overflows.
+    Measured at unit peak instead, the run stops at the unit-scale
+    iteration with the scaled kernel (within 1e-12 relative) and warns of
+    nothing. The first case is the one whose dual-residual test outlasts
+    its primal test (see above)."""
+    scale = 2.0 ** 530
+    cases = [binding_case(np.random.default_rng(41), 3, 2, 5),
+             binding_case(np.random.default_rng(30), 1, 1, 6)]
+    for kernel, cs in cases:
+        out, report = admm(kernel, cs)
+        big = ConstraintSet(KernelTensor(cs.reference.entries * scale),
+                            cs.distance_bound * scale,
+                            cs.lipschitz_bound * scale, cs.conv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big_out, big_report = admm(KernelTensor(kernel.entries * scale),
+                                       big)
+        assert big_report.rounds_run == report.rounds_run
+        assert big_report.converged
+        assert _relative_gap(big_out.entries / scale, out.entries) <= 1e-12
 
 
 def test_admm_box_only_input_stops_at_the_shrink():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound import UsageError, project, traindemo
+from capbound import UsageError, convop, project, traindemo
 from capbound.capacity import (
     capacity_terms,
     comparison_suite,
@@ -153,7 +153,25 @@ def test_simplex_classifier_validation():
 
 
 # ---------------------------------------------------------------------------
-# pooling ops
+# pooling ops (batch-last (c, h, w, n) inside the net; the loop oracles and
+# random draws stay (n, c, h, w), moved at the op boundary)
+
+
+def batch_last(x):
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def batch_first(y):
+    return np.moveaxis(y, -1, 0)
+
+
+def pool_forward(op, x):
+    """An op's forward on an (n, c, h, w) batch, returned (n, c, h', w')."""
+    return batch_first(op.forward(batch_last(x)))
+
+
+def pool_backward(op, g):
+    return batch_first(op.backward(batch_last(g)))
 
 
 def loop_maxpool3(x):
@@ -173,20 +191,20 @@ def test_maxpool_matches_loop_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 2, 8, 8))
     pool = MaxPool(8, 8, 3, 2)
-    np.testing.assert_array_equal(pool.forward(x), loop_maxpool3(x))
+    np.testing.assert_array_equal(pool_forward(pool, x), loop_maxpool3(x))
     x = rng.standard_normal((2, 1, 6, 6))
     pool = MaxPool(6, 6, 3, 2)
-    np.testing.assert_array_equal(pool.forward(x), loop_maxpool3(x))
+    np.testing.assert_array_equal(pool_forward(pool, x), loop_maxpool3(x))
 
 
 def test_maxpool_backward_is_argmax_scatter():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 2, 4, 4))
     pool = MaxPool(4, 4, 3, 2)
-    out = pool.forward(x)
+    out = pool_forward(pool, x)
     assert pool.kink_margin > 1e-6
     weights = rng.standard_normal(out.shape)
-    dx = pool.backward(weights)
+    dx = pool_backward(pool, weights)
     eps = 1e-6
     direction = rng.standard_normal(x.shape)
     up = (loop_maxpool3(x + eps * direction) * weights).sum()
@@ -201,7 +219,7 @@ def test_maxpool_lipschitz_under_two():
     for _ in range(50):
         a = rng.standard_normal((1, 3, 8, 8))
         b = a + 0.3 * rng.standard_normal(a.shape)
-        num = np.linalg.norm(pool.forward(a) - pool.forward(b))
+        num = np.linalg.norm(pool_forward(pool, a) - pool_forward(pool, b))
         assert num <= 2.0 * np.linalg.norm(a - b) + 1e-12
 
 
@@ -214,17 +232,18 @@ def test_doubling_shortcut_shape_and_lipschitz():
     rng = np.random.default_rng(4)
     short = DoublingShortcut(8, 8)
     x = rng.standard_normal((3, 2, 8, 8))
-    y = short.forward(x)
+    y = pool_forward(short, x)
     assert y.shape == (3, 4, 4, 4)
     # first half pools in place, second half pools the one-pixel shift
-    np.testing.assert_array_equal(y[:, :2], MaxPool(8, 8, 2, 2, False).forward(x))
+    np.testing.assert_array_equal(
+        y[:, :2], pool_forward(MaxPool(8, 8, 2, 2, False), x))
     rolled = np.roll(x, (1, 1), axis=(2, 3))
-    np.testing.assert_array_equal(y[:, 2:],
-                                  MaxPool(8, 8, 2, 2, False).forward(rolled))
+    np.testing.assert_array_equal(
+        y[:, 2:], pool_forward(MaxPool(8, 8, 2, 2, False), rolled))
     for _ in range(50):
         a = rng.standard_normal((1, 2, 8, 8))
         b = a + 0.2 * rng.standard_normal(a.shape)
-        num = np.linalg.norm(short.forward(a) - short.forward(b))
+        num = np.linalg.norm(pool_forward(short, a) - pool_forward(short, b))
         assert num <= math.sqrt(2.0) * np.linalg.norm(a - b) + 1e-12
     with pytest.raises(UsageError):
         DoublingShortcut(7, 8)
@@ -234,14 +253,14 @@ def test_doubling_shortcut_backward():
     rng = np.random.default_rng(5)
     short = DoublingShortcut(4, 4)
     x = rng.standard_normal((2, 1, 4, 4))
-    out = short.forward(x)
+    out = pool_forward(short, x)
     assert short.kink_margin > 1e-6
     weights = rng.standard_normal(out.shape)
-    dx = short.backward(weights)
+    dx = pool_backward(short, weights)
     eps = 1e-6
     direction = rng.standard_normal(x.shape)
-    up = (short.forward(x + eps * direction) * weights).sum()
-    down = (short.forward(x - eps * direction) * weights).sum()
+    up = (pool_forward(short, x + eps * direction) * weights).sum()
+    down = (pool_forward(short, x - eps * direction) * weights).sum()
     assert (up - down) / (2 * eps) == pytest.approx(
         float((dx * direction).sum()), rel=1e-6)
 
@@ -252,18 +271,18 @@ def test_pool_backward_routes_ties_to_the_first_tap(h, w):
     rng = np.random.default_rng(h * 10 + w)
     x = rng.integers(-2, 3, size=(3, 2, h, w)).astype(float)
     pool = MaxPool(h, w, 3, 2)
-    g = rng.standard_normal(pool.forward(x).shape)
-    np.testing.assert_array_equal(pool.backward(g),
+    g = rng.standard_normal(pool_forward(pool, x).shape)
+    np.testing.assert_array_equal(pool_backward(pool, g),
                                   loop_maxpool_backward(x, g, 3, 2, True))
     if h % 2 or w % 2:
         return
     short = DoublingShortcut(h, w)
-    g = rng.standard_normal(short.forward(x).shape)
+    g = rng.standard_normal(pool_forward(short, x).shape)
     rolled = np.roll(x, (1, 1), axis=(2, 3))
     want = (loop_maxpool_backward(x, g[:, :2], 2, 2, False)
             + np.roll(loop_maxpool_backward(rolled, g[:, 2:], 2, 2, False),
                       (-1, -1), axis=(2, 3)))
-    np.testing.assert_array_equal(short.backward(g), want)
+    np.testing.assert_array_equal(pool_backward(short, g), want)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,8 @@ def test_tinynet_deterministic_and_zero():
         np.testing.assert_array_equal(ka, kb)
     a.set_kernels([np.zeros_like(k) for k in a.kernels])
     logits = a.forward(np.zeros((2, 1, 8, 8)))
-    assert logits.shape == (2, 2)
+    # batch-last inside, (n, kappa) C-contiguous at the boundary
+    assert logits.shape == (2, 2) and logits.flags["C_CONTIGUOUS"]
     assert not logits.any()
 
 
@@ -398,8 +418,8 @@ def test_gradients_without_the_first_block_input_gradient(first, monkeypatch):
 
     params = [k.copy() for k in net.kernels]
     adjoints = []
-    real_adjoint = traindemo.conv_adjoint_batch
-    monkeypatch.setattr(traindemo, "conv_adjoint_batch",
+    real_adjoint = traindemo.ConvLayer.adjoint
+    monkeypatch.setattr(traindemo.ConvLayer, "adjoint",
                         lambda *a: adjoints.append(1) or real_adjoint(*a))
     net.zero_grads()
     _, g_logits = softmax_cross_entropy(net.forward(xs), labels)
@@ -409,6 +429,25 @@ def test_gradients_without_the_first_block_input_gradient(first, monkeypatch):
     numeric = central_difference_grads(loss_fn, params, step=1e-4)
     for a, m in zip(analytic, numeric):
         np.testing.assert_allclose(a, m, rtol=1e-4, atol=1e-8)
+
+
+def test_training_calls_no_batch_conv_operator(monkeypatch):
+    # the net runs its own batch-last products; convop's (n, c, h, w)
+    # batch operators serve the measurements and the oracles
+    def refuse(*args, **kwargs):
+        raise AssertionError("training called a convop batch operator")
+
+    for name in ("conv_forward_batch", "conv_adjoint_batch", "conv_columns"):
+        assert not hasattr(traindemo, name)
+        monkeypatch.setattr(convop, name, refuse)
+    batch, labels = synth_data("rings", 32, seed=2)
+    net = TinyNet((BlockSpec(1, 4, 3, pool="max3"),
+                   BlockSpec(4, 8, 3, pool="max3", shortcut="double")),
+                  seed=2)
+    res = train_projected(net, batch, labels,
+                          TrainConfig(epochs=1, cadence=1, post_rounds=1),
+                          lip_bound=2.0, dist_bound=1.0)
+    assert len(res.trajectory) == 1 and not res.diverged
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +564,22 @@ def test_a_diverged_projected_run_is_not_feasible():
     assert res.diverged
     assert not res.feasible and not res.cap_hit
     assert res.post_rounds_used == 0
+
+
+def test_a_kernel_made_non_finite_after_construction_trains_to_diverged():
+    # layers validate their kernels once (construction, set_kernels) and
+    # then read them as they are: a non-finite entry set afterwards shows
+    # up as a non-finite loss, which training reports instead of raising
+    batch, labels = synth_data("blobs", 32, seed=3)
+    net = TinyNet(BLOCKS, seed=1)
+    net.blocks[1].conv.kernel[0, 0, 1, 1] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = train_projected(net, batch, labels, TrainConfig(epochs=2),
+                              project=False)
+    assert res.diverged and not res.feasible
+    assert res.trajectory == () and res.post_rounds_used == 0
+    with pytest.raises(UsageError, match="non-finite"):
+        net.set_kernels([np.full(k.shape, np.nan) for k in net.kernels])
 
 
 def test_train_projected_validation():
