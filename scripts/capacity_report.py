@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
-from capbound import cli  # noqa: E402
+from capbound import formats  # noqa: E402
+from capbound.cli import main as cli_main  # noqa: E402
 from capbound.traindemo import (  # noqa: E402
     TrainConfig,
     synth_data,
@@ -32,9 +33,9 @@ def train_and_save(graph, batch, labels, config, s, b, out_dir, tag):
         raise SystemExit(f"{tag} run diverged; lower the learning rate")
     names = [layer.name for layer in graph.layers]
     path = Path(out_dir) / f"{tag}.ckpt"
-    cli.write_checkpoint(path,
-                         {n: k for n, k in zip(names, net.kernels)},
-                         {n: r for n, r in zip(names, result.references)})
+    formats.write_checkpoint(path,
+                             {n: k for n, k in zip(names, net.kernels)},
+                             {n: r for n, r in zip(names, result.references)})
     err = result.trajectory[-1].train_error if result.trajectory else math.nan
     print(f"{tag}: train error {err:.3f}, feasible={result.feasible}")
     return path
@@ -46,7 +47,7 @@ def analyze(ckpt, arch, gamma, as_json=True):
     buf = io.StringIO()
     argv = ["analyze", str(ckpt), str(arch), "--gamma", str(gamma), "--json"]
     with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv)
+        rc = cli_main(argv)
     if rc != 0:
         raise SystemExit(f"analyze failed with exit code {rc}")
     return json.loads(buf.getvalue())
@@ -66,7 +67,7 @@ def main():
                     help="write artifacts here instead of a temp dir")
     args = ap.parse_args()
 
-    graph = cli.parse_archdoc(json.dumps(cli.default_arch_doc()))
+    graph = formats.parse_archdoc(json.dumps(formats.default_arch_doc()))
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
     config = TrainConfig(epochs=args.epochs, seed=args.seed)
 
@@ -74,7 +75,7 @@ def main():
         out_dir = Path(args.keep) if args.keep else Path(tmp)
         out_dir.mkdir(parents=True, exist_ok=True)
         arch_path = out_dir / "arch.json"
-        arch_path.write_text(json.dumps(cli.default_arch_doc(), indent=2))
+        arch_path.write_text(json.dumps(formats.default_arch_doc(), indent=2))
 
         runs = {}
         for tag, (s, b) in (("free", (math.inf, math.inf)),

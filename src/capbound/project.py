@@ -475,8 +475,10 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
     every frequency's |T(p)_f - z_f|_F is at most s tol / 2, which by Weyl's
     inequality certifies lip(p) <= s (1 + tol / 2) while p meets C1 & C3
     exactly, and the relative dual residual rho |z_k - z_{k-1}| is at most
-    10 tol |T(p) - x0| (Boyd et al. section 3.3). Only the returned p is
-    measured, and `rounds_run` counts the iterations used.
+    10 tol |T(p) - x0| (Boyd et al. section 3.3), or after the first
+    iteration, p = p_box(t0), if the clip leaves it as it is: it is then the
+    nearest point of the intersection. Only the returned p is measured, and
+    `rounds_run` counts the iterations used.
     """
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
@@ -491,12 +493,15 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
         x0 = z = _to_stack(taps, cs)
         u = np.zeros_like(x0)
         for rounds in range(1, iterations + 1):
-            p = _p_box((taps + rho * _to_taps(z - u, cs, clip)) / (1 + rho),
+            p = _p_box(taps if rounds == 1 else   # T+(z - u) = t0 there
+                       (taps + rho * _to_taps(z - u, cs, clip)) / (1 + rho),
                        cs)
             stacked = _to_stack(p, cs)
             z_prev, z = z, clip.clip(stacked + u)
             primal = np.max(_change_norms(stacked, z))
             u += stacked - z
+            if rounds == 1 and primal == 0:
+                break   # the C1 & C3 projection already lies in C2
             if (primal <= 0.5 * tol * s
                     and rho * _norm(z - z_prev)
                     <= 10 * tol * _norm(stacked - x0)):

@@ -482,6 +482,11 @@ class TinyNet:
 
 WEIGHT_DECAY = 1e-4     # SGD's L2 weight decay
 LOG_GAMMA = 1.0         # gamma of the ramp risk each epoch records
+# A kernel entry past this means the run diverged. Below it, projections
+# and spectral measurements stay far inside the float range (their
+# intermediates grow by layer extents, at most 2**54 under the arch doc's
+# size cap); at 1e307 they overflow.
+KERNEL_RANGE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -552,6 +557,11 @@ def _project_all(net: TinyNet, sets, rounds: int) -> None:
                                     rounds).entries
 
 
+def _kernels_in_range(net: TinyNet) -> bool:
+    """Every kernel entry within KERNEL_RANGE in magnitude (NaN is not)."""
+    return all(np.max(np.abs(k)) <= KERNEL_RANGE for k in net.kernels)
+
+
 def _all_within(net: TinyNet, sets) -> bool:
     """Measure every layer once; True when each is within DEFAULT_TOL."""
     return all([within_bounds(KernelTensor(blk.conv.kernel), cs, DEFAULT_TOL)
@@ -573,8 +583,9 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     pass, and nowhere else. The passes stop at 40x `post_rounds` cycles;
     the result reports the cycles run (`post_rounds_used`), whether the cap
     stopped them (`cap_hit`) and the verdict (`feasible`). Infinite bounds
-    leave the trajectory bit-identical to plain SGD. Divergence is reported
-    via the result (`diverged`, and never `feasible`), never raised.
+    leave the trajectory bit-identical to plain SGD. Divergence (a
+    non-finite loss or training logits, or a kernel past KERNEL_RANGE) is
+    reported via the result (`diverged`, and never `feasible`), never raised.
     """
     labels = np.asarray(labels)
     if labels.shape != (batch.n,):
@@ -617,11 +628,18 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                              + WEIGHT_DECAY * blk.conv.kernel)
                 blk.conv.kernel = blk.conv.kernel + vel
             step += 1
-            if project and step % config.cadence == 0:
-                _project_all(net, sets, rounds=1)
+            if step % config.cadence == 0:
+                if not _kernels_in_range(net):
+                    diverged = True
+                    break
+                if project:
+                    _project_all(net, sets, rounds=1)
         if diverged:
             break
         train_logits = net.forward(batch.samples)
+        if not (_kernels_in_range(net) and np.all(np.isfinite(train_logits))):
+            diverged = True
+            break
         test_error = math.nan
         if test_batch is not None:
             test_error = zero_one_error(net.forward(test_batch.samples),

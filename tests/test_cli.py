@@ -15,15 +15,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from capbound.cli import (
+from capbound.cli import build_parser, main
+from capbound.formats import (
     MAX_LAYER_ELEMENTS,
     ZERO_REFERENCE,
     ArchGraph,
     Checkpoint,
     build_net,
-    build_parser,
     default_arch_doc,
-    main,
     parse_archdoc,
     read_checkpoint,
     resolve_tensors,

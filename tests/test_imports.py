@@ -117,3 +117,16 @@ def test_fft_checker_sees_every_spelling():
 @pytest.mark.parametrize("path", PACKAGE, ids=file_id)
 def test_package_runs_no_fft(path):
     assert fft_references(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_binds_the_format_functions_themselves():
+    """cli reaches each format through a name bound to the function in
+    capbound.formats, so that patching or wrapping that name (as the
+    benchmark tracer does under every alias) sees each of cli's calls."""
+    cli = importlib.import_module("capbound.cli")
+    formats = importlib.import_module("capbound.formats")
+    for name in ("read_checkpoint", "write_checkpoint", "load_archdoc",
+                 "parse_archdoc", "build_net", "resolve_tensors",
+                 "default_arch_doc", "read_archdoc_text",
+                 "read_logit_record", "write_logit_record", "ARCH_VERSION"):
+        assert getattr(cli, name) is getattr(formats, name), name

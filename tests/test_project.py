@@ -750,6 +750,24 @@ def test_admm_box_only_input_stops_at_the_shrink():
         admm(kernel, cs, iterations=0)
 
 
+def test_admm_returns_a_projection_already_in_the_spectral_ball_at_once():
+    """A kernel inside both balls comes back bit for bit, and one whose
+    (2,1) shrink lands inside the spectral ball comes back as that shrink,
+    each after one iteration."""
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        kernel, cs = binding_case(rng, int(rng.integers(1, 5)),
+                                  int(rng.integers(1, 5)), 6)
+        shrink = project_l21_ball(kernel, cs.reference, cs.distance_bound)
+        inside = KernelTensor(0.5 * (kernel.entries + cs.reference.entries))
+        roomy = ConstraintSet(cs.reference, cs.distance_bound,
+                              4 * exact_lip(shrink, cs.conv), cs.conv)
+        for start, want in ((inside, inside), (kernel, shrink)):
+            out, report = admm(start, roomy)
+            np.testing.assert_array_equal(out.entries, want.entries)
+            assert report.rounds_run == 1 and report.converged
+
+
 def test_overflowing_fibers_raise_before_the_clip(monkeypatch):
     # fibers of two entries at 1.5e308 are longer than the float range, so
     # the (2,1) shrink turns NaN; the cycle must stop there, not hand NaN

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound import UsageError, convop, project, traindemo
+from capbound import UsageError, cli, convop, project, traindemo
 from capbound.capacity import (
     capacity_terms,
     comparison_suite,
@@ -564,6 +565,34 @@ def test_a_diverged_projected_run_is_not_feasible():
     assert res.diverged
     assert not res.feasible and not res.cap_hit
     assert res.post_rounds_used == 0
+
+
+@pytest.mark.parametrize("n,cadence,bounds", [
+    (32, 1, (2.0, 1.0)),             # a kernel is inf at a cadence step
+    (16, 1000, (2.0, 1.0)),          # kernels near 9e307 at the epoch's end
+    (16, 1000, (math.inf, math.inf)),
+])
+def test_an_overflowing_update_is_reported_as_diverged(n, cadence, bounds):
+    # the update overflows before the loss does: the cadence pass would
+    # refuse the inf kernel, and the epoch's measurements the kernels whose
+    # logits are no longer finite
+    batch, labels = synth_data("blobs", n, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = train_projected(TinyNet(BLOCKS, seed=1), batch, labels,
+                              TrainConfig(epochs=2, lr=1e308, cadence=cadence),
+                              lip_bound=bounds[0], dist_bound=bounds[1])
+    assert res.diverged and not res.feasible and not res.cap_hit
+    assert res.trajectory == () and res.post_rounds_used == 0
+
+
+def test_train_demo_reports_a_cadence_overflow_as_diverged(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["train-demo", "--n", "32", "--n-test", "16",
+                       "--epochs", "2", "--lr", "1e308", "--cadence", "1",
+                       "--lip-grid", "2", "--dist-grid", "1", "--json"])
+    assert rc == 0
+    [cell] = json.loads(capsys.readouterr().out)["cells"]
+    assert cell["diverged"] and not cell["feasible"]
 
 
 def test_a_kernel_made_non_finite_after_construction_trains_to_diverged():
