@@ -208,9 +208,8 @@ def _lg_add(a: float, b: float) -> float:
     return hi + math.log10(1.0 + 10.0 ** (lo - hi))
 
 
-def _lg_product(factors) -> float:
-    """log10 of a product of nonnegative factors; it cannot overflow."""
-    lgs = [_lg(v) for v in factors]
+def _lg_sum(lgs) -> float:
+    """log10 of a product given its factors' log10s; it cannot overflow."""
     return _NEG_INF if _NEG_INF in lgs else math.fsum(lgs)
 
 
@@ -327,8 +326,9 @@ def capacity_terms(inp: CapacityInput) -> CapacityTerms:
     for (i, j), ctx in zip(positions, leaf_contexts(tree)):
         c = leaf_coefficient(inp.data_norm, inp.n, ctx.prefix, ctx.leaf.dist,
                              ctx.trailing)
-        log10_c = _lg_product((2.0, inp.data_norm, 1.0 / math.sqrt(inp.n),
-                               *ctx.prefix, ctx.leaf.dist, *ctx.trailing))
+        log10_c = _lg_sum([_lg(2.0), _lg(inp.data_norm),
+                           _lg(1.0 / math.sqrt(inp.n)), *ctx.log10_prefix,
+                           _lg(ctx.leaf.dist), *ctx.log10_trailing])
         entries.append(LayerCapacity(i, j, c, (2.0 * c) / inp.gamma,
                                      ctx.leaf.w, ctx.prefix, ctx.trailing,
                                      log10_c))

@@ -23,6 +23,7 @@ whole_network_cover_bound bit for bit rather than merely approximately.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ import numpy as np
 from .capacity import (
     BoundReport,
     binomial_bound_check,
+    _lg,
+    _lg_add,
+    _lg_sum,
     cover_value,
     leaf_coefficient,
     safe_ceil,
@@ -49,6 +53,7 @@ __all__ = [
     "LeafContext",
     "leaf_contexts",
     "tree_lipschitz",
+    "tree_log10_lipschitz",
     "evaluate_tree",
     "allocate_radii",
     "Allocation",
@@ -151,6 +156,19 @@ def tree_lipschitz(node) -> float:
     raise UsageError(f"not a tree node: {node!r}")
 
 
+def tree_log10_lipschitz(node) -> float:
+    """log10 of tree_lipschitz(node). Where that float overflows (or
+    underflows), the node combines its children's logs instead."""
+    lg = _lg(tree_lipschitz(node))
+    if math.isfinite(lg) or isinstance(node, (FixedNode, LayerNode)):
+        return lg
+    lgs = [tree_log10_lipschitz(c) for c in node.children]
+    if isinstance(node, Compose):
+        return _lg_sum(lgs)
+    p = 2.0 if isinstance(node, Concat) else 1.0   # Concat adds squares
+    return functools.reduce(_lg_add, [p * v for v in lgs]) / p
+
+
 def is_singleton(node) -> bool:
     if isinstance(node, FixedNode):
         return True
@@ -168,6 +186,8 @@ class LeafContext:
     leaf: LayerNode
     prefix: tuple        # Lipschitz factors of everything applied before
     trailing: tuple      # Lipschitz factors of everything applied after
+    log10_prefix: tuple  # their log10s, finite where a factor overflows
+    log10_trailing: tuple
 
 
 def leaf_contexts(root) -> list:
@@ -179,21 +199,24 @@ def leaf_contexts(root) -> list:
     """
     found: list[LeafContext] = []
 
-    def rec(node, prefix, trailing):
+    def rec(node, prefix, trailing, lg_prefix, lg_trailing):
         if isinstance(node, FixedNode):
             return
         if isinstance(node, LayerNode):
-            found.append(LeafContext(node, tuple(prefix), tuple(trailing)))
+            found.append(LeafContext(node, tuple(prefix), tuple(trailing),
+                                     tuple(lg_prefix), tuple(lg_trailing)))
             return
         if isinstance(node, Compose):
             lips = [tree_lipschitz(c) for c in node.children]
+            lgs = [tree_log10_lipschitz(c) for c in node.children]
             for t, child in enumerate(node.children):
-                rec(child, prefix + lips[:t], lips[t + 1:] + trailing)
+                rec(child, prefix + lips[:t], lips[t + 1:] + trailing,
+                    lg_prefix + lgs[:t], lgs[t + 1:] + lg_trailing)
             return
         for child in node.children:  # Sum, Concat
-            rec(child, prefix, trailing)
+            rec(child, prefix, trailing, lg_prefix, lg_trailing)
 
-    rec(root, [], [])
+    rec(root, [], [], [], [])
     return found
 
 

@@ -37,13 +37,12 @@ inverting only at the taps (`lipschitz.stack_to_taps`) is the projection
 onto C3. Dykstra iterates on the stack itself (see `dykstra`) for a fixed
 count. `admm` splits the same two steps for the same nearest point and
 stops once a residual test certifies both bounds to tol; it is the
-nearest-point scheme behind `capbound project`.
+nearest-point scheme behind `capbound project` and training's post pass.
 `project_spectral`, whose result fills the grid, clips the same stack
 and inverts it at all h x w positions. No step runs an FFT.
 `alternating_projections` measures every cycle; `alternate` runs the same
-cycles and measures nothing, and `within_bounds` measures a kernel the way
-a cycle's last round is measured. `radial_cycle` instead rescales straight
-onto each ball.
+cycles and measures nothing. `radial_cycle` instead rescales straight onto
+each ball.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ __all__ = [
     "project_support",
     "alternating_projections",
     "alternate",
-    "within_bounds",
     "dykstra",
     "dykstra_iterate",
     "admm",
@@ -89,7 +87,8 @@ __all__ = [
 
 # Default budget of each scheme: cycles for alternation and radial moves,
 # iterations for Dykstra, and the iteration cap of ADMM, which serves the
-# "dykstra" (nearest-point) scheme of `capbound project`.
+# "dykstra" (nearest-point) scheme of `capbound project` and, per layer,
+# training's post pass (`TrainConfig.post_rounds`).
 DEFAULT_BUDGETS = {"alternating": 15, "dykstra": 100, "radial": 15}
 # Relative excess over each bound that a converged projection (and a
 # feasible trained layer) may keep.
@@ -402,13 +401,6 @@ def alternate(kernel: KernelTensor, cs: ConstraintSet,
     for taps in _cycles(kernel, cs, rounds, _RunClip(cs.lipschitz_bound)):
         pass
     return KernelTensor(taps)
-
-
-def within_bounds(kernel: KernelTensor, cs: ConstraintSet, tol: float) -> bool:
-    """True when both relative excesses of a tap-window kernel are at most
-    tol: the test `alternating_projections` applies to its last cycle, on
-    the same measurement."""
-    return max(_excess(*_measure(_prepare(kernel, cs), cs), cs)) <= tol
 
 
 def dykstra_iterate(x0: np.ndarray, projections, iterations: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Desk-scale stand-in for the full pipeline: small circular stride-1 conv
 nets with max-pool blocks, optional residual shortcuts, and a fixed
 simplex classifier, trained under per-layer Lipschitz and distance
-constraints enforced through alternating projections.
+constraints: alternating projections during training, and the nearest
+point of both constraint sets after it.
 """
 
 import math
@@ -16,8 +17,8 @@ from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
 from .convop import ConvSpec
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
-from .project import DEFAULT_TOL, ConstraintSet, alternate, \
-    init_scale_to_feasible, within_bounds
+from .project import DEFAULT_BUDGETS, ConstraintSet, admm, alternate, \
+    init_scale_to_feasible
 from .tensors import DataBatch, KernelTensor, data_norm, group_norm_21, \
     patch_norms, window_index
 
@@ -496,7 +497,8 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     cadence: int = 15       # SGD steps between projection cycles
-    post_rounds: int = 15   # projection cycles after the last update
+    # ADMM iteration cap per layer after the last update; 0 skips the pass
+    post_rounds: int = DEFAULT_BUDGETS["dykstra"]
     seed: int = 0
     decay_epochs: tuple = ()
     decay_factor: float = 5.0
@@ -524,10 +526,10 @@ class EpochStats:
 @dataclass(frozen=True)
 class TrainResult:
     """A trained net and what training did. post_rounds_used counts the
-    projection cycles each layer ran after the last update (a multiple of
-    post_rounds); cap_hit says the post loop stopped at its 40x cap with a
-    layer still outside tolerance. A diverged run is never feasible, and
-    its post loop never runs, so it never hits the cap."""
+    iterations the slowest layer's nearest-point pass ran after the last
+    update; cap_hit says a layer's pass stopped at its post_rounds cap
+    before converging. A diverged run is never feasible, and its post pass
+    never runs, so it never hits the cap."""
 
     net: TinyNet
     references: tuple
@@ -550,22 +552,16 @@ def _constraint_sets(net: TinyNet, references, lip_bound, dist_bound):
             for blk, ref in zip(net.blocks, references)]
 
 
-def _project_all(net: TinyNet, sets, rounds: int) -> None:
-    """One projection pass of `rounds` cycles per layer; measures nothing."""
+def _project_all(net: TinyNet, sets) -> None:
+    """One alternating cycle per layer; measures nothing."""
     for blk, cs in zip(net.blocks, sets):
         blk.conv.kernel = alternate(KernelTensor(blk.conv.kernel), cs,
-                                    rounds).entries
+                                    1).entries
 
 
 def _kernels_in_range(net: TinyNet) -> bool:
     """Every kernel entry within KERNEL_RANGE in magnitude (NaN is not)."""
     return all(np.max(np.abs(k)) <= KERNEL_RANGE for k in net.kernels)
-
-
-def _all_within(net: TinyNet, sets) -> bool:
-    """Measure every layer once; True when each is within DEFAULT_TOL."""
-    return all([within_bounds(KernelTensor(blk.conv.kernel), cs, DEFAULT_TOL)
-                for blk, cs in zip(net.blocks, sets)])
 
 
 def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
@@ -577,12 +573,12 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     Kernels are first rescaled so every layer meets the Lipschitz bound
     exactly (making the constraint intersection nonempty around the start),
     then one alternating-projection cycle runs every `cadence` updates,
-    unmeasured. After the final update, passes of `post_rounds` cycles run
-    until every layer's relative violations are within
-    `project.DEFAULT_TOL`; each layer is measured once at the end of each
-    pass, and nowhere else. The passes stop at 40x `post_rounds` cycles;
-    the result reports the cycles run (`post_rounds_used`), whether the cap
-    stopped them (`cap_hit`) and the verdict (`feasible`). Infinite bounds
+    unmeasured. After the final update, each layer's kernel becomes its
+    nearest point in both balls by `project.admm`, capped at `post_rounds`
+    iterations and measured once, at its end. The result reports the
+    slowest layer's iterations (`post_rounds_used`), whether a layer
+    stopped at the cap (`cap_hit`) and whether every layer converged to
+    `project.DEFAULT_TOL` (`feasible`). Infinite bounds
     leave the trajectory bit-identical to plain SGD. Divergence (a
     non-finite loss or training logits, or a kernel past KERNEL_RANGE) is
     reported via the result (`diverged`, and never `feasible`), never raised.
@@ -633,7 +629,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                     diverged = True
                     break
                 if project:
-                    _project_all(net, sets, rounds=1)
+                    _project_all(net, sets)
         if diverged:
             break
         train_logits = net.forward(batch.samples)
@@ -656,12 +652,12 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     feasible = not diverged
     used = 0
     if project and feasible and config.post_rounds > 0:
-        feasible = False
-        while not feasible and used < 40 * config.post_rounds:
-            _project_all(net, sets, rounds=config.post_rounds)
-            used += config.post_rounds
-            feasible = _all_within(net, sets)
-    # the post loop ends infeasible only at its cap
+        for blk, cs in zip(net.blocks, sets):
+            kernel, report = admm(KernelTensor(blk.conv.kernel), cs,
+                                  config.post_rounds)
+            blk.conv.kernel = kernel.entries
+            feasible = feasible and report.converged
+            used = max(used, report.rounds_run)
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,

@@ -2,10 +2,10 @@
 
 Everything here is written for obviousness, not speed: plain Python loops,
 no shared helpers with the package under test. The exceptions are at the
-end: the measured projection passes, which pin training's projection
-schedule to `alternating_projections` and its per-round reports, and the
-cold-clip cycle, which pins the projection cycles' remembered clip screen
-to the package's own cold clip, bit for bit.
+end: the measured cadence pass, which pins training's cadence projections
+to `alternating_projections`, and the cold-clip cycle, which pins the
+projection cycles' remembered clip screen to the package's own cold clip,
+bit for bit.
 """
 
 import math
@@ -293,28 +293,13 @@ def set_cover_minimum(points, centers, eps):
     return None
 
 
-def measured_project_all(net, sets, rounds):
-    """Projection pass that measures every round: `alternating_projections`
-    on each layer in turn. True when every layer's report converged."""
-    converged = True
+def measured_project_all(net, sets):
+    """Cadence pass that measures its cycle: one round of
+    `alternating_projections` on each layer in turn."""
     for blk, cs in zip(net.blocks, sets):
-        projected, report = alternating_projections(
-            KernelTensor(blk.conv.kernel), cs, rounds=rounds)
+        projected, _ = alternating_projections(
+            KernelTensor(blk.conv.kernel), cs, rounds=1)
         blk.conv.kernel = projected.entries
-        converged = report.converged and converged
-    return converged
-
-
-def measured_post_loop(net, sets, post_rounds):
-    """Post-training passes of `post_rounds` measured cycles until every
-    layer converged, at most 40 x post_rounds cycles. Returns
-    (feasible, cycles run per layer)."""
-    feasible = measured_project_all(net, sets, post_rounds)
-    used = post_rounds
-    while not feasible and used < 40 * post_rounds:
-        feasible = measured_project_all(net, sets, post_rounds)
-        used += post_rounds
-    return feasible, used
 
 
 def cold_clip_cycle(kernel, cs, rounds, corrected):

