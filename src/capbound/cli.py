@@ -395,11 +395,7 @@ def cmd_train_demo(args) -> int:
                                      dist_bound=dist_bound,
                                      test_batch=test_batch,
                                      test_labels=test_labels)
-            if result.trajectory:
-                final = result.trajectory[-1]
-                train_error, test_error = final.train_error, final.test_error
-            else:
-                train_error = test_error = math.nan
+            train_error, test_error = result.train_error, result.test_error
             cell = {
                 "lip_bound": lip_bound,
                 "dist_bound": dist_bound,

@@ -529,7 +529,12 @@ class TrainResult:
     iterations the slowest layer's nearest-point pass ran after the last
     update; cap_hit says a layer's pass stopped at its post_rounds cap
     before converging. A diverged run is never feasible, and its post pass
-    never runs, so it never hits the cap."""
+    never runs, so it never hits the cap.
+
+    train_error and test_error are the returned net's, measured after the
+    post pass; the trajectory's last epoch measured the net before it. Both
+    are NaN when the run diverged, and test_error when there is no test
+    set."""
 
     net: TinyNet
     references: tuple
@@ -540,6 +545,8 @@ class TrainResult:
     dist_bound: float
     post_rounds_used: int
     cap_hit: bool
+    train_error: float
+    test_error: float
 
     @property
     def final(self) -> EpochStats:
@@ -557,6 +564,21 @@ def _project_all(net: TinyNet, sets) -> None:
     for blk, cs in zip(net.blocks, sets):
         blk.conv.kernel = alternate(KernelTensor(blk.conv.kernel), cs,
                                     1).entries
+
+
+def _evaluate(net: TinyNet, samples: np.ndarray,
+              batch_size: int) -> np.ndarray:
+    """`net.forward(samples)`, bit for bit, run batch_size samples (at
+    least two) at a time, so an evaluation allocates no more than a
+    training step does. A lone last sample is forwarded with its
+    neighbour: a one-row head product is a vector-matrix product, whose
+    sums differ in the last bits from the whole batch's."""
+    n, step = len(samples), max(batch_size, 2)
+    parts = []
+    for lo in range(0, n, step):
+        start = lo - 1 if lo == n - 1 and lo > 0 else lo
+        parts.append(net.forward(samples[start:lo + step])[lo - start:])
+    return np.concatenate(parts)
 
 
 def _kernels_in_range(net: TinyNet) -> bool:
@@ -582,6 +604,11 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     leave the trajectory bit-identical to plain SGD. Divergence (a
     non-finite loss or training logits, or a kernel past KERNEL_RANGE) is
     reported via the result (`diverged`, and never `feasible`), never raised.
+
+    Each epoch's errors and ramp risk, and the result's `train_error` and
+    `test_error` (the returned net's, after the post pass), come from
+    evaluations run `batch_size` samples at a time; their logits equal a
+    whole-set `net.forward` bit for bit.
     """
     labels = np.asarray(labels)
     if labels.shape != (batch.n,):
@@ -596,6 +623,13 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
     references = tuple(blk.conv.kernel.copy() for blk in net.blocks)
     sets = _constraint_sets(net, references, lip_bound, dist_bound) \
         if project else ()
+
+    def test_error() -> float:
+        if test_batch is None:
+            return math.nan
+        return zero_one_error(
+            _evaluate(net, test_batch.samples, config.batch_size),
+            test_labels)
 
     rng = np.random.default_rng(config.seed)
     velocity = [np.zeros_like(k) for k in net.kernels]
@@ -632,18 +666,14 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                     _project_all(net, sets)
         if diverged:
             break
-        train_logits = net.forward(batch.samples)
+        train_logits = _evaluate(net, batch.samples, config.batch_size)
         if not (_kernels_in_range(net) and np.all(np.isfinite(train_logits))):
             diverged = True
             break
-        test_error = math.nan
-        if test_batch is not None:
-            test_error = zero_one_error(net.forward(test_batch.samples),
-                                        test_labels)
         trajectory.append(EpochStats(
             epoch=epoch,
             train_error=zero_one_error(train_logits, labels),
-            test_error=test_error,
+            test_error=test_error(),
             mean_loss=float(np.mean(losses)) if losses else math.nan,
             ramp=ramp_risk(train_logits, labels, LOG_GAMMA),
             lips=net.lipschitz(),
@@ -658,11 +688,17 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
             blk.conv.kernel = kernel.entries
             feasible = feasible and report.converged
             used = max(used, report.rounds_run)
+    train_error = final_test_error = math.nan
+    if not diverged:
+        train_error = zero_one_error(
+            _evaluate(net, batch.samples, config.batch_size), labels)
+        final_test_error = test_error()
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,
                        dist_bound=dist_bound, post_rounds_used=used,
-                       cap_hit=not (feasible or diverged))
+                       cap_hit=not (feasible or diverged),
+                       train_error=train_error, test_error=final_test_error)
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +802,20 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     fixed, so every row sees the same end-to-end function. The data stats
     carry the net's block records (the one measurement of each conv), on
     which the ours_* rows evaluate the headline bounds, shortcuts included.
+    A net whose activations overflow on the batch is refused (UsageError),
+    naming the first block whose outputs are not finite.
     """
-    records = _block_records(net, references)
-    stats = []
     acts = [batch.samples]
     y = _batch_last(batch.samples)
-    for blk in net.blocks:
+    for i, blk in enumerate(net.blocks):
         y = blk.forward(y)
+        if not np.all(np.isfinite(y)):
+            raise UsageError(
+                f"the net's activations overflowed: block {i} (counting "
+                f"from 0) has non-finite outputs on this batch")
         acts.append(y.transpose(3, 0, 1, 2))
+    records = _block_records(net, references)
+    stats = []
     b_vals = []
     for blk, act in zip(net.blocks, acts):
         b_vals.append(patch_norms(DataBatch(act), blk.spec.k, blk.spec.k,

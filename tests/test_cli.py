@@ -1275,6 +1275,38 @@ def test_train_demo_save_dir_artifacts(tmp_path):
     assert rc == 0
 
 
+def test_train_demo_reports_the_saved_nets_errors(tmp_path):
+    # the post pass moves this cell's training error from 0.03125 (the
+    # last epoch's) to 0.25; the cell reports the saved net's, as analyze
+    # measures it on the same data
+    save = tmp_path / "runs"
+    rc, out, _ = run_cli(["train-demo", "--task", "rings", "--n", "32",
+                          "--n-test", "16", "--epochs", "4", "--seed", "3",
+                          "--lip-grid", "2", "--dist-grid", "1",
+                          "--save-dir", str(save), "--json"])
+    assert rc == 0
+    [cell] = json.loads(out)["cells"]
+    assert cell["train_error"] != cell["trajectory"][-1]["train_error"]
+    assert cell["train_accuracy"] == 1.0 - cell["train_error"]
+    ckpt, arch = str(save / "cell_s2_b1.ckpt"), str(save / "arch.json")
+    for n, data_seed, key in ((32, 2, "train_error"), (16, 3, "test_error")):
+        rc, text, _ = run_cli(["analyze", ckpt, arch, "--task", "rings",
+                               "--n", str(n), "--data-seed", str(data_seed),
+                               "--json"])
+        assert rc == 0
+        assert json.loads(text)["error"] == cell[key]
+
+
+def test_analyze_refuses_a_net_whose_activations_overflow(tmp_path):
+    ckpt, arch, weights, refs = write_demo_pair(tmp_path)
+    big = str(tmp_path / "big.ckpt")
+    write_checkpoint(big, {n: k * 1e200 for n, k in weights.items()}, refs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, _, err = run_cli(["analyze", big, arch, "--n", "16"])
+    assert rc == 1
+    assert "activations overflowed: block 1 " in err
+
+
 def test_train_demo_rejects_bad_grid():
     rc, _, err = run_cli(["train-demo", "--lip-grid", "2.0,zero"])
     assert rc == 1 and "zero" in err

@@ -565,6 +565,7 @@ def test_a_diverged_projected_run_is_not_feasible():
     assert res.diverged
     assert not res.feasible and not res.cap_hit
     assert res.post_rounds_used == 0
+    assert math.isnan(res.train_error) and math.isnan(res.test_error)
 
 
 @pytest.mark.parametrize("n,cadence,bounds", [
@@ -704,6 +705,73 @@ def test_projection_schedule_matches_the_measured_oracle(cell, monkeypatch):
         assert used > 30 and feasible
 
 
+SIX_BLOCK_RESIDUAL = (BlockSpec(1, 4, 3),
+                      BlockSpec(4, 4, 3, shortcut="identity"),
+                      BlockSpec(4, 8, 3, pool="max3", shortcut="double"),
+                      BlockSpec(8, 8, 3, shortcut="identity"),
+                      BlockSpec(8, 8, 3),
+                      BlockSpec(8, 4, 3))
+
+
+@pytest.mark.parametrize("blocks", [BLOCKS, SIX_BLOCK_RESIDUAL])
+@pytest.mark.parametrize("n", [100, 33])     # last slice 4, a lone sample
+def test_sliced_evaluation_equals_the_whole_set_forward(blocks, n):
+    batch, labels = synth_data("rings", n, seed=5)
+    net = TinyNet(blocks, seed=3)
+    train_projected(net, batch, labels, TrainConfig(epochs=1, seed=1),
+                    lip_bound=2.0, dist_bound=1.0)
+    np.testing.assert_array_equal(
+        traindemo._evaluate(net, batch.samples, 16),
+        net.forward(batch.samples))
+
+
+def test_training_forwards_no_more_than_a_minibatch(monkeypatch):
+    seen = []
+    forward = TinyNet.forward
+    monkeypatch.setattr(TinyNet, "forward",
+                        lambda net, xs: seen.append(len(xs)) or
+                        forward(net, xs))
+    batch, labels = synth_data("rings", 100, seed=5)
+    test_batch, test_labels = synth_data("rings", 37, seed=6)
+    config = TrainConfig(epochs=2, seed=1, batch_size=16)
+    res = train_projected(TinyNet(BLOCKS, seed=3), batch, labels, config,
+                          lip_bound=2.0, dist_bound=1.0,
+                          test_batch=test_batch, test_labels=test_labels)
+    assert not res.diverged
+    assert max(seen) == config.batch_size
+    # SGD steps, then each epoch's and the result's evaluations
+    assert sum(seen) == config.epochs * 100 + (config.epochs + 1) * 137
+
+
+def test_result_errors_are_the_returned_nets():
+    # the post pass moves this cell's kernels far enough to change its
+    # errors: the last epoch reads 0.0625 on the training set
+    batch, labels = synth_data("rings", 48, seed=1)
+    test_batch, test_labels = synth_data("rings", 32, seed=2)
+    config = TrainConfig(epochs=6, seed=2)
+    cell = dict(lip_bound=2.0, dist_bound=1.0, test_batch=test_batch,
+                test_labels=test_labels)
+    res = train_projected(TinyNet(BLOCKS, seed=2), batch, labels, config,
+                          **cell)
+    unposted = train_projected(TinyNet(BLOCKS, seed=2), batch, labels,
+                               replace(config, post_rounds=0), **cell)
+    assert res.post_rounds_used > 0
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(res.net.kernels, unposted.net.kernels))
+    assert res.trajectory == unposted.trajectory
+    assert res.train_error == zero_one_error(
+        res.net.forward(batch.samples), labels)
+    assert res.test_error == zero_one_error(
+        res.net.forward(test_batch.samples), test_labels)
+    assert res.train_error != res.final.train_error
+    assert unposted.train_error == unposted.final.train_error
+    assert unposted.test_error == unposted.final.test_error
+    no_test = train_projected(TinyNet(BLOCKS, seed=2), batch, labels,
+                              config, lip_bound=2.0, dist_bound=1.0)
+    assert no_test.train_error == res.train_error
+    assert math.isnan(no_test.test_error)
+
+
 def test_post_pass_reports_the_cap():
     # the capped cell's (2,1) shrinks lie outside the spectral ball, so one
     # ADMM iteration leaves them infeasible
@@ -824,6 +892,17 @@ def test_comparison_stats_from_net():
     for name, report in suite.items():
         assert not report.absent, name
         assert math.isfinite(report.log10_value), name
+
+
+def test_comparison_stats_name_the_block_whose_activations_overflow():
+    # kernels scaled by 1e200: block 0's outputs reach about 1e200, and
+    # block 1's pass the float range
+    res, batch, _ = trained_toy()
+    res.net.set_kernels([k * 1e200 for k in res.net.kernels])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(UsageError,
+                          match=r"activations overflowed: block 1 "):
+        comparison_stats_from_net(res.net, res.references, batch)
 
 
 def test_comparison_ours_rows_equal_headline_bounds():
