@@ -61,7 +61,7 @@ from .formats import (
 )
 from .traindemo import (
     TrainConfig,
-    comparison_stats_from_net,
+    comparison_stats_and_logits,
     margin_values,
     ramp_risk,
     synth_data,
@@ -126,7 +126,8 @@ def cmd_analyze(args) -> int:
     net, references = build_net(graph, ckpt)
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
 
-    logits = net.forward(batch.samples)
+    stats, dstats, logits = comparison_stats_and_logits(net, references,
+                                                        batch)
     margins = margin_values(logits, labels)
     error = zero_one_error(logits, labels)
 
@@ -152,7 +153,6 @@ def cmd_analyze(args) -> int:
     if args.dump_logits is not None:
         write_logit_record(args.dump_logits, logits, labels, gamma)
 
-    stats, dstats = comparison_stats_from_net(net, references, batch)
     inp = CapacityInput(dstats.blocks, batch.n, dstats.data_norm, gamma)
     terms = capacity_terms(inp)
     clubs = rademacher_clubs(inp)
@@ -250,9 +250,19 @@ def cmd_analyze(args) -> int:
 
 def _measure_layer(weight: np.ndarray, reference: np.ndarray,
                    layer: ArchLayer):
+    """The layer's (2,1) distance and its `SpectralEstimate`."""
     dist = group_norm_21(KernelTensor(weight - reference))
-    lip = operator_norm(KernelTensor(weight), layer.spec).value
-    return dist, lip
+    return dist, operator_norm(KernelTensor(weight), layer.spec)
+
+
+def _lip_fields(when: str, estimate) -> dict:
+    """A row's lip_before/lip_after, with the power iteration's iterations
+    and residual: its value is a lower estimate, not an exact norm."""
+    fields = {f"lip_{when}": estimate.value}
+    if estimate.method == "power_iteration":
+        fields[f"lip_iterations_{when}"] = estimate.iterations_used
+        fields[f"lip_residual_{when}"] = estimate.residual
+    return fields
 
 
 def cmd_project(args) -> int:
@@ -276,17 +286,19 @@ def cmd_project(args) -> int:
                "lip_bound": layer.lip_bound, "dist_bound": layer.dist_bound,
                "error": None, "projected": False, "converged": True,
                "rounds_run": 0, "clip_svds": 0}
-        dist0, lip0 = _measure_layer(weight, reference, layer)
-        row["dist_before"], row["lip_before"] = dist0, lip0
+        dist0, estimate0 = _measure_layer(weight, reference, layer)
+        row.update(dist_before=dist0, lip_method=estimate0.method,
+                   **_lip_fields("before", estimate0))
 
         needs_spectral = math.isfinite(layer.lip_bound)
         geometry = layer.geometry_reason if needs_spectral else None
-        feasible = (dist0 <= layer.dist_bound and lip0 <= layer.lip_bound)
+        feasible = (dist0 <= layer.dist_bound
+                    and estimate0.value <= layer.lip_bound)
         if feasible or geometry is not None:
             if not feasible:
                 row["error"] = f"spectral projection needs {geometry}"
             out_weights[layer.name] = passthrough
-            row["dist_after"], row["lip_after"] = dist0, lip0
+            row.update(dist_after=dist0, **_lip_fields("after", estimate0))
             rows.append(row)
             continue
 
@@ -295,7 +307,9 @@ def cmd_project(args) -> int:
             projected = project_l21_ball(
                 KernelTensor(weight), KernelTensor(reference),
                 layer.dist_bound)
-            dist1, lip1 = _measure_layer(projected.entries, reference, layer)
+            dist1, estimate1 = _measure_layer(projected.entries, reference,
+                                              layer)
+            after = _lip_fields("after", estimate1)
             row.update(rounds_run=1, converged=True)
         else:
             cs = ConstraintSet(reference=KernelTensor(reference),
@@ -304,11 +318,12 @@ def cmd_project(args) -> int:
                                conv=layer.spec)
             projected, rep = run(KernelTensor(weight), cs, rounds,
                                  tol=args.tol)
-            dist1, lip1 = rep.final_dist, rep.final_lip
+            # the geometry is fft-eligible, so the report's lip is exact
+            dist1, after = rep.final_dist, {"lip_after": rep.final_lip}
             row.update(rounds_run=rep.rounds_run, converged=rep.converged,
                        clip_svds=rep.clip_svds)
         out_weights[layer.name] = projected.entries
-        row["dist_after"], row["lip_after"] = dist1, lip1
+        row.update(dist_after=dist1, **after)
         rows.append(row)
 
     write_checkpoint(args.out, out_weights, out_references)

@@ -452,7 +452,11 @@ class TinyNet:
         for blk in self.blocks:
             y = blk.forward(y)
         self._feat_shape = y.shape
-        return y.reshape(self.feature_dim, -1).T @ self.classifier.T
+        return self.head(y)
+
+    def head(self, features: np.ndarray) -> np.ndarray:
+        """(n, kappa) logits of the last block's batch-last outputs."""
+        return features.reshape(self.feature_dim, -1).T @ self.classifier.T
 
     def backward(self, g_logits: np.ndarray) -> None:
         g = (self.classifier.T @ np.asarray(g_logits).T).reshape(
@@ -566,19 +570,25 @@ def _project_all(net: TinyNet, sets) -> None:
                                     1).entries
 
 
-def _evaluate(net: TinyNet, samples: np.ndarray,
-              batch_size: int) -> np.ndarray:
-    """`net.forward(samples)`, bit for bit, run batch_size samples (at
-    least two) at a time, so an evaluation allocates no more than a
-    training step does. A lone last sample is forwarded with its
+def _slices(n: int, batch_size: int):
+    """The slices in which n samples are forwarded, batch_size (at least
+    two) at a time, each with the number of leading rows that an earlier
+    slice already covered. A lone last sample is forwarded with its
     neighbour: a one-row head product is a vector-matrix product, whose
     sums differ in the last bits from the whole batch's."""
-    n, step = len(samples), max(batch_size, 2)
-    parts = []
+    step = max(batch_size, 2)
     for lo in range(0, n, step):
         start = lo - 1 if lo == n - 1 and lo > 0 else lo
-        parts.append(net.forward(samples[start:lo + step])[lo - start:])
-    return np.concatenate(parts)
+        yield slice(start, lo + step), lo - start
+
+
+def _evaluate(net: TinyNet, samples: np.ndarray,
+              batch_size: int) -> np.ndarray:
+    """`net.forward(samples)`, bit for bit, run in `_slices`, so an
+    evaluation allocates no more than a training step does."""
+    return np.concatenate([net.forward(samples[rows])[seen:]
+                           for rows, seen in _slices(len(samples),
+                                                     batch_size)])
 
 
 def _kernels_in_range(net: TinyNet) -> bool:
@@ -791,6 +801,43 @@ def _out_slices(kernel: np.ndarray) -> np.ndarray:
     return kernel.reshape(kernel.shape[0], -1)
 
 
+def _sliced_forward(net: TinyNet, samples: np.ndarray):
+    """`net.forward(samples)`, bit for bit, and the largest l2 norm of a
+    patch at each block's input, of a feature vector and of a logit
+    vector, from one forward run in `_slices` of a training step's size
+    (`TrainConfig.batch_size`), so no transient grows with the sample
+    count. A net whose activations overflow is refused (UsageError),
+    naming the smallest block whose outputs are not finite on some
+    sample."""
+    blocks = net.blocks
+    overflow = len(blocks)      # the smallest block with non-finite outputs
+    maxima = [0.0] * (len(blocks) + 2)
+    logits = []
+    for rows, seen in _slices(len(samples), TrainConfig.batch_size):
+        y = _batch_last(samples[rows])
+        for i, blk in enumerate(blocks[:overflow]):
+            maxima[i] = max(maxima[i], patch_norms(
+                DataBatch(y.transpose(3, 0, 1, 2)), blk.spec.k, blk.spec.k,
+                padding="circular"))
+            y = blk.forward(y)
+            if not np.all(np.isfinite(y)):
+                overflow = i
+                break
+        if overflow < len(blocks):
+            continue    # a later slice may still overflow at a smaller block
+        part = net.head(y)
+        features = y.transpose(3, 0, 1, 2).reshape(y.shape[-1], -1)
+        maxima[-2] = max(maxima[-2],
+                         float(np.linalg.norm(features, axis=1).max()))
+        maxima[-1] = max(maxima[-1], float(np.linalg.norm(part, axis=1).max()))
+        logits.append(part[seen:])
+    if overflow < len(blocks):
+        raise UsageError(
+            f"the net's activations overflowed: block {overflow} (counting "
+            f"from 0) has non-finite outputs on this batch")
+    return maxima, np.concatenate(logits)
+
+
 def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     """Per-layer and data statistics for the published-bound comparison.
 
@@ -802,24 +849,23 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     fixed, so every row sees the same end-to-end function. The data stats
     carry the net's block records (the one measurement of each conv), on
     which the ours_* rows evaluate the headline bounds, shortcuts included.
-    A net whose activations overflow on the batch is refused (UsageError),
-    naming the first block whose outputs are not finite.
+
+    The batch is forwarded once, a training step's worth of samples at a
+    time (`_sliced_forward`), so the working memory does not grow with the
+    batch beyond the batch itself and its logits. A net whose activations
+    overflow on the batch is refused (UsageError), naming the smallest
+    block whose outputs are not finite on some sample.
     """
-    acts = [batch.samples]
-    y = _batch_last(batch.samples)
-    for i, blk in enumerate(net.blocks):
-        y = blk.forward(y)
-        if not np.all(np.isfinite(y)):
-            raise UsageError(
-                f"the net's activations overflowed: block {i} (counting "
-                f"from 0) has non-finite outputs on this batch")
-        acts.append(y.transpose(3, 0, 1, 2))
+    return comparison_stats_and_logits(net, references, batch)[:2]
+
+
+def comparison_stats_and_logits(net: TinyNet, references, batch: DataBatch):
+    """`comparison_stats_from_net`'s (stats, dstats), and the batch's
+    logits (`net.forward(batch.samples)` bit for bit) from the same one
+    forward."""
+    b_vals, logits = _sliced_forward(net, batch.samples)
     records = _block_records(net, references)
     stats = []
-    b_vals = []
-    for blk, act in zip(net.blocks, acts):
-        b_vals.append(patch_norms(DataBatch(act), blk.spec.k, blk.spec.k,
-                                  padding="circular"))
     for blk, ref, record in zip(net.blocks, references, records):
         kernel = blk.conv.kernel
         diff = kernel - ref
@@ -842,11 +888,7 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
             frob=float(np.linalg.norm(kernel)),
             frob_diff=float(np.linalg.norm(diff)),
         ))
-    flat = acts[-1].reshape(acts[-1].shape[0], -1)
-    b_vals.append(float(np.linalg.norm(flat, axis=1).max()))
     head = net.classifier
-    logits = flat @ head.T
-    b_vals.append(float(np.linalg.norm(logits, axis=1).max()))
     stats.append(ComparisonLayerStats(
         lip=net.classifier_lip,
         w=head.size,
@@ -871,4 +913,4 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
         patch_norms=tuple(b_vals),
         blocks=records,
     )
-    return tuple(stats), data
+    return tuple(stats), data, logits

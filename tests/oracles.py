@@ -3,8 +3,10 @@
 Everything here is written for obviousness, not speed: plain Python loops,
 no shared helpers with the package under test. The exceptions are at the
 end: the measured cadence pass, which pins training's cadence projections
-to `alternating_projections`, and the cold-clip cycle, which pins the
+to `alternating_projections`; the cold-clip cycle, which pins the
 projection cycles' remembered clip screen to the package's own cold clip,
+bit for bit; and the whole-batch comparison pass, which pins the sliced
+forward of `comparison_stats_from_net` to one forward of the whole batch,
 bit for bit.
 """
 
@@ -18,7 +20,8 @@ from capbound.project import (
     alternating_projections,
     project_l21_ball,
 )
-from capbound.tensors import KernelTensor
+from capbound.errors import UsageError
+from capbound.tensors import DataBatch, KernelTensor, patch_norms
 
 
 def loop_group_norm_21(k):
@@ -335,3 +338,25 @@ def cold_clip_cycle(kernel, cs, rounds, corrected):
             corrections[i] = x + corrections[i] - y
             x = y
     return to_taps(x)
+
+
+def whole_batch_patch_norms(net, batch):
+    """The batch statistics of `comparison_stats_from_net` from one forward
+    of the whole batch: the largest patch norm at each block's input, then
+    the largest feature and logit norms. A net whose activations overflow
+    is refused, naming the first block with a non-finite output."""
+    acts = [batch.samples]
+    y = np.ascontiguousarray(batch.samples.transpose(1, 2, 3, 0))
+    for i, blk in enumerate(net.blocks):
+        y = blk.forward(y)
+        if not np.all(np.isfinite(y)):
+            raise UsageError(f"activations overflowed: block {i} ")
+        acts.append(y.transpose(3, 0, 1, 2))
+    norms = [patch_norms(DataBatch(act), blk.spec.k, blk.spec.k,
+                         padding="circular")
+             for blk, act in zip(net.blocks, acts)]
+    flat = acts[-1].reshape(acts[-1].shape[0], -1)
+    norms.append(float(np.linalg.norm(flat, axis=1).max()))
+    logits = flat @ net.classifier.T
+    norms.append(float(np.linalg.norm(logits, axis=1).max()))
+    return tuple(norms)

@@ -40,7 +40,14 @@ from capbound.project import (
     radial_cycle,
 )
 from capbound.tensors import KernelTensor, group_norm_21
-from capbound.traindemo import BlockSpec, TinyNet, TrainConfig, synth_data, train_projected
+from capbound.traindemo import (
+    Block,
+    BlockSpec,
+    TinyNet,
+    TrainConfig,
+    synth_data,
+    train_projected,
+)
 
 
 def run_cli(argv):
@@ -805,6 +812,22 @@ def test_analyze_measures_each_block_once(tmp_path, monkeypatch):
                      "group_norm_21": len(weights)}
 
 
+def test_analyze_forwards_each_sample_once_a_minibatch_at_a_time(
+        tmp_path, monkeypatch):
+    seen = {}
+    forward = Block.forward
+    monkeypatch.setattr(Block, "forward",
+                        lambda blk, x: seen.setdefault(blk, []).append(
+                            x.shape[-1]) or forward(blk, x))
+    ckpt, arch, weights, _ = write_demo_pair(tmp_path)
+    rc, _, _ = run_cli(["analyze", ckpt, arch, "--n", "40", "--json"])
+    assert rc == 0
+    assert len(seen) == len(weights)
+    for samples in seen.values():
+        assert sum(samples) == 40
+        assert max(samples) <= TrainConfig().batch_size
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--seed", "1"], ["analyze", "--max-iters", "5"],
     ["spectra", "--tol", "1e-3"], ["spectra", "--seed", "1"],
@@ -1147,6 +1170,42 @@ def test_project_json_rows_count_the_clip_svds(tmp_path):
         rc, text, _ = run_cli(["project", ckpt, arch, "--out", out,
                                "--scheme", scheme])
         assert rc == 0 and "svd" not in text
+
+
+def test_project_json_rows_say_how_each_lip_was_measured(tmp_path):
+    """A zero_same layer has no exact route: its rows carry the power
+    iteration's iterations and residual, before and after; an exact row
+    carries neither."""
+    rng = np.random.default_rng(11)
+    w_zs = rng.standard_normal((4, 1, 3, 3)) * 3.0
+    spec_ok = ConvSpec((4, 8, 8), (3, 3))
+    ref_ok = init_scale_to_feasible(
+        KernelTensor(rng.standard_normal((4, 4, 3, 3))), spec_ok, 2.0).entries
+    w_ok = ref_ok + rng.standard_normal(ref_ok.shape)
+    ckpt = str(tmp_path / "zs.ckpt")
+    write_checkpoint(ckpt, {"zs": w_zs, "plain": w_ok},
+                     {"zs": ZERO_REFERENCE, "plain": ref_ok})
+    doc = {"format_version": 1, "input": [1, 8, 8], "kappa": 2, "blocks": [
+        {"name": "zs", "c_out": 4, "k": 3, "padding": "zero_same", "b": 1.0},
+        {"name": "plain", "c_out": 4, "k": 3, "s": 2.0, "b": 1.5}]}
+    arch = tmp_path / "zs.json"
+    arch.write_text(json.dumps(doc))
+    out = str(tmp_path / "zs_out.ckpt")
+    rc, text, _ = run_cli(["project", ckpt, str(arch), "--out", out,
+                           "--json"])
+    assert rc == 0
+    zs, plain = json.loads(text)["layers"]
+    spec = parse_archdoc(json.dumps(doc)).layers[0].spec
+    assert zs["projected"] and zs["lip_method"] == "power_iteration"
+    projected = read_checkpoint(out).weight("zs")
+    for when, weight in (("before", w_zs), ("after", projected)):
+        want = power_iteration(KernelTensor(weight), spec)
+        assert zs[f"lip_{when}"] == want.value
+        assert zs[f"lip_iterations_{when}"] == want.iterations_used > 1
+        assert zs[f"lip_residual_{when}"] == want.residual < 1e-6
+    assert plain["projected"] and plain["lip_method"] == "fft_exact"
+    assert not any(key.startswith(("lip_iterations", "lip_residual"))
+                   for key in plain)
 
 
 def test_project_nearest_point_max_iters_is_a_cap(tmp_path):

@@ -38,7 +38,7 @@ from capbound.traindemo import (
 )
 
 from oracles import central_difference_grads, loop_maxpool_backward, \
-    loop_patch_max_norm, measured_project_all
+    loop_patch_max_norm, measured_project_all, whole_batch_patch_norms
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +903,43 @@ def test_comparison_stats_name_the_block_whose_activations_overflow():
             pytest.raises(UsageError,
                           match=r"activations overflowed: block 1 "):
         comparison_stats_from_net(res.net, res.references, batch)
+
+
+@pytest.mark.parametrize("blocks", [BLOCKS, SIX_BLOCK_RESIDUAL])
+@pytest.mark.parametrize("n", [2, 3, 17, 33, 64])   # 17, 33: a lone sample
+def test_sliced_comparison_stats_equal_the_whole_batch_pass(blocks, n):
+    batch, labels = synth_data("rings", n, seed=5)
+    net = TinyNet(blocks, seed=3)
+    res = train_projected(net, batch, labels, TrainConfig(epochs=1, seed=1),
+                          lip_bound=2.0, dist_bound=1.0)
+    stats, data, logits = traindemo.comparison_stats_and_logits(
+        net, res.references, batch)
+    assert data.patch_norms == whole_batch_patch_norms(net, batch)
+    assert data.patch_norm_input == data.patch_norms[0]
+    np.testing.assert_array_equal(logits, net.forward(batch.samples))
+    assert comparison_stats_from_net(net, res.references, batch)[0] == stats
+
+
+def test_comparison_stats_name_the_smallest_overflowing_block():
+    # kernels x 1e110: a plain sample's activations reach about 1e110 and
+    # 1e220, then overflow in block 2; sample 20, scaled by 1e100, already
+    # overflows in block 1, in the second 16-sample slice
+    net = TinyNet((BlockSpec(1, 4, 3), BlockSpec(4, 4, 3),
+                   BlockSpec(4, 4, 3)), seed=3)
+    references = tuple(k.copy() for k in net.kernels)
+    net.set_kernels([k * 1e110 for k in net.kernels])
+    samples = synth_data("rings", 33, seed=5)[0].samples.copy()
+    samples[20] *= 1e100
+    first, whole = DataBatch(samples[:16]), DataBatch(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch, block in ((first, 2), (whole, 1)):
+            for refused in (
+                    lambda: comparison_stats_from_net(net, references, batch),
+                    lambda: whole_batch_patch_norms(net, batch)):
+                with pytest.raises(
+                        UsageError,
+                        match=rf"activations overflowed: block {block} "):
+                    refused()
 
 
 def test_comparison_ours_rows_equal_headline_bounds():
