@@ -443,14 +443,26 @@ class TinyNet:
     def grads(self):
         return [blk.conv.grad for blk in self.blocks]
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
+    def check_input(self, xs: np.ndarray) -> np.ndarray:
+        """xs as float64 (n, c, h, w) samples of the net's input shape."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 4 or xs.shape[1:] != self.input_shape:
             raise UsageError(
                 f"batch shape {xs.shape} != (n,)+{self.input_shape}")
-        y = _batch_last(xs)
+        return xs
+
+    def activations(self, xs: np.ndarray):
+        """Each block's batch-last input in order, then the last block's
+        output; a block runs only when its output is asked for."""
+        y = _batch_last(self.check_input(xs))
+        yield y
         for blk in self.blocks:
             y = blk.forward(y)
+            yield y
+
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        for y in self.activations(xs):
+            pass
         self._feat_shape = y.shape
         return self.head(y)
 
@@ -806,23 +818,25 @@ def _sliced_forward(net: TinyNet, samples: np.ndarray):
     patch at each block's input, of a feature vector and of a logit
     vector, from one forward run in `_slices` of a training step's size
     (`TrainConfig.batch_size`), so no transient grows with the sample
-    count. A net whose activations overflow is refused (UsageError),
-    naming the smallest block whose outputs are not finite on some
-    sample."""
+    count. Samples of another shape than the net's input are refused as
+    `TinyNet.forward` refuses them, and so is (UsageError) a net whose
+    activations overflow, naming the smallest block whose outputs are not
+    finite on some sample."""
     blocks = net.blocks
     overflow = len(blocks)      # the smallest block with non-finite outputs
     maxima = [0.0] * (len(blocks) + 2)
     logits = []
+    samples = net.check_input(samples)
     for rows, seen in _slices(len(samples), TrainConfig.batch_size):
-        y = _batch_last(samples[rows])
-        for i, blk in enumerate(blocks[:overflow]):
-            maxima[i] = max(maxima[i], patch_norms(
-                DataBatch(y.transpose(3, 0, 1, 2)), blk.spec.k, blk.spec.k,
-                padding="circular"))
-            y = blk.forward(y)
-            if not np.all(np.isfinite(y)):
-                overflow = i
+        for i, y in enumerate(net.activations(samples[rows])):
+            if i > 0 and not np.all(np.isfinite(y)):
+                overflow = i - 1
                 break
+            if i == overflow:   # the net's output, or an overflowed block
+                break
+            maxima[i] = max(maxima[i], patch_norms(
+                DataBatch(y.transpose(3, 0, 1, 2)), blocks[i].spec.k,
+                blocks[i].spec.k, padding="circular"))
         if overflow < len(blocks):
             continue    # a later slice may still overflow at a smaller block
         part = net.head(y)

@@ -870,6 +870,25 @@ def test_analyze_shape_mismatch_names_tensor(tmp_path):
     assert "block0" in err
 
 
+@pytest.mark.parametrize("input_shape", [[2, 8, 8], [1, 4, 16]])
+def test_analyze_refuses_data_of_another_shape_than_the_arch(
+        tmp_path, input_shape):
+    """The tasks' samples are (1, 8, 8); [1, 4, 16] has as many entries."""
+    _, _, weights, _ = write_demo_pair(tmp_path)
+    rng = np.random.default_rng(0)
+    weights["block0"] = rng.standard_normal((8, input_shape[0], 3, 3))
+    ckpt = str(tmp_path / "other.ckpt")
+    write_checkpoint(ckpt, weights, {n: ZERO_REFERENCE for n in weights})
+    arch = default_arch_doc()
+    arch["input"] = input_shape
+    arch["blocks"][0]["pool"] = "none"     # a pooled 4x16 grid is too thin
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(arch))
+    rc, text, err = run_cli(["analyze", ckpt, str(path), "--n", "20"])
+    assert rc == 1 and text == ""
+    assert f"batch shape (20, 1, 8, 8) != (n,)+{tuple(input_shape)}" in err
+
+
 def test_cli_usage_exit_codes(tmp_path):
     rc, _, _ = run_cli(["analyze", str(tmp_path / "ghost.ckpt"),
                         str(tmp_path / "ghost.json")])
