@@ -36,8 +36,8 @@ def train_and_save(graph, batch, labels, config, s, b, out_dir, tag):
     formats.write_checkpoint(path,
                              {n: k for n, k in zip(names, net.kernels)},
                              {n: r for n, r in zip(names, result.references)})
-    err = result.trajectory[-1].train_error if result.trajectory else math.nan
-    print(f"{tag}: train error {err:.3f}, feasible={result.feasible}")
+    print(f"{tag}: train error {result.train_error:.3f}, "
+          f"feasible={result.feasible}")
     return path
 
 

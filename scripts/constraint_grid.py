@@ -29,14 +29,12 @@ def parse_grid(text):
 
 
 def run_cell(blocks, batch, labels, test_batch, test_labels, config, s, b):
+    """One cell's TrainResult. Its errors are the returned net's, measured
+    after the post pass, and NaN when the run diverged."""
     net = TinyNet(blocks, seed=config.seed)
-    result = train_projected(net, batch, labels, config, lip_bound=s,
-                             dist_bound=b, test_batch=test_batch,
-                             test_labels=test_labels)
-    if result.diverged or not result.trajectory:
-        return math.nan, math.nan, result
-    final = result.trajectory[-1]
-    return final.train_error, final.test_error, result
+    return train_projected(net, batch, labels, config, lip_bound=s,
+                           dist_bound=b, test_batch=test_batch,
+                           test_labels=test_labels)
 
 
 def main():
@@ -60,12 +58,17 @@ def main():
     lips = parse_grid(args.lip_grid)
     dists = parse_grid(args.dist_grid)
 
-    _, base_err, base = run_cell(blocks, batch, labels, test_batch,
-                                 test_labels, config, math.inf, math.inf)
-    final = base.trajectory[-1]
-    print(f"unconstrained: test error {base_err:.3f}, "
-          f"lip {tuple(round(v, 2) for v in final.lips)}, "
-          f"dist {tuple(round(v, 2) for v in final.dists)}")
+    base = run_cell(blocks, batch, labels, test_batch, test_labels, config,
+                    math.inf, math.inf)
+    base_err = base.test_error
+    if base.diverged:
+        print("unconstrained: diverged")
+    else:
+        lip = base.net.lipschitz()
+        dist = base.net.distances(base.references)
+        print(f"unconstrained: test error {base_err:.3f}, "
+              f"lip {tuple(round(v, 2) for v in lip)}, "
+              f"dist {tuple(round(v, 2) for v in dist)}")
     print()
 
     header = "        " + "".join(f"{'b=' + format(b, 'g'):>10}" for b in dists)
@@ -75,8 +78,9 @@ def main():
     for s in lips:
         row = [f"s={s:<6g}"]
         for b in dists:
-            _, te, res = run_cell(blocks, batch, labels, test_batch,
-                                  test_labels, config, s, b)
+            res = run_cell(blocks, batch, labels, test_batch, test_labels,
+                           config, s, b)
+            te = res.test_error
             table[(s, b)] = te
             mark = "" if res.feasible else "*"
             row.append(f"{te:>9.3f}{mark}" if math.isfinite(te)
@@ -87,7 +91,9 @@ def main():
 
     keeping = [(s, b) for (s, b), te in table.items()
                if te <= base_err + args.slack]
-    if keeping:
+    if base.diverged:
+        print("no operating point: the unconstrained run diverged")
+    elif keeping:
         s_star, b_star = min(keeping, key=lambda sb: (sb[0], sb[1]))
         print(f"operating point: s={s_star:g}, b={b_star:g} "
               f"(test error {table[(s_star, b_star)]:.3f} vs "

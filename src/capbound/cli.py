@@ -146,8 +146,6 @@ def cmd_analyze(args) -> int:
     else:
         gamma = args.gamma
         gamma_source = {"mode": "flag"}
-    if not gamma > 0:
-        raise UsageError("gamma must be > 0")
 
     ramp = ramp_risk(logits, labels, gamma)
     if args.dump_logits is not None:
@@ -515,12 +513,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
+def _number(check, requirement: str):
+    """An argparse type: a float that passes `check`, else the usage error
+    "must be <requirement>"."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not check(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return number
+
+
+_tolerance = _number(lambda v: math.isfinite(v) and v >= 0,
+                     "a finite number >= 0")
+_positive = _number(lambda v: math.isfinite(v) and v > 0,
+                    "a finite number > 0")
+_probability = _number(lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _add_common(sub) -> None:
@@ -540,15 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("blobs", "rings"), default="blobs")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=1.0,
+    p.add_argument("--gamma", type=_positive, default=1.0,
                    help="ramp-loss margin scale")
     p.add_argument("--equal-ramp-to", default=None, metavar="NPZ",
                    help="pick gamma so ramp risk matches this logit record")
     p.add_argument("--dump-logits", default=None, metavar="NPZ",
                    help="save this run's logits for later --equal-ramp-to")
-    p.add_argument("--delta", type=float, default=0.01,
+    p.add_argument("--delta", type=_probability, default=0.01,
                    help="confidence level for the generalization bound")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_positive, default=None,
                    help="also report log covering numbers at this radius")
     p.add_argument("--tol", type=_tolerance, default=1e-3,
                    help="ramp-risk tolerance of the --equal-ramp-to search")
@@ -583,10 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of spectral bounds s (inf allowed)")
     p.add_argument("--dist-grid", default="inf",
                    help="comma list of (2,1)-distance bounds b (inf allowed)")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--cadence", type=int, default=15,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--cadence", type=int, default=TrainConfig.cadence,
                    help="project every this many SGD steps")
     p.add_argument("--arch", default=None,
                    help="architecture document (default: built-in demo net)")

@@ -6,19 +6,20 @@ s_h*mu + offset. Output spatial extent is ceil(h/s_h) x ceil(w/s_w) for both
 padding modes. No dilation, no channel groups, no bias.
 
 Every executable operator runs one im2col route (Chellapilla et al., 2006)
-with the gather precomputed: tensors.window_index caches, per geometry, the
-flat index of every pixel each window reads in the unpadded input (the
-circular wrap folded in, zero_same taps off the grid pointed at one appended
-zero column), so a batch's column matrix is one np.take and the operator one
-matrix product. The adjoint is the same route with the channel-transposed
-kernel read at negated tap offsets, applied to the output scattered back onto
-the input grid (zeros between strided samples). Results are deterministic;
-they differ from a per-offset sum only in float rounding. `materialize`
-builds the dense matrix tap by tap through its own plan instead and stays
-the independent oracle. Training (`traindemo.ConvLayer`) runs the same
-window_index gather on batch-last (c, h, w, n) activations, so its products
-cover the whole batch at once; the (n, c, h, w) operators here serve the
-measurements, the covers and the tests.
+on batch-last (c, h, w, n) arrays, the layout training's activations keep:
+`forward_last` and `adjoint_last`, each one gather and one matrix product
+over the whole batch. The gather is precomputed: tensors.window_index
+caches, per geometry, the flat index of every pixel each window reads in
+the unpadded input (the circular wrap folded in, zero_same taps off the grid
+pointed at one appended zero row), so a batch's column matrix is one
+np.take. The adjoint is the same route with the channel-transposed kernel
+read at negated tap offsets, applied to the output scattered back onto the
+input grid (zeros between strided samples). Results are deterministic; they
+differ from a per-offset sum only in float rounding. The public operators
+check their arguments and move the batch axis around the two unchecked
+functions, which training (`traindemo.ConvLayer`) calls directly.
+`materialize` builds the dense matrix tap by tap through its own plan
+instead and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .tensors import DenseMatrix, KernelTensor, group_norm_21, offsets, \
-    window_columns
+from .tensors import DenseMatrix, KernelTensor, batch_last, group_norm_21, \
+    offsets, window_columns
 
 __all__ = [
     "ConvSpec",
@@ -38,7 +39,8 @@ __all__ = [
     "conv_forward_batch",
     "conv_adjoint",
     "conv_adjoint_batch",
-    "conv_columns",
+    "forward_last",
+    "adjoint_last",
     "materialize",
     "materialize_cap",
     "NormIdentityReport",
@@ -117,29 +119,22 @@ def _gather_plan(spec: ConvSpec):
     return plan
 
 
-def _contract(entries: np.ndarray, cols: np.ndarray, out_shape) -> np.ndarray:
-    """out[n, o] = entries[o] . cols[n] over (c*k_h*k_w), as one
-    (c_out, c*k_h*k_w) by (c*k_h*k_w, out_h*out_w) product per sample."""
-    out = entries.reshape(entries.shape[0], -1) @ cols
-    return out.reshape((cols.shape[0], entries.shape[0]) + out_shape)
+def forward_last(entries: np.ndarray, spec: ConvSpec,
+                 x: np.ndarray) -> np.ndarray:
+    """The conv operator of (c_out, c_in, k_h, k_w) `entries` on a
+    batch-last (c_in, h, w, n) array, unchecked: one window_columns gather
+    and one (c_out, c_in*k_h*k_w) by (c_in*k_h*k_w, out_h*out_w*n) product.
+    Returns (c_out, out_h, out_w, n)."""
+    cols = window_columns(x, spec.kernel_shape, spec.strides, spec.padding)
+    out = entries.reshape(len(entries), -1) @ cols
+    return out.reshape((len(entries),) + spec.out_spatial + x.shape[-1:])
 
 
-def conv_columns(spec: ConvSpec, xs: np.ndarray) -> np.ndarray:
-    """Column matrix of every window the forward operator reads.
-
-    Shape (n, c_in*k_h*k_w, out_h*out_w); entry [t, (i, a, b), (mu, nu)] is
-    the input pixel that kernel tap (a, b) of channel i multiplies at output
-    (mu, nu), so conv_forward_batch(K, spec, xs)[t, o] is
-    K[o].ravel() @ columns[t], reshaped to (out_h, out_w).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 4 or xs.shape[1:] != spec.input_shape:
-        raise UsageError(f"batch shape {xs.shape} != (n,)+{spec.input_shape}")
-    return window_columns(xs, spec.kernel_shape, spec.strides, spec.padding)
-
-
-def _adjoint(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> np.ndarray:
-    """Correlation at negated offsets of the outputs placed on the input grid.
+def adjoint_last(entries: np.ndarray, spec: ConvSpec,
+                 y: np.ndarray) -> np.ndarray:
+    """`forward_last`'s adjoint on a batch-last (c_out, out_h, out_w, n)
+    array, unchecked, returning (c_in, h, w, n): the correlation at negated
+    offsets of the outputs placed on the input grid.
 
     In one dimension adj[i, u] sums K[o, i, a] * y[o, mu] over the (o, a, mu)
     with s*mu + d[a] = u (mod h for circular), d = offsets(k). Writing y[mu]
@@ -149,14 +144,16 @@ def _adjoint(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> np.ndarray
     kernel's channel axes swapped.
     """
     s_h, s_w = spec.strides
+    grid_shape = (len(y),) + spec.input_shape[1:] + y.shape[-1:]
     if (s_h, s_w) != (1, 1):
-        grid = np.zeros((ys.shape[0], ys.shape[1]) + spec.input_shape[1:])
-        grid[:, :, ::s_h, ::s_w] = ys
-        ys = grid
-    cols = window_columns(ys, spec.kernel_shape, (1, 1), spec.padding,
+        grid = np.zeros(grid_shape)
+        grid[:, ::s_h, ::s_w] = y
+        y = grid
+    cols = window_columns(y, spec.kernel_shape, (1, 1), spec.padding,
                           negate=True)
-    return _contract(kernel.entries.transpose(1, 0, 2, 3), cols,
-                     spec.input_shape[1:])
+    swapped = entries.transpose(1, 0, 2, 3)
+    out = swapped.reshape(len(swapped), -1) @ cols
+    return out.reshape((len(swapped),) + grid_shape[1:])
 
 
 def conv_forward(kernel: KernelTensor, spec: ConvSpec, x: np.ndarray) -> np.ndarray:
@@ -165,15 +162,17 @@ def conv_forward(kernel: KernelTensor, spec: ConvSpec, x: np.ndarray) -> np.ndar
     if x.shape != spec.input_shape:
         raise UsageError(f"input shape {x.shape} != spec {spec.input_shape}")
     spec.check_kernel(kernel)
-    return _contract(kernel.entries, conv_columns(spec, x[None]),
-                     spec.out_spatial)[0]
+    return forward_last(kernel.entries, spec, x[..., None])[..., 0]
 
 
 def conv_forward_batch(kernel: KernelTensor, spec: ConvSpec, xs: np.ndarray) -> np.ndarray:
     """Apply the conv operator to a stack of inputs (n, c_in, h, w)."""
-    cols = conv_columns(spec, xs)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 4 or xs.shape[1:] != spec.input_shape:
+        raise UsageError(f"batch shape {xs.shape} != (n,)+{spec.input_shape}")
     spec.check_kernel(kernel)
-    return _contract(kernel.entries, cols, spec.out_spatial)
+    return forward_last(kernel.entries, spec,
+                        batch_last(xs)).transpose(3, 0, 1, 2)
 
 
 def conv_adjoint(kernel: KernelTensor, spec: ConvSpec, y: np.ndarray) -> np.ndarray:
@@ -185,7 +184,7 @@ def conv_adjoint(kernel: KernelTensor, spec: ConvSpec, y: np.ndarray) -> np.ndar
         raise UsageError(
             f"adjoint input shape {y.shape} != {(kernel.c_out, out_h, out_w)}"
         )
-    return _adjoint(kernel, spec, y[None])[0]
+    return adjoint_last(kernel.entries, spec, y[..., None])[..., 0]
 
 
 def conv_adjoint_batch(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> np.ndarray:
@@ -195,7 +194,8 @@ def conv_adjoint_batch(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> 
     spec.check_kernel(kernel)
     if ys.ndim != 4 or ys.shape[1:] != (kernel.c_out, out_h, out_w):
         raise UsageError("bad adjoint batch shape")
-    return _adjoint(kernel, spec, ys)
+    return adjoint_last(kernel.entries, spec,
+                        batch_last(ys)).transpose(3, 0, 1, 2)
 
 
 def materialize_cap() -> int:

@@ -320,9 +320,9 @@ def dense_spectral_norm(matrix: DenseMatrix) -> SpectralEstimate:
     return SpectralEstimate(value, "dense_svd", 0, 0.0)
 
 
-def operator_norm(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
-                  max_iters: int = 1000, seed: int = 0) -> SpectralEstimate:
-    """Exact spectral norm where available, power iteration otherwise."""
+def operator_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
+    """Exact spectral norm where available, power iteration (at its default
+    tolerance, cap and seed) otherwise."""
     if fft_eligible(spec):
         return fft_exact_norm(kernel, spec)
-    return power_iteration(kernel, spec, tol=tol, max_iters=max_iters, seed=seed)
+    return power_iteration(kernel, spec)

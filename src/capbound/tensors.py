@@ -30,6 +30,8 @@ __all__ = [
     "slice_norms",
     "data_norm",
     "patch_norms",
+    "max_patch_norm",
+    "batch_last",
     "window_columns",
     "window_index",
 ]
@@ -216,7 +218,8 @@ def window_index(shape, kernel_shape, strides=(1, 1), padding="circular",
     s_h*mu + d_h[a] and column s_w*nu + d_w[b] with d = offsets(k) (or -d
     when negate, the reversed taps of the adjoint). Circular padding folds
     the wrap into the index; under zero_same a tap off the grid points at
-    c*h*w, one zero column appended after the sample (see window_columns).
+    c*h*w, one zero row appended after the flattened sample (see
+    window_columns).
     Cached per geometry, so the arrays are shared and must stay read-only.
     """
     c, h, w = shape
@@ -236,22 +239,35 @@ def window_index(shape, kernel_shape, strides=(1, 1), padding="circular",
     return flat
 
 
-def window_columns(xs: np.ndarray, kernel_shape, strides=(1, 1),
-                   padding="circular", negate=False) -> np.ndarray:
-    """(n, c*k_h*k_w, out_h*out_w) im2col matrix of an (n, c, h, w) batch.
+def batch_last(xs: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) samples -> contiguous batch-last (c, h, w, n), the
+    layout every window gather reads."""
+    return np.ascontiguousarray(xs.transpose(1, 2, 3, 0))
 
-    Entry [t, (i, a, b), (mu, nu)] is the pixel of sample t that tap (a, b)
+
+def window_columns(x: np.ndarray, kernel_shape, strides=(1, 1),
+                   padding="circular", negate=False) -> np.ndarray:
+    """(c*k_h*k_w, out_h*out_w*n) im2col matrix of a batch-last (c, h, w, n)
+    array.
+
+    Entry [(i, a, b), (mu, nu, t)] is the pixel of sample t that tap (a, b)
     of channel i reads at output (mu, nu) under window_index, zero where a
     zero_same tap falls off the grid. One gather; no padded image is built
-    (zero_same only appends the one zero column).
+    (zero_same only appends the one zero row).
     """
-    n = xs.shape[0]
-    idx = window_index(xs.shape[1:], tuple(kernel_shape), tuple(strides),
+    idx = window_index(x.shape[:3], tuple(kernel_shape), tuple(strides),
                        padding, negate)
-    flat = xs.reshape(n, -1)
+    flat = x.reshape(-1, x.shape[-1])
     if padding == "zero_same":
-        flat = np.concatenate([flat, np.zeros((n, 1))], axis=1)
-    return np.take(flat, idx, axis=1)
+        flat = np.concatenate([flat, np.zeros((1, flat.shape[1]))])
+    return flat.take(idx, axis=0).reshape(len(idx), -1)
+
+
+def max_patch_norm(x: np.ndarray, kernel_shape, strides=(1, 1),
+                   padding="circular") -> float:
+    """`patch_norms` of a batch-last (c, h, w, n) array, unchecked."""
+    cols = window_columns(x, kernel_shape, strides, padding)
+    return float(np.sqrt(np.max(np.einsum("pq,pq->q", cols, cols))))
 
 
 def patch_norms(
@@ -279,5 +295,5 @@ def patch_norms(
             f"circular padding requires kernel <= spatial dims, got "
             f"({k_h},{k_w}) on ({h},{w})"
         )
-    cols = window_columns(batch.samples, (k_h, k_w), (s_h, s_w), padding)
-    return float(np.sqrt(np.max(np.einsum("ntp,ntp->np", cols, cols))))
+    return max_patch_norm(batch_last(batch.samples), (k_h, k_w), (s_h, s_w),
+                          padding)

@@ -14,13 +14,13 @@ import numpy as np
 
 from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
     ComparisonLayerStats, LayerRecord
-from .convop import ConvSpec
+from .convop import ConvSpec, adjoint_last, forward_last
 from .errors import UsageError
 from .lipschitz import fft_exact_norm
 from .project import DEFAULT_BUDGETS, ConstraintSet, admm, alternate, \
     init_scale_to_feasible
-from .tensors import DataBatch, KernelTensor, data_norm, group_norm_21, \
-    patch_norms, window_index
+from .tensors import DataBatch, KernelTensor, batch_last, data_norm, \
+    group_norm_21, max_patch_norm, window_columns, window_index
 
 GRID_SIDE = 8
 MAXPOOL_LIP = 2.0       # 3x3 windows at stride 2: every input feeds <= 4
@@ -145,31 +145,24 @@ class Relu:
         return float(np.abs(self._x).min()) if self._x.size else math.inf
 
 
-def _pool_plan(h: int, w: int, size: int, stride: int, centered: bool):
-    """(size*size, out_h*out_w) flat pixel each tap of each window reads:
-    row t holds tap t (row-major over the window) at every cell, cells
-    row-major."""
-    offs = np.arange(size) - (size // 2 if centered else 0)
-    out_h = -(-h // stride)
-    out_w = -(-w // stride)
-    rows = (np.arange(out_h)[:, None] * stride + offs[None, :]) % h
-    cols = (np.arange(out_w)[:, None] * stride + offs[None, :]) % w
-    flat = rows[:, None, :, None] * w + cols[None, :, None, :]
-    return out_h, out_w, flat.reshape(out_h * out_w, size * size).T.copy()
-
-
 class MaxPool:
-    """Max pooling with circular wrap, matching the conv offset convention,
-    on batch-last (c, h, w, n) activations. Windows are reduced tap by tap,
-    one contiguous (c, cells, n) slab per tap."""
+    """Max pooling with circular wrap on batch-last (c, h, w, n) activations
+    over the conv's windows (`tensors.window_index`), reduced tap by tap in
+    row-major order, one contiguous (c, cells, n) slab per tap. An uncentered
+    window (offsets 0 and 1) is the conv's at negated offsets, reversed."""
 
     def __init__(self, h: int, w: int, size: int, stride: int,
                  centered: bool = True):
         if size > min(h, w):
             raise UsageError("pool window larger than the input")
+        if not (centered or size <= 2):
+            raise UsageError("an uncentered pool window is at most 2 wide")
         self._h, self._w = h, w
-        self.out_h, self.out_w, self._taps = _pool_plan(h, w, size, stride,
-                                                        centered)
+        self.out_h, self.out_w = -(-h // stride), -(-w // stride)
+        taps = window_index((1, h, w), (size, size), (stride, stride),
+                            "circular", not centered)
+        # a writable copy: np.take copies a read-only index on every call
+        self._taps = np.array(taps if centered else taps[::-1])
 
     def _slabs(self, taps):
         """Each tap's (c, cells, n) slab of the last forward's input, for
@@ -249,14 +242,6 @@ class DoublingShortcut:
                 + self._shifted.backward(g[self._c:]))
 
 
-def _columns(x: np.ndarray, kernel_shape, negate: bool = False) -> np.ndarray:
-    """(c*k_h*k_w, h*w*n) column matrix of a batch-last (c, h, w, n) array
-    under the circular stride-1 plan `tensors.window_index`: one gather."""
-    idx = window_index(x.shape[:3], kernel_shape, (1, 1), "circular", negate)
-    cols = x.reshape(-1, x.shape[-1]).take(idx, axis=0)
-    return cols.reshape(len(idx), -1)
-
-
 class ConvLayer:
     """Trainable circular stride-1 convolution on batch-last (c, h, w, n)
     activations; gradients accumulate. Each product (forward, kernel
@@ -277,9 +262,7 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        cols = _columns(x, self.spec.kernel_shape)
-        out = self.kernel.reshape(len(self.kernel), -1) @ cols
-        return out.reshape((len(self.kernel),) + x.shape[1:])
+        return forward_last(self.kernel, self.spec, x)
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """Accumulate the kernel gradient; return the input gradient, or
@@ -288,18 +271,14 @@ class ConvLayer:
         # coefficients: grad[o, (i,a,b)] = sum_{p,t} g[o,p,t] cols[(i,a,b),p,t].
         # The columns are gathered again: keeping them from forward would
         # hold k_h*k_w times each layer's input alive between the passes.
-        cols = _columns(self._x, self.spec.kernel_shape)
+        cols = window_columns(self._x, self.spec.kernel_shape)
         grad = g.reshape(len(self.kernel), -1) @ cols.T
         self.grad += grad.reshape(self.kernel.shape)
         return self.adjoint(g) if input_grad else None
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """The input gradient: the correlation of g with the channel-swapped
-        kernel at negated tap offsets (as `convop.conv_adjoint_batch`)."""
-        cols = _columns(g, self.spec.kernel_shape, negate=True)
-        swapped = self.kernel.transpose(1, 0, 2, 3).reshape(
-            self.kernel.shape[1], -1)
-        return (swapped @ cols).reshape((len(swapped),) + g.shape[1:])
+        """The input gradient, `convop.adjoint_last` of g."""
+        return adjoint_last(self.kernel, self.spec, g)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +367,6 @@ class Block:
         return margin
 
 
-def _batch_last(xs: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> contiguous (c, h, w, n)."""
-    return np.ascontiguousarray(xs.transpose(1, 2, 3, 0))
-
-
 class TinyNet:
     """Small conv net with a fixed simplex head on flattened features.
 
@@ -454,7 +428,7 @@ class TinyNet:
     def activations(self, xs: np.ndarray):
         """Each block's batch-last input in order, then the last block's
         output; a block runs only when its output is asked for."""
-        y = _batch_last(self.check_input(xs))
+        y = batch_last(self.check_input(xs))
         yield y
         for blk in self.blocks:
             y = blk.forward(y)
@@ -834,9 +808,8 @@ def _sliced_forward(net: TinyNet, samples: np.ndarray):
                 break
             if i == overflow:   # the net's output, or an overflowed block
                 break
-            maxima[i] = max(maxima[i], patch_norms(
-                DataBatch(y.transpose(3, 0, 1, 2)), blocks[i].spec.k,
-                blocks[i].spec.k, padding="circular"))
+            k = blocks[i].spec.k
+            maxima[i] = max(maxima[i], max_patch_norm(y, (k, k)))
         if overflow < len(blocks):
             continue    # a later slice may still overflow at a smaller block
         part = net.head(y)

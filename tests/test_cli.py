@@ -859,6 +859,24 @@ def test_subcommands_reject_bad_budget_and_tolerance(tmp_path, command, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--gamma", "0"), ("--gamma", "inf"), ("--gamma", "-1"),
+    ("--delta", "1.5"), ("--delta", "0"), ("--delta", "1"),
+    ("--delta", "nan"), ("--epsilon", "0"), ("--epsilon", "-1"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"),
+])
+def test_analyze_rejects_bad_numbers_before_any_forward(tmp_path, monkeypatch,
+                                                        flag, value):
+    def refuse(*args):
+        raise AssertionError("analyze forwarded a batch")
+
+    monkeypatch.setattr(Block, "forward", refuse)
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    rc, _, err = run_cli(["analyze", ckpt, arch, f"{flag}={value}"])
+    assert rc == 1
+    assert flag in err
+
+
 def test_analyze_shape_mismatch_names_tensor(tmp_path):
     ckpt, _, _, _ = write_demo_pair(tmp_path)
     arch = default_arch_doc()

@@ -7,14 +7,13 @@ from capbound.convop import (
     ConvSpec,
     conv_adjoint,
     conv_adjoint_batch,
-    conv_columns,
     conv_forward,
     conv_forward_batch,
     materialize,
     mk_norm_identities,
 )
 from capbound.errors import ResourceError, UsageError
-from capbound.tensors import KernelTensor
+from capbound.tensors import KernelTensor, batch_last, window_columns
 from capbound.traindemo import ConvLayer
 
 from oracles import loop_conv
@@ -274,23 +273,24 @@ def test_windowed_route_matches_dense_operator(case):
         unit[idx] = 1.0
         tap = materialize(KernelTensor(unit), spec).entries
         want[idx] = np.einsum("np,pq,nq->", flat_y, tap, flat_x)
-    got = np.einsum("nop,nrp->or", ys.reshape(n, c_out, -1),
-                    conv_columns(spec, xs)).reshape(kern.shape)
+    cols = window_columns(batch_last(xs), kshape, strides, padding)
+    got = (batch_last(ys).reshape(c_out, -1) @ cols.T).reshape(kern.shape)
     np.testing.assert_allclose(got, want, **tol)
     if padding == "circular" and strides == (1, 1):
-        # the training layer runs batch-last (c, h, w, n)
+        # the training layer runs the same batch-last (c, h, w, n) route
         layer = ConvLayer(kern.entries, spec)
-        bl_fwd = layer.forward(np.ascontiguousarray(np.moveaxis(xs, 0, -1)))
-        np.testing.assert_allclose(np.moveaxis(bl_fwd, -1, 0), fwd, **tol)
-        bl_adj = layer.backward(np.ascontiguousarray(np.moveaxis(ys, 0, -1)))
-        np.testing.assert_allclose(np.moveaxis(bl_adj, -1, 0), adj, **tol)
-        np.testing.assert_allclose(layer.grad, want, **tol)
+        bl_fwd = layer.forward(batch_last(xs))
+        np.testing.assert_array_equal(np.moveaxis(bl_fwd, -1, 0), fwd)
+        bl_adj = layer.backward(batch_last(ys))
+        np.testing.assert_array_equal(np.moveaxis(bl_adj, -1, 0), adj)
+        np.testing.assert_array_equal(layer.grad, got)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batch_last_conv_layer_matches_the_batch_operators(seed):
     """ConvLayer runs batch-last (c, h, w, n); its forward, kernel gradient
-    and input gradient are the (n, c, h, w) batch operators transposed."""
+    and input gradient are the (n, c, h, w) batch operators transposed, bit
+    for bit: both run convop's one batch-last route."""
     rng = np.random.default_rng(100 + seed)
     c_in, c_out, n = (int(v) for v in rng.integers(1, 5, size=3))
     h, w = (int(v) for v in rng.integers(2, 9, size=2))
@@ -299,14 +299,13 @@ def test_batch_last_conv_layer_matches_the_batch_operators(seed):
     kern = KernelTensor(rng.standard_normal((c_out, c_in) + kshape))
     xs = rng.standard_normal((n, c_in, h, w))
     ys = rng.standard_normal((n, c_out, h, w))
-    tol = dict(rtol=1e-12, atol=1e-12)
     layer = ConvLayer(kern.entries, spec)
-    out = layer.forward(np.ascontiguousarray(np.moveaxis(xs, 0, -1)))
-    np.testing.assert_allclose(np.moveaxis(out, -1, 0),
-                               conv_forward_batch(kern, spec, xs), **tol)
-    dx = layer.backward(np.ascontiguousarray(np.moveaxis(ys, 0, -1)))
-    np.testing.assert_allclose(np.moveaxis(dx, -1, 0),
-                               conv_adjoint_batch(kern, spec, ys), **tol)
-    want = np.einsum("nop,nrp->or", ys.reshape(n, c_out, -1),
-                     conv_columns(spec, xs)).reshape(kern.shape)
-    np.testing.assert_allclose(layer.grad, want, **tol)
+    out = layer.forward(batch_last(xs))
+    np.testing.assert_array_equal(np.moveaxis(out, -1, 0),
+                                  conv_forward_batch(kern, spec, xs))
+    dx = layer.backward(batch_last(ys))
+    np.testing.assert_array_equal(np.moveaxis(dx, -1, 0),
+                                  conv_adjoint_batch(kern, spec, ys))
+    cols = window_columns(batch_last(xs), kshape)
+    want = (batch_last(ys).reshape(c_out, -1) @ cols.T).reshape(kern.shape)
+    np.testing.assert_array_equal(layer.grad, want)

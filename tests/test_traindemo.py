@@ -16,7 +16,7 @@ from capbound.capacity import (
     rademacher_clubs,
     rademacher_spades,
 )
-from capbound.tensors import DataBatch, KernelTensor, data_norm
+from capbound.tensors import DataBatch, KernelTensor, batch_last, data_norm
 from capbound.traindemo import (
     Block,
     BlockSpec,
@@ -158,10 +158,6 @@ def test_simplex_classifier_validation():
 # random draws stay (n, c, h, w), moved at the op boundary)
 
 
-def batch_last(x):
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-
 def batch_first(y):
     return np.moveaxis(y, -1, 0)
 
@@ -175,15 +171,19 @@ def pool_backward(op, g):
     return batch_first(op.backward(batch_last(g)))
 
 
-def loop_maxpool3(x):
+def loop_maxpool(x, size, stride, centered):
+    """Circular max pooling window by window, offsets 0..size-1, less
+    size//2 when centered."""
     n, c, h, w = x.shape
-    oh, ow = -(-h // 2), -(-w // 2)
+    oh, ow = -(-h // stride), -(-w // stride)
+    shift = size // 2 if centered else 0
     out = np.full((n, c, oh, ow), -np.inf)
     for p in range(oh):
         for q in range(ow):
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    val = x[:, :, (2 * p + di) % h, (2 * q + dj) % w]
+            for a in range(size):
+                for b in range(size):
+                    val = x[:, :, (stride * p + a - shift) % h,
+                            (stride * q + b - shift) % w]
                     out[:, :, p, q] = np.maximum(out[:, :, p, q], val)
     return out
 
@@ -192,10 +192,18 @@ def test_maxpool_matches_loop_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 2, 8, 8))
     pool = MaxPool(8, 8, 3, 2)
-    np.testing.assert_array_equal(pool_forward(pool, x), loop_maxpool3(x))
+    np.testing.assert_array_equal(pool_forward(pool, x),
+                                  loop_maxpool(x, 3, 2, True))
     x = rng.standard_normal((2, 1, 6, 6))
     pool = MaxPool(6, 6, 3, 2)
-    np.testing.assert_array_equal(pool_forward(pool, x), loop_maxpool3(x))
+    np.testing.assert_array_equal(pool_forward(pool, x),
+                                  loop_maxpool(x, 3, 2, True))
+    # the uncentered 2x2/2 windows of the doubling shortcut
+    for h, w in ((8, 8), (6, 4), (5, 7)):
+        x = rng.standard_normal((2, 3, h, w))
+        pool = MaxPool(h, w, 2, 2, centered=False)
+        np.testing.assert_array_equal(pool_forward(pool, x),
+                                      loop_maxpool(x, 2, 2, False))
 
 
 def test_maxpool_backward_is_argmax_scatter():
@@ -208,8 +216,8 @@ def test_maxpool_backward_is_argmax_scatter():
     dx = pool_backward(pool, weights)
     eps = 1e-6
     direction = rng.standard_normal(x.shape)
-    up = (loop_maxpool3(x + eps * direction) * weights).sum()
-    down = (loop_maxpool3(x - eps * direction) * weights).sum()
+    up = (loop_maxpool(x + eps * direction, 3, 2, True) * weights).sum()
+    down = (loop_maxpool(x - eps * direction, 3, 2, True) * weights).sum()
     assert (up - down) / (2 * eps) == pytest.approx(
         float((dx * direction).sum()), rel=1e-6)
 
@@ -227,6 +235,23 @@ def test_maxpool_lipschitz_under_two():
 def test_maxpool_rejects_oversized_window():
     with pytest.raises(UsageError):
         MaxPool(2, 2, 3, 2)
+    with pytest.raises(UsageError, match="uncentered"):
+        MaxPool(8, 8, 3, 2, centered=False)
+
+
+@pytest.mark.parametrize("size, centered", [(3, True), (2, False)])
+def test_pool_backward_sends_a_constant_window_to_its_first_tap(size,
+                                                                centered):
+    # every tap ties, so each window's gradient lands on its row-major
+    # first tap: offset (-1, -1) centered, (0, 0) uncentered
+    pool = MaxPool(6, 6, size, 2, centered)
+    x = np.ones((2, 3, 6, 6))
+    g = np.random.default_rng(size).standard_normal(
+        pool_forward(pool, x).shape)
+    first = (2 * np.arange(3) - (size // 2 if centered else 0)) % 6
+    want = np.zeros_like(x)
+    want[:, :, first[:, None], first[None, :]] = g
+    np.testing.assert_array_equal(pool_backward(pool, g), want)
 
 
 def test_doubling_shortcut_shape_and_lipschitz():
@@ -236,11 +261,9 @@ def test_doubling_shortcut_shape_and_lipschitz():
     y = pool_forward(short, x)
     assert y.shape == (3, 4, 4, 4)
     # first half pools in place, second half pools the one-pixel shift
-    np.testing.assert_array_equal(
-        y[:, :2], pool_forward(MaxPool(8, 8, 2, 2, False), x))
+    np.testing.assert_array_equal(y[:, :2], loop_maxpool(x, 2, 2, False))
     rolled = np.roll(x, (1, 1), axis=(2, 3))
-    np.testing.assert_array_equal(
-        y[:, 2:], pool_forward(MaxPool(8, 8, 2, 2, False), rolled))
+    np.testing.assert_array_equal(y[:, 2:], loop_maxpool(rolled, 2, 2, False))
     for _ in range(50):
         a = rng.standard_normal((1, 2, 8, 8))
         b = a + 0.2 * rng.standard_normal(a.shape)
@@ -433,12 +456,12 @@ def test_gradients_without_the_first_block_input_gradient(first, monkeypatch):
 
 
 def test_training_calls_no_batch_conv_operator(monkeypatch):
-    # the net runs its own batch-last products; convop's (n, c, h, w)
-    # batch operators serve the measurements and the oracles
+    # the net calls convop's unchecked batch-last core; the checked
+    # (n, c, h, w) batch operators serve the measurements and the oracles
     def refuse(*args, **kwargs):
         raise AssertionError("training called a convop batch operator")
 
-    for name in ("conv_forward_batch", "conv_adjoint_batch", "conv_columns"):
+    for name in ("conv_forward_batch", "conv_adjoint_batch"):
         assert not hasattr(traindemo, name)
         monkeypatch.setattr(convop, name, refuse)
     batch, labels = synth_data("rings", 32, seed=2)
