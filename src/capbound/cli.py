@@ -14,6 +14,7 @@ module emits and re-reads losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -615,10 +616,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first `main` call: argparse
+    keeps no state between parses, and building it costs more than most
+    parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,13 @@ FFT); a kernel that fills the grid is the h x w tap window. The inverse
 drops the imaginary part of the self-conjugate columns only below 1e-9 of
 max(1, the inverted stack's peak, the input scale of the clip that made
 it) (`_require_real`). A Gram screen (`top_singular_estimates`, eigenvalues
-of each matrix's smaller Gram matrix) picks the frequencies whose top
-singular value can matter, so the spectral norm (`stack_norm`) and the
-spectral clip SVD only those; a projection run screens only its first clip
-this way (see `project`). A decomposition that fails on a stack, or
+of each matrix's smaller Gram matrix at unit peak, `_unit_gram`) picks the
+frequencies whose top singular value can matter, so the spectral norm
+(`stack_norm`) and the spectral clip decompose only those; a projection run
+screens only its first clip this way (see `project`). Measurements keep the
+SVD: `stack_norm` and `fft_exact_spectrum` report singular values from it,
+while the clip, which reports none, decomposes the Gram matrices with
+`eigh`. A decomposition that fails on a stack, or
 returns a non-finite value from it, raises NumericalError naming the
 stack's non-finite matrices (finite taps whose transform overflowed).
 Everything else falls back to power iteration on the forward/adjoint
@@ -219,10 +222,11 @@ def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
 # (n the channel count, 4e-15 at 16 channels), far inside this margin, so a
 # matrix the screen leaves out provably has a top singular value below the
 # level it was screened against. The same margin covers the rounding of the
-# projections' remembered Weyl bound (see `project`): an SVD's top value plus
-# one rounded Frobenius norm per clip since, each off by at most about
-# m * eps relative (m the matrix's real entries, 512 at 16 x 16 channels),
-# so under 1e-11 of the bound after a hundred clips.
+# projections' remembered Weyl bound (see `project`): a Gram decomposition's
+# top value (off by about n * eps, as above) plus one rounded Frobenius norm
+# per clip since, each off by at most about m * eps relative (m the matrix's
+# real entries, 512 at 16 x 16 channels), so under 1e-11 of the bound after
+# a hundred clips.
 SCREEN_MARGIN = 1e-10
 
 
@@ -230,8 +234,8 @@ def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
     """Raise NumericalError naming a frequency stack's non-finite matrices
     (finite taps whose transform overflowed), or the decomposition failure
     `exc` on a finite stack; return if the stack is finite and no failure
-    is given. Callers check only after an SVD or `eigvalsh` failed or
-    returned a non-finite value, so a finite stack pays nothing."""
+    is given. Callers check only after a decomposition failed or returned
+    a non-finite value, so a finite stack pays nothing."""
     bad = int(np.count_nonzero(~np.isfinite(stacked).all(axis=(1, 2))))
     if bad:
         raise NumericalError(
@@ -242,16 +246,22 @@ def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
             f"frequency stack decomposition failed: {exc}") from exc
 
 
-def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
-    """Each matrix's largest singular value, from `eigvalsh` of its smaller
-    Gram matrix. Each matrix is first scaled to unit peak, so its Gram
-    matrix neither overflows nor underflows at its own scale; the estimate
-    carries the scale back. Only a screen: reported values come from the
-    SVD."""
+def _unit_gram(stacked: np.ndarray, left: bool):
+    """Each matrix's peak |entry| and the Gram matrix of the matrix scaled
+    to unit peak: A A^H if `left`, else A^H A. The scaling keeps the Gram
+    matrix from overflowing or underflowing at the matrix's own scale; its
+    eigenvalues are the squared singular values over the squared peak."""
     peak = np.max(np.abs(stacked), axis=(1, 2))
     unit = stacked / np.where(peak > 0, peak, 1.0)[:, None, None]
     adjoint = unit.conj().swapaxes(1, 2)
-    gram = unit @ adjoint if unit.shape[1] <= unit.shape[2] else adjoint @ unit
+    return peak, unit @ adjoint if left else adjoint @ unit
+
+
+def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
+    """Each matrix's largest singular value, from `eigvalsh` of its smaller
+    Gram matrix at unit peak (`_unit_gram`); the estimate carries the scale
+    back. Only a screen: reported values come from the SVD."""
+    peak, gram = _unit_gram(stacked, stacked.shape[1] <= stacked.shape[2])
     try:
         top = np.linalg.eigvalsh(gram)[:, -1]
     except np.linalg.LinAlgError as exc:
@@ -262,8 +272,8 @@ def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
 def may_reach(estimates: np.ndarray, level: float) -> np.ndarray:
     """Mask of the matrices whose top singular value may be >= level.
 
-    NaN estimates (non-finite input) are kept, so the SVD still sees and
-    reports them.
+    NaN estimates (non-finite input) are kept, so the decomposition still
+    sees and reports them.
     """
     return ~(estimates < (1.0 - SCREEN_MARGIN) * level)
 

@@ -9,7 +9,10 @@ The sets, for one layer with reference kernel K0 on an h x w circular grid:
 C1 and C3 are exact orthogonal projections in the Frobenius geometry; C2 is
 exact for circular stride-1 operators via per-frequency singular value
 clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
-is the orthogonal projection onto the full-grid Lipschitz ball). Only the
+is the orthogonal projection onto the full-grid Lipschitz ball). The clip
+takes each matrix's singular values and vectors from `eigh` of its smaller
+Gram matrix at unit peak, not from an SVD; the measurements
+(`lipschitz.stack_norm`) keep the SVD. Only the
 rfft2 half of the frequencies is clipped: the grid is real, clipping
 commutes with conjugation, and the inverse real transform restores each
 left-out conjugate partner. Of those, only the frequencies the screen
@@ -24,7 +27,8 @@ input's frequency stack and an upper bound on each of its matrices' top
 singular value. Every clip after the first bounds a frequency by that
 bound plus the Frobenius norm of the frequency's change, by Weyl's
 inequality sigma_max(A + D) <= sigma_max(A) + |D|_2 <= sigma_max(A) + |D|_F,
-and a decomposed frequency's bound resets to its SVD's top value. Both
+and a decomposed frequency's bound resets to its top singular value,
+peak sqrt(lambda_max) from the Gram decomposition. Both
 screens skip only frequencies whose clip is the identity, so the warm
 screen decomposes a different set but returns the same bits.
 
@@ -57,6 +61,7 @@ from .errors import UsageError
 from .lipschitz import (
     _require_fft_eligible,
     _require_finite_stack,
+    _unit_gram,
     embed_kernel_grid,
     may_reach,
     operator_norm,
@@ -128,8 +133,9 @@ class FeasibilityReport:
     its residual stop or its cap). The last pair always measures the
     returned kernel.
     Non-convergence is reported through `converged`, never raised.
-    clip_svds counts the frequency matrices the run's spectral clips passed
-    to the SVD (0 for runs that do not clip).
+    clip_svds counts the frequency matrices the run's spectral clips
+    decomposed, each by one `eigh` of its Gram matrix (0 for runs that do
+    not clip).
     """
 
     rounds_run: int
@@ -212,13 +218,15 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
 
 class _RunClip:
     """The clip onto C2 for one projection run, with the run's screen
-    memory (see the module docstring). Never shared between runs."""
+    memory (see the module docstring). Never shared between runs. It
+    decomposes each frequency matrix the screen keeps by `eigh` of its
+    smaller Gram matrix at unit peak; no SVD runs here."""
 
     def __init__(self, s: float):
         self.s = s
         self.stack = None   # the last clip input's frequency stack
         self.bound = None   # per frequency, >= that input's sigma_max
-        self.svds = 0       # frequency matrices passed to the SVD
+        self.svds = 0       # frequency matrices decomposed
         # max(1, the largest bound after the last clip): the input's scale,
         # which bounds the rounding of the clip's output at any s
         self.scale = 1.0
@@ -234,40 +242,70 @@ class _RunClip:
         else:
             bound = self.bound + _change_norms(stacked, self.stack)
         # A matrix the screen leaves out has every singular value below s,
-        # so its clip is the identity; the others lose U max(sv - s, 0) V^H.
+        # so its clip is the identity. The others lose, along each singular
+        # direction with sigma > s, the share 1 - s / sigma of their length:
+        # W -= W V diag(share) V^H, with V and sigma^2 from `eigh` of the
+        # Gram matrix W^H W (or, with fewer rows than columns,
+        # W -= U diag(share) U^H W from W W^H).
         hot = may_reach(bound, self.s)
-        # Taking the memory before the SVD frees the last clip's stack, and
-        # with u and vh dropped before the output is made a warm clip's
-        # peak memory stays at a cold clip's.
+        # Taking the memory first frees the last clip's stack, and the Gram
+        # stack goes before the products, so a warm clip's peak memory stays
+        # at a cold clip's.
         self.stack, self.bound = stacked, bound
         self.svds += int(np.count_nonzero(hot))
         picked = stacked[hot]
+        left = picked.shape[1] < picked.shape[2]
+        peak, gram = _unit_gram(picked, left)
         try:
-            u, sv, vh = np.linalg.svd(picked, full_matrices=False)
+            squares, vectors = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
             _require_finite_stack(stacked, exc)
-        bound[hot] = sv[:, 0]
-        peak = float(bound.max())
-        if not math.isfinite(peak):
+        del gram
+        sv = peak[:, None] * np.sqrt(np.maximum(squares, 0.0))
+        bound[hot] = sv[:, -1]
+        top = float(bound.max())
+        if not math.isfinite(top):
             _require_finite_stack(stacked)
-        self.scale = max(1.0, peak)
-        picked -= (u * np.maximum(sv - self.s, 0.0)[:, None, :]) @ vh
-        del u, vh
+        self.scale = max(1.0, top)
+        share = np.divide(np.maximum(sv - self.s, 0.0), sv,
+                          out=np.zeros_like(sv), where=sv > 0)
+        if left:
+            part = np.conj(vectors).swapaxes(1, 2) @ picked
+            part *= share[:, :, None]
+            picked -= vectors @ part
+        else:
+            part = picked @ vectors
+            part *= share[:, None, :]
+            # V^H in place: one stack fewer alive at the last product
+            np.conj(vectors, out=vectors)
+            picked -= part @ vectors.swapaxes(1, 2)
         out = stacked.copy()
         out[hot] = picked
         return out
 
 
 def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of stack - prior, scaled to unit peak
-    like the Gram screen, so that neither huge nor tiny changes overflow
-    or underflow."""
+    """Frobenius norm of each matrix of stack - prior, from one subtract and
+    one einsum. A nonzero change whose sum of squares leaves [1e-250,
+    1e250], where squares may overflow or lose digits to underflow, is
+    measured again scaled to unit peak, like the Gram screen."""
     change = np.subtract(stack, prior, order="C")
     change = change.view(np.float64).reshape(len(stack), -1)
-    np.abs(change, out=change)
-    peak = np.max(change, axis=1)
-    change /= np.where(peak > 0, peak, 1.0)[:, None]
-    return peak * np.sqrt(np.einsum("ij,ij->i", change, change))
+    squares = np.einsum("ij,ij->i", change, change)
+    norms = np.sqrt(squares)
+    odd = ~((squares >= 1e-250) & (squares <= 1e250))
+    if np.any(odd):
+        # in place: ADMM's unclipped frequencies change by exactly 0 on
+        # every iteration, and a stack-sized temporary per call costs more
+        # in page faults than the arithmetic
+        np.abs(change, out=change)
+        peak = np.max(change, axis=1)
+        redo = odd & (peak > 0)
+        if np.any(redo):
+            rows = change[redo] / peak[redo, None]
+            norms[redo] = peak[redo] * np.sqrt(
+                np.einsum("ij,ij->i", rows, rows))
+    return norms
 
 
 def _norm(a: np.ndarray) -> float:
@@ -312,7 +350,7 @@ def _p_box(taps: np.ndarray, cs: ConstraintSet) -> np.ndarray:
     """The exact projection onto C1 & C3 of a tap-window kernel: its (2,1)
     shrink around the reference taps. Every cycle passes it once, so its
     finiteness check is the cycle's: a NaN from an overflowing shrink stops
-    there, before the clip's SVD."""
+    there, before the clip's decomposition."""
     if not math.isinf(cs.distance_bound):
         taps = _l21_shrink(taps, cs.reference.entries, cs.distance_bound)
     if not np.all(np.isfinite(taps)):

@@ -182,6 +182,27 @@ def full_spectrum_clip(grid, s):
     return np.fft.ifft2(f_new, axes=(2, 3)).real
 
 
+def svd_clip(stacked, s):
+    """Clip the singular values of every matrix of a stack at s:
+    U min(sigma, s) V^H from one SVD per matrix."""
+    u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    return np.einsum("fij,fj,fjk->fik", u, np.minimum(sv, s), vh)
+
+
+def scaled_change_norms(stack, prior):
+    """Frobenius norm of each matrix of stack - prior, measured with the
+    matrix's real and imaginary parts scaled to unit peak, so no square
+    overflows or underflows."""
+    norms = []
+    for change in np.subtract(stack, prior):
+        parts = np.abs(np.concatenate([change.real.ravel(),
+                                       change.imag.ravel()]))
+        peak = float(np.max(parts))
+        norms.append(0.0 if peak == 0 else
+                     peak * math.sqrt(sum((x / peak) ** 2 for x in parts)))
+    return np.array(norms)
+
+
 def bisect_l21_shrinkage(fiber_norms, budget, iters=200):
     """Threshold lam so that sum(max(0, v - lam)) == budget, by bisection."""
     v = np.asarray(fiber_norms, dtype=float)

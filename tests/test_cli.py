@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from capbound import cli
 from capbound.cli import build_parser, main
 from capbound.formats import (
     MAX_LAYER_ELEMENTS,
@@ -1057,6 +1058,27 @@ def test_overflowing_frequency_stacks_exit_2(tmp_path, command):
     assert rc == 2
     assert err.startswith("numerical failure: frequency stack has "
                           "non-finite entries") and err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """A failing call and a valid one after it share one parser, and each
+    gives the exit code and output it gives on a fresh parser."""
+    ckpt, arch, _, _ = write_demo_pair(tmp_path)
+    argvs = (["project", ckpt, arch], ["spectra", ckpt, arch, "--json"])
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert fresh[0] == (1, "", "error: the following arguments are "
+                                "required: --out\n")
+    assert fresh[1][0] == 0 and json.loads(fresh[1][1])["layers"]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [run_cli(argv) for argv in argvs] == fresh
+    assert len(built) == 1
 
 
 def test_project_tol_default_is_the_projection_tolerance():

@@ -26,6 +26,7 @@ from capbound.project import (
     DEFAULT_TOL,
     ConstraintSet,
     _RunClip,
+    _change_norms,
     admm,
     alternate,
     alternating_projections,
@@ -45,6 +46,8 @@ from oracles import (
     cold_clip_cycle,
     full_frequency_svd,
     full_spectrum_clip,
+    scaled_change_norms,
+    svd_clip,
     textbook_projection_cycle,
 )
 
@@ -386,22 +389,24 @@ def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
                                                          column):
     """A frequency in column 0 (or w/2, w even) is its own conjugate
     partner, so after clipping it must invert to a real window; an
-    imaginary tilt planted in its SVD must raise instead of being dropped
-    by the inverse. s lies below every frequency's top singular value, so
-    the screen sends the whole half stack to the SVD and u[column] is
-    frequency (0, column)."""
+    imaginary tilt planted in its decomposition must raise instead of
+    being dropped by the inverse. s lies below every frequency's top
+    singular value, so the screen sends the whole half stack to the clip's
+    `eigh` and vectors[column] is frequency (0, column). Tilting the first
+    entry of each of its eigenvectors (a phase per whole eigenvector would
+    cancel in V f V^H) makes its clipped matrix complex."""
     window = np.random.default_rng(32).standard_normal((2, 2, 4, w))
     s = 0.5 * float(np.min(np.linalg.svd(taps_to_stack(window, 4, w),
                                          compute_uv=False)[:, 0]))
-    true_svd = np.linalg.svd
+    true_eigh = np.linalg.eigh
 
-    def tilted_svd(a, *args, **kwargs):
-        u, sv, vh = true_svd(a, *args, **kwargs)
-        u = u.copy()
-        u[column] *= 1j          # frequency (0, column) of the half stack
-        return u, sv, vh
+    def tilted_eigh(a, *args, **kwargs):
+        squares, vectors = true_eigh(a, *args, **kwargs)
+        vectors = vectors.copy()
+        vectors[column, 0] *= 1j   # frequency (0, column) of the half stack
+        return squares, vectors
 
-    monkeypatch.setattr(np.linalg, "svd", tilted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
     with pytest.raises(NumericalError, match="imaginary residue"):
         clip_window(window, s)
 
@@ -464,6 +469,94 @@ def test_remembered_screen_clips_like_the_cold_screen(case):
         top = np.linalg.svd(got, compute_uv=False)
         assert np.all(top[:, 0] <= s * (1 + 1e-12))
     assert clip.svds <= len(jumps) * h * (w // 2 + 1)
+
+
+@st.composite
+def clip_stacks(draw):
+    small = draw(st.integers(1, 4))
+    c_out, c_in = draw(st.sampled_from([
+        (small, small + draw(st.integers(1, 3))),   # c_out < c_in
+        (small, small),
+        (small + draw(st.integers(1, 3)), small)]))
+    spectrum = draw(st.sampled_from(["distinct", "rank_deficient",
+                                     "repeated"]))
+    level = draw(st.sampled_from(["zero", "inside", "near"]))
+    magnitude = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    return (c_out, c_in, draw(st.integers(1, 5)), spectrum, level,
+            magnitude, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(clip_stacks())
+@example((2, 5, 3, "distinct", "near", 1.0, 1))          # c_out < c_in
+@example((4, 4, 4, "repeated", "near", 1e150, 2))
+@example((5, 2, 3, "rank_deficient", "inside", 1e-150, 3))
+@example((3, 3, 2, "rank_deficient", "zero", 1.0, 4))
+@example((1, 1, 5, "distinct", "near", 1e-150, 5))        # scalar matrices
+def test_clip_matches_the_svd_clip(case):
+    """The clip of stacks built from chosen singular values, against
+    U min(sigma, s) V^H from the SVD: within 1e-12 of each matrix's peak
+    entry, and no singular value of the output above s (1 + 1e-12). The
+    spectra are distinct, rank-deficient or repeated, and s is 0, between
+    them, or within 1e-8 (relative) of one of them."""
+    c_out, c_in, count, spectrum, level, magnitude, seed = case
+    rng = np.random.default_rng(seed)
+    rank = min(c_out, c_in)
+
+    def orthonormal(rows):
+        gauss = rng.standard_normal((rows, rank, 2)).view(complex)[..., 0]
+        return np.linalg.qr(gauss)[0]
+
+    sigmas = rng.uniform(0.1, 1.0, (count, rank))
+    if spectrum == "rank_deficient":
+        sigmas[:, :int(rng.integers(1, rank + 1))] = 0.0
+    elif spectrum == "repeated":
+        sigmas[:] = rng.choice(sigmas[0, :2], (count, rank))
+    sigmas *= magnitude
+    stacked = np.stack([orthonormal(c_out) * sv @ orthonormal(c_in).conj().T
+                        for sv in sigmas])
+    positive = sigmas[sigmas > 0]
+    if level == "zero" or positive.size == 0:
+        s = 0.0
+    elif level == "inside":
+        s = float(rng.uniform(positive.min(), positive.max()))
+    else:
+        s = float(rng.choice(positive)) * (1 + float(rng.choice(
+            [-1e-8, -1e-12, 0.0, 1e-12, 1e-8])))
+
+    got = _RunClip(s).clip(stacked)
+    want = svd_clip(stacked, s)
+    peak = np.max(np.abs(stacked), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-12 * peak)
+    if s > 0:
+        top = np.linalg.svd(got, compute_uv=False)[:, 0]
+        assert np.all(top <= s * (1 + 1e-12))
+
+
+def test_change_norms_match_the_scaled_form():
+    """The one-pass norms of each matrix's change against the norms at
+    unit peak: changes at 1e200 and 1e-200, whose squares overflow or
+    underflow, zero changes, and changes whose entries mix scales, all in
+    one stack, with no warning."""
+    rng = np.random.default_rng(38)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+
+    prior = gauss(10, 3, 4)
+    change = gauss(10, 3, 4)
+    change *= np.array([1.0, 1e200, 1e-200, 0.0, 1e150, 1e-150, 1e120,
+                        1e-120, 1.0, 1.0])[:, None, None]
+    change[8, 0] *= 1e-170      # mixed: most entries at 1, one row at 1e-170
+    change[9, 1:] *= 1e170      # mixed: one row at 1, the rest at 1e170
+    stack = prior + change
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _change_norms(stack, prior)
+    assert got[3] == 0.0
+    np.testing.assert_allclose(got, scaled_change_norms(stack, prior),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(_change_norms(prior, prior), 0.0)
 
 
 def test_spectral_rejects_strided_spec():
