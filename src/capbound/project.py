@@ -240,7 +240,8 @@ class _RunClip:
         if self.stack is None:
             bound = top_singular_estimates(stacked)
         else:
-            bound = self.bound + _change_norms(stacked, self.stack)
+            bound = self.bound + _change_norms(
+                np.subtract(stacked, self.stack, order="C"))
         # A matrix the screen leaves out has every singular value below s,
         # so its clip is the identity. The others lose, along each singular
         # direction with sigma > s, the share 1 - s / sigma of their length:
@@ -284,13 +285,12 @@ class _RunClip:
         return out
 
 
-def _change_norms(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of stack - prior, from one subtract and
-    one einsum. A nonzero change whose sum of squares leaves [1e-250,
-    1e250], where squares may overflow or lose digits to underflow, is
-    measured again scaled to unit peak, like the Gram screen."""
-    change = np.subtract(stack, prior, order="C")
-    change = change.view(np.float64).reshape(len(stack), -1)
+def _change_norms(change: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-ordered stack of changes, which
+    it may overwrite, from one einsum. A nonzero change whose sum of squares
+    leaves [1e-250, 1e250], where squares may overflow or lose digits to
+    underflow, is measured again scaled to unit peak, like the Gram screen."""
+    change = change.view(np.float64).reshape(len(change), -1)
     squares = np.einsum("ij,ij->i", change, change)
     norms = np.sqrt(squares)
     odd = ~((squares >= 1e-250) & (squares <= 1e250))
@@ -528,8 +528,10 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
                        cs)
             stacked = _to_stack(p, cs)
             z_prev, z = z, clip.clip(stacked + u)
-            primal = np.max(_change_norms(stacked, z))
-            u += stacked - z
+            change = np.subtract(stacked, z, order="C")
+            u += change     # before the norms, which may overwrite it
+            primal = np.max(_change_norms(change))
+            del change      # a stack fewer alive through the next clip
             if rounds == 1 and primal == 0:
                 break   # the C1 & C3 projection already lies in C2
             if (primal <= 0.5 * tol * s

@@ -517,9 +517,10 @@ class EpochStats:
 class TrainResult:
     """A trained net and what training did. post_rounds_used counts the
     iterations the slowest layer's nearest-point pass ran after the last
-    update; cap_hit says a layer's pass stopped at its post_rounds cap
-    before converging. A diverged run is never feasible, and its post pass
-    never runs, so it never hits the cap.
+    update, and is 0 when both bounds are infinite, because no pass runs;
+    cap_hit says a layer's pass stopped at its post_rounds cap before
+    converging. A diverged run is never feasible, and its post pass never
+    runs, so it never hits the cap.
 
     train_error and test_error are the returned net's, measured after the
     post pass; the trajectory's last epoch measured the net before it. Both
@@ -577,34 +578,84 @@ def _evaluate(net: TinyNet, samples: np.ndarray,
                                                      batch_size)])
 
 
-def _kernels_in_range(net: TinyNet) -> bool:
-    """Every kernel entry within KERNEL_RANGE in magnitude (NaN is not)."""
-    return all(np.max(np.abs(k)) <= KERNEL_RANGE for k in net.kernels)
+class _Diverged(Exception):
+    """A training phase saw the run diverge."""
+
+
+def _check_range(net: TinyNet, logits=None) -> None:
+    """Raise _Diverged on a kernel entry past KERNEL_RANGE (or NaN), or on
+    non-finite logits."""
+    if not (all(np.max(np.abs(k)) <= KERNEL_RANGE for k in net.kernels)
+            and (logits is None or np.all(np.isfinite(logits)))):
+        raise _Diverged
+
+
+def _step(net: TinyNet, velocity, xs, ys, lr, momentum) -> float:
+    """One SGD step with momentum on the minibatch (xs, ys); returns its
+    loss, or raises _Diverged before the update if that is not finite."""
+    loss, g_logits = softmax_cross_entropy(net.forward(xs), ys)
+    if not math.isfinite(loss):
+        raise _Diverged
+    net.zero_grads()
+    net.backward(g_logits)
+    for blk, vel in zip(net.blocks, velocity):
+        vel *= momentum
+        vel -= lr * (blk.conv.grad + WEIGHT_DECAY * blk.conv.kernel)
+        blk.conv.kernel = blk.conv.kernel + vel
+    return loss
+
+
+def _error(net: TinyNet, batch, labels, batch_size: int) -> float:
+    """The net's 0-1 error on a batch, NaN without one."""
+    if batch is None:
+        return math.nan
+    return zero_one_error(_evaluate(net, batch.samples, batch_size), labels)
+
+
+def _epoch_stats(net: TinyNet, epoch: int, losses, references, train, test,
+                 batch_size: int) -> EpochStats:
+    """The epoch's record; train and test are (batch, labels) pairs. Its
+    measurements run only if `_check_range` passes the training logits."""
+    batch, labels = train
+    logits = _evaluate(net, batch.samples, batch_size)
+    _check_range(net, logits)
+    return EpochStats(
+        epoch=epoch,
+        train_error=zero_one_error(logits, labels),
+        test_error=_error(net, *test, batch_size),
+        mean_loss=float(np.mean(losses)),
+        ramp=ramp_risk(logits, labels, LOG_GAMMA),
+        lips=net.lipschitz(),
+        dists=net.distances(references),
+    )
+
+
+def _post_pass(net: TinyNet, sets, rounds: int):
+    """One `admm` run per layer, capped at `rounds` iterations; returns
+    whether every layer converged to `project.DEFAULT_TOL` and the slowest
+    layer's iterations."""
+    feasible, used = True, 0
+    for blk, cs in zip(net.blocks, sets):
+        kernel, report = admm(KernelTensor(blk.conv.kernel), cs, rounds)
+        blk.conv.kernel = kernel.entries
+        feasible = feasible and report.converged
+        used = max(used, report.rounds_run)
+    return feasible, used
 
 
 def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                     config: TrainConfig, lip_bound: float = math.inf,
                     dist_bound: float = math.inf, test_batch=None,
-                    test_labels=None, project: bool = True) -> TrainResult:
+                    test_labels=None) -> TrainResult:
     """SGD with momentum under per-layer distance/Lipschitz constraints.
 
     Kernels are first rescaled so every layer meets the Lipschitz bound
-    exactly (making the constraint intersection nonempty around the start),
-    then one alternating-projection cycle runs every `cadence` updates,
-    unmeasured. After the final update, each layer's kernel becomes its
-    nearest point in both balls by `project.admm`, capped at `post_rounds`
-    iterations and measured once, at its end. The result reports the
-    slowest layer's iterations (`post_rounds_used`), whether a layer
-    stopped at the cap (`cap_hit`) and whether every layer converged to
-    `project.DEFAULT_TOL` (`feasible`). Infinite bounds
-    leave the trajectory bit-identical to plain SGD. Divergence (a
-    non-finite loss or training logits, or a kernel past KERNEL_RANGE) is
-    reported via the result (`diverged`, and never `feasible`), never raised.
-
-    Each epoch's errors and ramp risk, and the result's `train_error` and
-    `test_error` (the returned net's, after the post pass), come from
-    evaluations run `batch_size` samples at a time; their logits equal a
-    whole-set `net.forward` bit for bit.
+    exactly (making the constraint intersection nonempty around the start).
+    Then `_step` runs on each minibatch, `_project_all` every `cadence`
+    steps, `_epoch_stats` after each epoch and `_post_pass` after the last
+    update. With both bounds infinite nothing is projected: the run is
+    plain SGD, and `post_rounds_used` is 0. A phase that sees the run
+    diverge ends it; the result reports that, never raises.
     """
     labels = np.asarray(labels)
     if labels.shape != (batch.n,):
@@ -618,83 +669,42 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
                 lip_bound).entries
     references = tuple(blk.conv.kernel.copy() for blk in net.blocks)
     sets = _constraint_sets(net, references, lip_bound, dist_bound) \
-        if project else ()
-
-    def test_error() -> float:
-        if test_batch is None:
-            return math.nan
-        return zero_one_error(
-            _evaluate(net, test_batch.samples, config.batch_size),
-            test_labels)
-
+        if math.isfinite(lip_bound) or math.isfinite(dist_bound) else ()
+    train, test = (batch, labels), (test_batch, test_labels)
     rng = np.random.default_rng(config.seed)
     velocity = [np.zeros_like(k) for k in net.kernels]
-    lr = config.lr
-    step = 0
+    lr, step = config.lr, 0
     diverged = False
     trajectory = []
-    for epoch in range(config.epochs):
-        if epoch in config.decay_epochs:
-            lr /= config.decay_factor
-        order = rng.permutation(batch.n)
-        losses = []
-        for lo in range(0, batch.n, config.batch_size):
-            take = order[lo:lo + config.batch_size]
-            logits = net.forward(batch.samples[take])
-            loss, g_logits = softmax_cross_entropy(logits, labels[take])
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            losses.append(loss)
-            net.zero_grads()
-            net.backward(g_logits)
-            for blk, vel in zip(net.blocks, velocity):
-                vel *= config.momentum
-                vel -= lr * (blk.conv.grad
-                             + WEIGHT_DECAY * blk.conv.kernel)
-                blk.conv.kernel = blk.conv.kernel + vel
-            step += 1
-            if step % config.cadence == 0:
-                if not _kernels_in_range(net):
-                    diverged = True
-                    break
-                if project:
+    try:
+        for epoch in range(config.epochs):
+            if epoch in config.decay_epochs:
+                lr /= config.decay_factor
+            order = rng.permutation(batch.n)
+            losses = []
+            for lo in range(0, batch.n, config.batch_size):
+                take = order[lo:lo + config.batch_size]
+                losses.append(_step(net, velocity, batch.samples[take],
+                                    labels[take], lr, config.momentum))
+                step += 1
+                if step % config.cadence == 0:
+                    _check_range(net)
                     _project_all(net, sets)
-        if diverged:
-            break
-        train_logits = _evaluate(net, batch.samples, config.batch_size)
-        if not (_kernels_in_range(net) and np.all(np.isfinite(train_logits))):
-            diverged = True
-            break
-        trajectory.append(EpochStats(
-            epoch=epoch,
-            train_error=zero_one_error(train_logits, labels),
-            test_error=test_error(),
-            mean_loss=float(np.mean(losses)) if losses else math.nan,
-            ramp=ramp_risk(train_logits, labels, LOG_GAMMA),
-            lips=net.lipschitz(),
-            dists=net.distances(references),
-        ))
-    feasible = not diverged
-    used = 0
-    if project and feasible and config.post_rounds > 0:
-        for blk, cs in zip(net.blocks, sets):
-            kernel, report = admm(KernelTensor(blk.conv.kernel), cs,
-                                  config.post_rounds)
-            blk.conv.kernel = kernel.entries
-            feasible = feasible and report.converged
-            used = max(used, report.rounds_run)
-    train_error = final_test_error = math.nan
-    if not diverged:
-        train_error = zero_one_error(
-            _evaluate(net, batch.samples, config.batch_size), labels)
-        final_test_error = test_error()
+            trajectory.append(_epoch_stats(net, epoch, losses, references,
+                                           train, test, config.batch_size))
+    except _Diverged:
+        diverged = True
+        train = test = (None, None)     # a diverged net's errors are NaN
+    feasible, used = not diverged, 0
+    if feasible and config.post_rounds > 0:
+        feasible, used = _post_pass(net, sets, config.post_rounds)
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
                        feasible=feasible, lip_bound=lip_bound,
                        dist_bound=dist_bound, post_rounds_used=used,
                        cap_hit=not (feasible or diverged),
-                       train_error=train_error, test_error=final_test_error)
+                       train_error=_error(net, *train, config.batch_size),
+                       test_error=_error(net, *test, config.batch_size))
 
 
 # ---------------------------------------------------------------------------

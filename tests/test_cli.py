@@ -1319,8 +1319,7 @@ def test_train_demo_unconstrained_cell_equals_plain_sgd(tmp_path):
     net = demo_net(seed=0)
     config = TrainConfig(epochs=3, seed=0)
     result = train_projected(net, batch, labels, config,
-                             test_batch=test_batch, test_labels=test_labels,
-                             project=False)
+                             test_batch=test_batch, test_labels=test_labels)
     assert cell["train_error"] == result.trajectory[-1].train_error
     assert cell["test_error"] == result.trajectory[-1].test_error
     assert [t["mean_loss"] for t in cell["trajectory"]] == [

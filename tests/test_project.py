@@ -552,11 +552,11 @@ def test_change_norms_match_the_scaled_form():
     stack = prior + change
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _change_norms(stack, prior)
+        got = _change_norms(stack - prior)
     assert got[3] == 0.0
     np.testing.assert_allclose(got, scaled_change_norms(stack, prior),
                                rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(_change_norms(prior, prior), 0.0)
+    np.testing.assert_array_equal(_change_norms(prior - prior), 0.0)
 
 
 def test_spectral_rejects_strided_spec():

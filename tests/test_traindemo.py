@@ -528,6 +528,8 @@ BLOCKS = (BlockSpec(1, 8, 3, pool="max3"), BlockSpec(8, 8, 3))
 
 
 def test_infinite_bounds_match_plain_sgd_bitwise():
+    # both bounds infinite is plain SGD; a (2,1) ball of radius 1e300 is
+    # projected onto at every cadence and after training, and never binds
     batch, labels = synth_data("blobs", 48, seed=1)
     test_b, test_l = synth_data("blobs", 16, seed=9)
     cfg = TrainConfig(epochs=3, seed=2, batch_size=16)
@@ -535,12 +537,13 @@ def test_infinite_bounds_match_plain_sgd_bitwise():
     net_b = TinyNet(BLOCKS, seed=4)
     res_a = train_projected(net_a, batch, labels, cfg,
                             test_batch=test_b, test_labels=test_l)
-    res_b = train_projected(net_b, batch, labels, cfg, test_batch=test_b,
-                            test_labels=test_l, project=False)
+    res_b = train_projected(net_b, batch, labels, cfg, dist_bound=1e300,
+                            test_batch=test_b, test_labels=test_l)
     assert res_a.trajectory == res_b.trajectory
     for ka, kb in zip(net_a.kernels, net_b.kernels):
         np.testing.assert_array_equal(ka, kb)
     assert res_a.feasible and not res_a.diverged
+    assert res_b.post_rounds_used == 1
 
 
 def test_projected_run_meets_constraints_and_learns():
@@ -627,8 +630,7 @@ def test_a_kernel_made_non_finite_after_construction_trains_to_diverged():
     net = TinyNet(BLOCKS, seed=1)
     net.blocks[1].conv.kernel[0, 0, 1, 1] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        res = train_projected(net, batch, labels, TrainConfig(epochs=2),
-                              project=False)
+        res = train_projected(net, batch, labels, TrainConfig(epochs=2))
     assert res.diverged and not res.feasible
     assert res.trajectory == () and res.post_rounds_used == 0
     with pytest.raises(UsageError, match="non-finite"):
@@ -657,10 +659,10 @@ def test_lr_decay_schedule_applies():
     two = TrainConfig(epochs=2, seed=0, momentum=0.0,
                       decay_epochs=(1,), decay_factor=1e12)
     net_a = TinyNet(BLOCKS, seed=2)
-    train_projected(net_a, batch, labels, two, project=False)
+    train_projected(net_a, batch, labels, two)
     net_b = TinyNet(BLOCKS, seed=2)
     one = TrainConfig(epochs=1, seed=0, momentum=0.0)
-    train_projected(net_b, batch, labels, one, project=False)
+    train_projected(net_b, batch, labels, one)
     for ka, kb in zip(net_a.kernels, net_b.kernels):
         np.testing.assert_allclose(ka, kb, atol=1e-9)
 
@@ -802,10 +804,21 @@ def test_post_pass_reports_the_cap():
     res = train_projected(net, batch, labels, config, **bounds)
     assert res.post_rounds_used == config.post_rounds == 1
     assert res.cap_hit and not res.feasible
-    unprojected = train_projected(*projected_cell(*PROJECTED_CELLS[0])[:4],
-                                  project=False)
+    unprojected = train_projected(*projected_cell(*PROJECTED_CELLS[0])[:4])
     assert unprojected.post_rounds_used == 0
     assert unprojected.feasible and not unprojected.cap_hit
+
+
+def test_infinite_bounds_run_no_projection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("projected under infinite bounds")
+
+    monkeypatch.setattr(traindemo, "alternate", refuse)
+    monkeypatch.setattr(traindemo, "admm", refuse)
+    net, batch, labels, config, _ = projected_cell(*PROJECTED_CELLS[0])
+    res = train_projected(net, batch, labels, config)
+    assert res.post_rounds_used == 0
+    assert res.feasible and not res.cap_hit and not res.diverged
 
 
 def test_projection_measures_each_layer_once_after_training(monkeypatch):
