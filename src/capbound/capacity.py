@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .tensors import DenseMatrix, KernelTensor
 
 __all__ = [
     "LayerRecord",
@@ -55,6 +54,7 @@ __all__ = [
 ]
 
 _SHORTCUTS = ("zero", "identity", "fixed")
+_GAMMA_MAX = 1e9   # the margin search's upward bracket stops here
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,13 @@ _SHORTCUTS = ("zero", "identity", "fixed")
 
 @dataclass(frozen=True)
 class LayerRecord:
+    """A trainable layer's capacity inputs: s_ij, b_ij, rho_ij and W_ij."""
+
     kind: str                      # conv | dense
     lip: float                     # s_ij > 0
     dist: float                    # b_ij >= 0
     rho: float = 1.0               # Lipschitz of the following fixed map
-    weight: object = None          # KernelTensor | DenseMatrix | None
-    reference: object = None
     param_count: int | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("conv", "dense"):
@@ -83,18 +82,8 @@ class LayerRecord:
                 f"must be finite and >= 0, got {self.dist!r}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise UsageError("layer rho must be finite and > 0")
-        if self.weight is not None:
-            if not isinstance(self.weight, (KernelTensor, DenseMatrix)):
-                raise UsageError("weight must be KernelTensor or DenseMatrix")
-            size = self.weight.entries.size
-            if self.param_count is not None and self.param_count != size:
-                raise UsageError("param_count disagrees with weight size")
-            object.__setattr__(self, "param_count", size)
         if self.param_count is None or self.param_count < 1:
-            raise UsageError("param_count required (>= 1) when weight is absent")
-        if self.reference is not None and self.weight is not None:
-            if self.reference.entries.shape != self.weight.entries.shape:
-                raise UsageError("reference shape differs from weight shape")
+            raise UsageError("param_count required (>= 1)")
 
     @property
     def w(self) -> int:
@@ -205,6 +194,8 @@ def _lg_add(a: float, b: float) -> float:
     if b == _NEG_INF:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
+    if lo == math.inf:  # inf - inf would make the sum NaN
+        return lo
     return hi + math.log10(1.0 + 10.0 ** (lo - hi))
 
 
@@ -239,6 +230,15 @@ def _report_from_log10(name: str, value_log10: float, extra=None) -> BoundReport
                        breakdown=extra, saturated=not math.isfinite(value))
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p for x >= 0, inf where the result passes the float range
+    (Python raises OverflowError there)."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def safe_ceil(x: float):
     """Ceiling that tolerates infinities and rejects NaN."""
     if isinstance(x, float) and math.isnan(x):
@@ -255,10 +255,15 @@ def cover_value(coefficients, ws, n: int, eps: float, variant: str) -> float:
     norms  : log(2 W_max) * (sum ceil(C^{2/3}))^3 * ceil(n/eps^2)
     params : sum 2 W log(1 + ceil((Lbar C)^2) ceil(n/eps^2)), Lbar the
              number of layers
+
+    A term past the float range saturates the value to inf; every finite
+    value is the plain formula's.
     """
     if eps <= 0:
         raise UsageError("eps must be > 0")
-    n_ceil = safe_ceil(n / eps**2)
+    eps_sq = _power(eps, 2)
+    # n/eps^2 > 0, so its ceiling is 1 where the quotient underflows
+    n_ceil = max(1, safe_ceil(n / eps_sq)) if eps_sq > 0 else math.inf
     if variant == "norms":
         total = 0
         for t in [safe_ceil(c ** (2.0 / 3.0)) for c in coefficients]:
@@ -267,12 +272,12 @@ def cover_value(coefficients, ws, n: int, eps: float, variant: str) -> float:
             total += t
         if n_ceil == math.inf:
             return math.inf if total > 0 else 0.0
-        return math.log(2 * max(ws)) * float(total) ** 3 * float(n_ceil)
+        return math.log(2 * max(ws)) * _power(float(total), 3) * float(n_ceil)
     if variant != "params":
         raise UsageError(f"unknown variant {variant!r}")
     l_bar = float(len(coefficients))
     total = 0.0
-    for w, a in [(w, safe_ceil((l_bar * c) ** 2))
+    for w, a in [(w, safe_ceil(_power(l_bar * c, 2)))
                  for c, w in zip(coefficients, ws)]:
         if a == math.inf or n_ceil == math.inf:
             if a == 0:
@@ -301,9 +306,6 @@ class LayerCapacity:
 @dataclass(frozen=True)
 class CapacityTerms:
     entries: tuple
-    n: int
-    data_norm: float
-    gamma: float
     l_bar: int
     w_max: int
 
@@ -332,8 +334,7 @@ def capacity_terms(inp: CapacityInput) -> CapacityTerms:
         entries.append(LayerCapacity(i, j, c, (2.0 * c) / inp.gamma,
                                      ctx.leaf.w, ctx.prefix, ctx.trailing,
                                      log10_c))
-    return CapacityTerms(tuple(entries), inp.n, inp.data_norm, inp.gamma,
-                         inp.l_bar, inp.w_max)
+    return CapacityTerms(tuple(entries), inp.l_bar, inp.w_max)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ class BoundReport:
     def of(name: str, value: float, breakdown: dict | None = None,
            log10_value: float | None = None) -> "BoundReport":
         if log10_value is None:
-            if value > 0 and math.isfinite(value):
+            if value > 0:  # log10 of a saturated (inf) value is inf
                 log10_value = math.log10(value)
             elif value == 0:
                 log10_value = -math.inf
@@ -386,7 +387,7 @@ def single_layer_cover_bound(w: int, data_norm: float, b: float, eps: float,
         raise UsageError("W must be >= 1")
     if b < 0 or data_norm < 0:
         raise UsageError("b and |X| must be >= 0")
-    m = safe_ceil(((data_norm * b) / eps) ** 2)
+    m = safe_ceil(_power((data_norm * b) / eps, 2))
     if variant == "norms":
         if m == math.inf:
             return math.inf
@@ -610,12 +611,13 @@ class MarginSearchResult:
 
 def margin_for_equal_ramp_loss(logits_ref: np.ndarray, labels_ref: np.ndarray,
                                gamma_ref: float, logits_new: np.ndarray,
-                               labels_new: np.ndarray, tol: float = 1e-6,
-                               gamma_max: float = 1e9) -> MarginSearchResult:
+                               labels_new: np.ndarray,
+                               tol: float = 1e-6) -> MarginSearchResult:
     """Find gamma so the new model's ramp risk equals the reference's.
 
     The target is the reference model's ramp risk at gamma_ref. Ramp risk is
-    nondecreasing and continuous in gamma, so bisection applies; an
+    nondecreasing and continuous in gamma, so bisection applies once gamma
+    is bracketed by doubling up to _GAMMA_MAX or halving down to 1e-12; an
     unattainable target is reported through found=False, never raised.
     """
     from .traindemo import ramp_risk  # local import, traindemo sits above
@@ -633,16 +635,14 @@ def margin_for_equal_ramp_loss(logits_ref: np.ndarray, labels_ref: np.ndarray,
     lo, hi = None, None
     g = gamma_ref
     if risk(g) < target:
-        while g < gamma_max:
-            nxt = min(g * 2.0, gamma_max)
+        while g < _GAMMA_MAX:
+            nxt = min(g * 2.0, _GAMMA_MAX)
             if risk(nxt) >= target:
                 lo, hi = g, nxt
                 break
             g = nxt
-        else:  # pragma: no cover
-            pass
         if lo is None:
-            return MarginSearchResult(False, math.nan, risk(gamma_max), target)
+            return MarginSearchResult(False, math.nan, risk(_GAMMA_MAX), target)
     else:
         while g > 1e-12:
             nxt = g / 2.0

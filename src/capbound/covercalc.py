@@ -76,7 +76,6 @@ __all__ = [
 @dataclass(frozen=True)
 class FixedNode:
     lip: float
-    name: str = ""
 
     def __post_init__(self):
         if self.lip < 0 or not math.isfinite(self.lip):
@@ -88,7 +87,6 @@ class LayerNode:
     lip: float            # Lipschitz bound s over the whole ball
     dist: float           # reference-distance bound b
     w: int                # parameter count
-    name: str = ""
 
     def __post_init__(self):
         if not (self.lip > 0) or not math.isfinite(self.lip):
@@ -388,8 +386,7 @@ def residual_chain_tree(inp) -> Compose:
     for blk in inp.blocks:
         inner: list = []
         for layer in blk.layers:
-            inner.append(LayerNode(lip=layer.lip, dist=layer.dist,
-                                   w=layer.w, name=layer.name))
+            inner.append(LayerNode(lip=layer.lip, dist=layer.dist, w=layer.w))
             inner.append(FixedNode(lip=layer.rho))
         top.append(Sum((FixedNode(lip=blk.shortcut_lip), Compose(tuple(inner)))))
         top.append(FixedNode(lip=blk.rho))
@@ -400,8 +397,7 @@ def plain_chain_tree(layers) -> Compose:
     """A chain network as a tree: layer, its rho, layer, its rho, ..."""
     nodes: list = []
     for layer in layers:
-        nodes.append(LayerNode(lip=layer.lip, dist=layer.dist, w=layer.w,
-                               name=layer.name))
+        nodes.append(LayerNode(lip=layer.lip, dist=layer.dist, w=layer.w))
         nodes.append(FixedNode(lip=layer.rho))
     nodes.append(FixedNode(lip=1.0))
     return Compose(tuple(nodes))

@@ -110,10 +110,8 @@ def power_iteration(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
 
 
 def _require_fft_eligible(kernel: KernelTensor, spec: ConvSpec) -> None:
-    if spec.padding != "circular":
-        raise UsageError("exact spectra require circular padding")
-    if spec.strides != (1, 1):
-        raise UsageError("exact spectra require stride 1")
+    if not fft_eligible(spec):
+        raise UsageError("exact spectra require circular padding, stride 1")
     spec.check_kernel(kernel)
 
 

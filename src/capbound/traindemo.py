@@ -16,7 +16,7 @@ from .capacity import BlockRecord, CapacityInput, ComparisonDataStats, \
     ComparisonLayerStats, LayerRecord
 from .convop import ConvSpec, adjoint_last, forward_last
 from .errors import UsageError
-from .lipschitz import fft_exact_norm
+from .lipschitz import fft_eligible, fft_exact_norm
 from .project import DEFAULT_BUDGETS, ConstraintSet, admm, alternate, \
     init_scale_to_feasible
 from .tensors import DataBatch, KernelTensor, batch_last, data_norm, \
@@ -252,7 +252,7 @@ class ConvLayer:
     a non-finite loss."""
 
     def __init__(self, kernel: np.ndarray, spec: ConvSpec):
-        if spec.strides != (1, 1) or spec.padding != "circular":
+        if not fft_eligible(spec):
             raise UsageError("trainable convolutions are circular, stride 1")
         kernel = KernelTensor(kernel)
         spec.check_kernel(kernel)
@@ -769,12 +769,11 @@ def _block_records(net: TinyNet, references) -> tuple:
     shortcut_kind = {"none": "zero", "identity": "identity",
                      "double": "fixed"}
     records = []
-    for blk, ref, lip, dist in zip(net.blocks, references, net.lipschitz(),
-                                   net.distances(references)):
+    for blk, lip, dist in zip(net.blocks, net.lipschitz(),
+                              net.distances(references)):
         layer = LayerRecord(kind="conv", lip=lip, dist=dist,
                             rho=blk.spec.post_lip,
-                            weight=KernelTensor(blk.conv.kernel),
-                            reference=KernelTensor(ref))
+                            param_count=blk.conv.kernel.size)
         kind = shortcut_kind[blk.spec.shortcut]
         records.append(BlockRecord(
             layers=(layer,),

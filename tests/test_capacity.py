@@ -319,6 +319,38 @@ def test_cover_bounds_shrink_with_radius():
         assert values == sorted(values, reverse=True)
 
 
+def test_cover_bounds_saturate_past_the_float_range():
+    # C is about 1e160: (sum ceil(C^{2/3}))^3 and (Lbar C)^2 pass the float
+    # range, and at eps 1e-200 so does n/eps^2 (eps^2 underflows to 0)
+    big = chain_input([layer(b=1e160, w=9), layer(b=1.0, w=4)], n=64,
+                      data_norm=8.0)
+    small = chain_input([layer(s=1.5, b=2.0, w=9)], n=64, data_norm=8.0)
+    for inp, eps in ((big, 0.1), (big, 1e-200), (small, 1e-200)):
+        for variant in ("norms", "params"):
+            rep = whole_network_cover_bound(inp, eps, variant)
+            assert rep.value == math.inf and rep.saturated, (eps, variant)
+            assert rep.log10_value == math.inf
+    for variant in ("norms", "params", "params_appendix"):
+        assert single_layer_cover_bound(9, 8.0, 1e160, 0.1, variant) == math.inf
+        assert single_layer_cover_bound(9, 8.0, 1.0, 1e-200, variant) == math.inf
+    # past eps 1e154, eps^2 overflows; ceil(n/eps^2) is 1 from eps = 8 on
+    for variant in ("norms", "params"):
+        assert (whole_network_cover_bound(small, 1e200, variant).value
+                == whole_network_cover_bound(small, 8.0, variant).value)
+
+
+def test_saturated_bounds_report_an_infinite_log10():
+    assert BoundReport.of("x", math.inf).log10_value == math.inf
+    # gamma 1e-320: 2/gamma overflows, so every C~ is inf and both
+    # Rademacher bounds and the generalization bound saturate
+    inp = chain_input([layer(s=1.5, b=2.0, w=9), layer(b=1.0, w=4)], n=64,
+                      data_norm=8.0, gamma=1e-320)
+    reports = [rademacher_clubs(inp), rademacher_spades(inp),
+               generalization_bound(inp, 0.0, 0.01, "clubs")]
+    for rep in reports:
+        assert rep.value == math.inf and rep.log10_value == math.inf, rep.name
+
+
 def test_cover_bound_validation():
     inp = chain_input([layer()])
     with pytest.raises(UsageError):

@@ -1424,6 +1424,40 @@ def test_analyze_refuses_a_net_whose_activations_overflow(tmp_path):
     assert "activations overflowed: block 1 " in err
 
 
+@pytest.mark.parametrize("scale, flags", [
+    (1.0, ["--epsilon", "1e-200"]),
+    (1.0, ["--epsilon", "1e200"]),
+    (1e80, ["--epsilon", "0.1"]),
+    (1.0, ["--gamma", "1e-320"]),
+])
+def test_analyze_saturates_instead_of_raising(tmp_path, scale, flags):
+    # each case once ended in a traceback: n/eps^2 dividing by an eps^2
+    # that underflowed to 0, an eps^2 or a cover term past the float range,
+    # and a saturated row's log10 of None in the text table
+    ckpt, arch, weights, refs = write_demo_pair(tmp_path)
+    if scale != 1.0:
+        ckpt = str(tmp_path / "scaled.ckpt")
+        write_checkpoint(ckpt, {n: k * scale for n, k in weights.items()},
+                         refs)
+    argv = ["analyze", ckpt, arch, "--n", "16", *flags]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, text, _ = run_cli(argv)
+        rc_json, out, _ = run_cli([*argv, "--json"])
+    assert rc == 0 and rc_json == 0
+    doc = json.loads(out)
+    if "--gamma" in flags:
+        rows = [doc["clubs"], doc["spades"], doc["comparison"]["ours_clubs"],
+                doc["comparison"]["ours_spades"]]
+        assert "ours_spades                     inf" in text
+    else:
+        rows = [doc["cover"]["norms"], doc["cover"]["params"]]
+    for row in rows:
+        if flags[1] == "1e200":
+            assert math.isfinite(row["value"]) and math.isfinite(row["log10"])
+        else:
+            assert row["value"] == math.inf and row["log10"] == math.inf
+
+
 def test_train_demo_rejects_bad_grid():
     rc, _, err = run_cli(["train-demo", "--lip-grid", "2.0,zero"])
     assert rc == 1 and "zero" in err

@@ -1,6 +1,7 @@
 """Every import in the package and the scripts is read somewhere, every
-name the scripts import from the package exists, and the package runs no
-FFT (its frequency stacks come from the taps)."""
+name the scripts import from the package and every `__all__` entry of the
+package exists, and the package runs no FFT (its frequency stacks come
+from the taps)."""
 
 import ast
 import importlib
@@ -81,6 +82,13 @@ def test_script_imports_resolve(path):
     imports = package_imports(path.read_text(encoding="utf-8"))
     assert imports
     assert [f"{m}.{n}" for m, n in imports if not resolves(m, n)] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=file_id)
+def test_package_exports_resolve(path):
+    module = "capbound" + ("" if path.stem == "__init__" else f".{path.stem}")
+    exported = getattr(importlib.import_module(module), "__all__", ())
+    assert [name for name in exported if not resolves(module, name)] == []
 
 
 def fft_references(source: str) -> list:

@@ -154,10 +154,6 @@ def test_data_batch_norm_and_cache_check():
     x = rng.standard_normal((4, 2, 3, 3))
     b = DataBatch(x)
     assert data_norm(b) == pytest.approx(np.sqrt((x**2).sum()), rel=1e-14)
-    # a correct cached value round-trips, a corrupted one is rejected
-    DataBatch(x, cached_norm=b.cached_norm)
-    with pytest.raises(UsageError):
-        DataBatch(x, cached_norm=b.cached_norm * 1.001)
 
 
 def test_data_norm_additivity_over_disjoint_stacks():
