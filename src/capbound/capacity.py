@@ -675,12 +675,10 @@ class ComparisonLayerStats:
     """Measured statistics of one layer of a plain chain, for the comparison
     rows.
 
-    Distances are against the layer's reference kernel. Optional entries may
-    be None; rows needing them come back marked absent. A fixed layer (one
-    that is not trained, such as a fixed classifier head) enters every row's
-    end-to-end function. Where the ours_* rows are built from these stats,
-    a fixed layer only scales the outer rho, and only trainable layers count
-    in Lbar and W_max, as in capacity_terms.
+    Kernel statistics are raw; the *_diff ones are of the change from the
+    layer's reference kernel. A layer that is not trained, such as the
+    fixed classifier head, has zero change and still enters every row's
+    end-to-end function.
     """
 
     lip: float
@@ -690,15 +688,12 @@ class ComparisonLayerStats:
     k: int
     c_in: int
     c_out: int
-    dist_21: float | None = None
-    sum_out_l2: float | None = None
-    sum_out_l2_diff: float | None = None
-    max_out_l1: float | None = None
-    max_out_l1_diff: float | None = None
-    max_out_l2: float | None = None
-    frob: float | None = None
-    frob_diff: float | None = None
-    fixed: bool = False
+    sum_out_l2_diff: float
+    max_out_l1: float
+    max_out_l1_diff: float
+    max_out_l2: float
+    frob: float
+    frob_diff: float
 
     def __post_init__(self):
         if not (self.lip > 0):
@@ -710,34 +705,29 @@ class ComparisonLayerStats:
 @dataclass(frozen=True)
 class ComparisonDataStats:
     """Data statistics for the comparison rows, plus the network's own
-    BlockRecords, shortcuts included, when the ours_* rows should use them."""
+    BlockRecords, shortcuts included, on which the ours_* rows run."""
 
     data_norm: float
-    max_linf: float | None = None
-    max_coord_sq_sum: float | None = None
-    patch_norm_input: float | None = None
-    patch_norms: tuple | None = None  # B_0 .. B_L from a forward pass
-    blocks: tuple | None = None
+    max_linf: float
+    max_coord_sq_sum: float
+    patch_norms: tuple  # B_0 (the input's) .. B_L from a forward pass
+    blocks: tuple
 
-
-def _need(stats, fields) -> str | None:
-    for f in fields:
-        for i, st in enumerate(stats):
-            if getattr(st, f) is None:
-                return f"layer {i} is missing {f}"
-    return None
+    def __post_init__(self):
+        if not self.patch_norms:
+            raise UsageError("need at least the input's patch norm")
 
 
 def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
                      kappa: int) -> dict:
     """Every published bound evaluated on the same measured statistics.
 
-    Returns a name -> BoundReport dict; rows whose statistics are missing
-    are marked absent with the reason, never silently zero. The ours_* rows
-    are rademacher_clubs and rademacher_spades themselves, on data.blocks
-    when given (the network's own records, shortcuts included), else on the
-    plain chain of the layer stats. The other rows run in log10 space so
-    products of many layer norms cannot overflow.
+    Returns a name -> BoundReport dict. The ours_* rows are
+    rademacher_clubs and rademacher_spades themselves on data.blocks (the
+    network's own records, shortcuts included). The other rows run in
+    log10 space so products of many layer norms cannot overflow; ledent_main
+    is marked absent, with the reason, when the patch norms do not match
+    the layers or one after the input is zero.
     """
     stats = tuple(stats)
     if not stats:
@@ -756,44 +746,25 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         return max(1, stats[i].d // stats[i].t)
 
     # ---- ours: the headline bounds on the network's records ---------------
-    trainable = [st for st in stats if not st.fixed]
-    why = None
-    if data.blocks is None:
-        why = _need(stats, ["dist_21"]) if trainable else "every layer is fixed"
-    if why:
-        rows["ours_clubs"] = BoundReport.missing("ours_clubs", why)
-        rows["ours_spades"] = BoundReport.missing("ours_spades", why)
-    else:
-        # Without the network's records, the stats are one plain-chain
-        # block; the product form does not depend on where fixed layers sit,
-        # so they all scale the outer rho.
-        blocks = data.blocks if data.blocks is not None else (BlockRecord(
-            layers=[LayerRecord(kind="conv", lip=st.lip, dist=st.dist_21,
-                                param_count=st.w) for st in trainable],
-            rho=math.prod(st.lip for st in stats if st.fixed)),)
-        inp = CapacityInput(blocks, n, data.data_norm, gamma)
-        for name, bound in (("ours_clubs", rademacher_clubs),
-                            ("ours_spades", rademacher_spades)):
-            rows[name] = replace(bound(inp), name=name, breakdown=None)
+    inp = CapacityInput(data.blocks, n, data.data_norm, gamma)
+    for name, bound in (("ours_clubs", rademacher_clubs),
+                        ("ours_spades", rademacher_spades)):
+        rows[name] = replace(bound(inp), name=name, breakdown=None)
 
     # ---- Bartlett-style spectral product ----------------------------------
-    why = _need(stats, ["sum_out_l2_diff"])
-    if why:
-        rows["bartlett"] = BoundReport.missing("bartlett", why)
-    else:
-        ssum = _NEG_INF
-        for st in stats:
-            if st.sum_out_l2_diff == 0:
-                continue
-            width_factor = 2.0 * st.w * st.d**2 / (st.t**2 * st.k**2)
-            term = (_lg(math.log(width_factor)) + 4.0 * _lg(float(st.d))
-                    - 4.0 * _lg(float(st.t)) + 2.0 * _lg(st.sum_out_l2_diff)
-                    - 2.0 * _lg(st.lip))
-            ssum = _lg_add(ssum, (1.0 / 3.0) * term)
-        tail = (_lg(48.0) - _lg(gamma) + lg_x - 0.5 * lg_n + lg_prod_s
-                + 1.5 * ssum + _lg(math.log(n)) - 0.5 * lg_n)
-        rows["bartlett"] = _report_from_log10(
-            "bartlett", _lg_add(_lg(4.0) - lg_n, tail))
+    ssum = _NEG_INF
+    for st in stats:
+        if st.sum_out_l2_diff == 0:
+            continue
+        width_factor = 2.0 * st.w * st.d**2 / (st.t**2 * st.k**2)
+        term = (_lg(math.log(width_factor)) + 4.0 * _lg(float(st.d))
+                - 4.0 * _lg(float(st.t)) + 2.0 * _lg(st.sum_out_l2_diff)
+                - 2.0 * _lg(st.lip))
+        ssum = _lg_add(ssum, (1.0 / 3.0) * term)
+    tail = (_lg(48.0) - _lg(gamma) + lg_x - 0.5 * lg_n + lg_prod_s
+            + 1.5 * ssum + _lg(math.log(n)) - 0.5 * lg_n)
+    rows["bartlett"] = _report_from_log10(
+        "bartlett", _lg_add(_lg(4.0) - lg_n, tail))
 
     # ---- Ledent-style patch rows ------------------------------------------
     def ledent_tail(lg_r_terms, r_linear_max_parts):
@@ -812,24 +783,18 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         return (_lg(768.0) + lg_big_r + 0.5 * _lg(log2_arg)
                 + _lg(math.log(n)) - 0.5 * lg_n)
 
-    why = _need(stats[:-1], ["sum_out_l2_diff"]) or _need(stats[-1:], ["frob_diff"])
-    if data.patch_norms is None:
+    b_vals = data.patch_norms
+    if len(b_vals) != big_l + 1:
         rows["ledent_main"] = BoundReport.missing(
-            "ledent_main", "needs per-layer patch norms from a forward pass")
-    elif why:
-        rows["ledent_main"] = BoundReport.missing("ledent_main", why)
-    elif len(data.patch_norms) != big_l + 1:
-        rows["ledent_main"] = BoundReport.missing(
-            "ledent_main", f"needs {big_l + 1} patch norms, got {len(data.patch_norms)}")
-    elif big_l > 1 and min(data.patch_norms[1:]) == 0:
+            "ledent_main", f"needs {big_l + 1} patch norms, got {len(b_vals)}")
+    elif big_l > 1 and min(b_vals[1:]) == 0:
         # A dead layer (all activations zero) leaves 0 * inf terms: the
         # bound divides by every patch norm after the input.
-        dead = data.patch_norms.index(0.0, 1)
+        dead = b_vals.index(0.0, 1)
         rows["ledent_main"] = BoundReport.missing(
             "ledent_main", f"patch norm {dead} is zero and the bound "
             "divides by it")
     else:
-        b_vals = data.patch_norms
         lg_r, parts = [], []
         for i, st in enumerate(stats):
             a_i = st.frob_diff if i == big_l - 1 else st.sum_out_l2_diff
@@ -849,120 +814,79 @@ def comparison_suite(stats, data: ComparisonDataStats, n: int, gamma: float,
         rows["ledent_main"] = _report_from_log10(
             "ledent_main", ledent_tail(lg_r, parts))
 
-    why = (_need(stats, ["sum_out_l2_diff"])
-           or _need(stats[-1:], ["max_out_l2"]))
-    if why:
-        rows["ledent_fixed"] = BoundReport.missing("ledent_fixed", why)
-    elif data.patch_norm_input is None:
-        rows["ledent_fixed"] = BoundReport.missing(
-            "ledent_fixed", "needs the input patch norm")
-    else:
-        lg_front = (_lg(data.patch_norm_input) - _lg(gamma)
-                    + _lg(stats[-1].max_out_l2)
-                    + math.fsum(_lg(st.lip) for st in stats[:-1]))
-        lg_r, parts = [], []
-        for i, st in enumerate(stats):
-            lr = (lg_front + _lg(float(d_next(i)))
-                  + _lg(st.sum_out_l2_diff) - _lg(st.lip))
-            lg_r.append(lr)
-            parts.append((lr, d_next(i), st.c_out))
-        rows["ledent_fixed"] = _report_from_log10(
-            "ledent_fixed", _lg_add(_lg(4.0) - lg_n, ledent_tail(lg_r, parts)))
+    lg_front = (_lg(b_vals[0]) - _lg(gamma) + _lg(stats[-1].max_out_l2)
+                + math.fsum(_lg(st.lip) for st in stats[:-1]))
+    lg_r, parts = [], []
+    for i, st in enumerate(stats):
+        lr = (lg_front + _lg(float(d_next(i)))
+              + _lg(st.sum_out_l2_diff) - _lg(st.lip))
+        lg_r.append(lr)
+        parts.append((lr, d_next(i), st.c_out))
+    rows["ledent_fixed"] = _report_from_log10(
+        "ledent_fixed", _lg_add(_lg(4.0) - lg_n, ledent_tail(lg_r, parts)))
 
     # ---- Lin-style fourth root --------------------------------------------
-    why = _need(stats, ["frob"])
-    if why:
-        rows["lin"] = BoundReport.missing("lin", why)
-    else:
-        inner = _NEG_INF
-        for st in stats:
-            inner = _lg_add(inner, 2.0 * _lg(float(st.w)) + _lg(float(st.d))
-                            - _lg(float(st.t)) + _lg(st.frob) - _lg(st.lip))
-        inner = (_lg(2.0) - _lg(gamma) + lg_x - 0.5 * lg_n
-                 + 2.0 * _lg(float(big_l)) + lg_prod_s + inner)
-        rows["lin"] = _report_from_log10(
-            "lin", _lg(16.0) + 0.25 * inner - 0.5 * lg_n)
+    inner = _NEG_INF
+    for st in stats:
+        inner = _lg_add(inner, 2.0 * _lg(float(st.w)) + _lg(float(st.d))
+                        - _lg(float(st.t)) + _lg(st.frob) - _lg(st.lip))
+    inner = (_lg(2.0) - _lg(gamma) + lg_x - 0.5 * lg_n
+             + 2.0 * _lg(float(big_l)) + lg_prod_s + inner)
+    rows["lin"] = _report_from_log10(
+        "lin", _lg(16.0) + 0.25 * inner - 0.5 * lg_n)
 
     # ---- layer-peeling group, (1, inf) flavor ------------------------------
     c1d1 = stats[0].c_in * stats[0].d ** 2
-    why = _need(stats, ["max_out_l1"])
-    lg_prod_l1 = None
-    if not why:
-        lg_prod_l1 = math.fsum(_lg(st.max_out_l1) for st in stats)
-
-    if why or data.max_linf is None:
-        reason = why or "needs the max |x|_inf data statistic"
-        rows["neyshabur_l1inf"] = BoundReport.missing("neyshabur_l1inf", reason)
-    else:
-        rows["neyshabur_l1inf"] = _report_from_log10(
-            "neyshabur_l1inf",
-            big_l * _lg(2.0) + _lg(float(kappa)) + lg_prod_l1
-            + _lg(math.log(2 * c1d1)) + _lg(data.max_linf) - 0.5 * lg_n)
-
-    if why or data.max_coord_sq_sum is None:
-        reason = why or "needs the max per-coordinate squared data sum"
-        rows["golowich_l1inf"] = BoundReport.missing("golowich_l1inf", reason)
-    else:
-        rows["golowich_l1inf"] = _report_from_log10(
-            "golowich_l1inf",
-            _lg(2.0) + _lg(float(kappa))
-            + 0.5 * _lg(big_l + 1 + math.log(c1d1)) + lg_prod_l1
-            + 0.5 * (_lg(data.max_coord_sq_sum) - lg_n) - 0.5 * lg_n)
-
-    why2 = why or _need(stats, ["max_out_l1_diff"])
-    if why2 or data.max_linf is None:
-        reason = why2 or "needs the max |x|_inf data statistic"
-        rows["gouk_l1inf"] = BoundReport.missing("gouk_l1inf", reason)
-    else:
-        ratio = _NEG_INF
-        for st in stats:
-            if st.max_out_l1_diff == 0:
-                continue
-            if st.max_out_l1 == 0:
-                ratio = math.inf
-                break
-            ratio = _lg_add(ratio, _lg(st.max_out_l1_diff) - _lg(st.max_out_l1))
-        rows["gouk_l1inf"] = _report_from_log10(
-            "gouk_l1inf",
-            (big_l + 1) * _lg(2.0) + _lg(float(kappa))
-            + 0.5 * _lg(math.log(2 * c1d1)) + lg_prod_l1 + ratio
-            + _lg(data.max_linf) - 0.5 * lg_n)
+    lg_prod_l1 = math.fsum(_lg(st.max_out_l1) for st in stats)
+    rows["neyshabur_l1inf"] = _report_from_log10(
+        "neyshabur_l1inf",
+        big_l * _lg(2.0) + _lg(float(kappa)) + lg_prod_l1
+        + _lg(math.log(2 * c1d1)) + _lg(data.max_linf) - 0.5 * lg_n)
+    rows["golowich_l1inf"] = _report_from_log10(
+        "golowich_l1inf",
+        _lg(2.0) + _lg(float(kappa))
+        + 0.5 * _lg(big_l + 1 + math.log(c1d1)) + lg_prod_l1
+        + 0.5 * (_lg(data.max_coord_sq_sum) - lg_n) - 0.5 * lg_n)
+    ratio = _NEG_INF
+    for st in stats:
+        if st.max_out_l1_diff == 0:
+            continue
+        if st.max_out_l1 == 0:
+            ratio = math.inf
+            break
+        ratio = _lg_add(ratio, _lg(st.max_out_l1_diff) - _lg(st.max_out_l1))
+    rows["gouk_l1inf"] = _report_from_log10(
+        "gouk_l1inf",
+        (big_l + 1) * _lg(2.0) + _lg(float(kappa))
+        + 0.5 * _lg(math.log(2 * c1d1)) + lg_prod_l1 + ratio
+        + _lg(data.max_linf) - 0.5 * lg_n)
 
     # ---- layer-peeling group, Frobenius flavor ------------------------------
-    why = _need(stats, ["frob"])
-    if why:
-        for name in ("neyshabur_l2", "golowich_l2", "gouk_l2"):
-            rows[name] = BoundReport.missing(name, why)
-    else:
-        lg_prod_frob = math.fsum(
-            _lg(float(st.d) / st.t) + _lg(st.frob) for st in stats)
-        rows["neyshabur_l2"] = _report_from_log10(
-            "neyshabur_l2",
-            (big_l - 1) * _lg(2.0) + _lg(float(kappa)) + lg_x - 0.5 * lg_n
-            + lg_prod_frob - 0.5 * lg_n)
-        rows["golowich_l2"] = _report_from_log10(
-            "golowich_l2",
-            _lg(float(kappa)) + lg_x - 0.5 * lg_n + lg_prod_frob
-            + _lg(math.sqrt(2.0 * math.log(2.0) * big_l) + 1.0) - 0.5 * lg_n)
-        why2 = _need(stats, ["frob_diff"])
-        if why2:
-            rows["gouk_l2"] = BoundReport.missing("gouk_l2", why2)
-        else:
-            lg_prod_wide = math.fsum(
-                2.0 * _lg(float(st.d)) - _lg(float(st.t))
-                + 0.5 * _lg(float(st.c_in)) + _lg(st.frob) for st in stats)
-            ratio = _NEG_INF
-            run = 0.0
-            for st in stats:
-                run += _lg(float(st.d)) + 0.5 * _lg(float(st.c_in))
-                if st.frob_diff == 0:
-                    continue
-                if st.frob == 0:
-                    ratio = math.inf
-                    break
-                ratio = _lg_add(ratio, _lg(st.frob_diff) - _lg(st.frob) - run)
-            rows["gouk_l2"] = _report_from_log10(
-                "gouk_l2",
-                big_l * _lg(2.0) + 0.5 * _lg(2.0) + _lg(float(kappa))
-                + lg_x - 0.5 * lg_n + lg_prod_wide + ratio - 0.5 * lg_n)
+    lg_prod_frob = math.fsum(
+        _lg(float(st.d) / st.t) + _lg(st.frob) for st in stats)
+    rows["neyshabur_l2"] = _report_from_log10(
+        "neyshabur_l2",
+        (big_l - 1) * _lg(2.0) + _lg(float(kappa)) + lg_x - 0.5 * lg_n
+        + lg_prod_frob - 0.5 * lg_n)
+    rows["golowich_l2"] = _report_from_log10(
+        "golowich_l2",
+        _lg(float(kappa)) + lg_x - 0.5 * lg_n + lg_prod_frob
+        + _lg(math.sqrt(2.0 * math.log(2.0) * big_l) + 1.0) - 0.5 * lg_n)
+    lg_prod_wide = math.fsum(
+        2.0 * _lg(float(st.d)) - _lg(float(st.t))
+        + 0.5 * _lg(float(st.c_in)) + _lg(st.frob) for st in stats)
+    ratio = _NEG_INF
+    run = 0.0
+    for st in stats:
+        run += _lg(float(st.d)) + 0.5 * _lg(float(st.c_in))
+        if st.frob_diff == 0:
+            continue
+        if st.frob == 0:
+            ratio = math.inf
+            break
+        ratio = _lg_add(ratio, _lg(st.frob_diff) - _lg(st.frob) - run)
+    rows["gouk_l2"] = _report_from_log10(
+        "gouk_l2",
+        big_l * _lg(2.0) + 0.5 * _lg(2.0) + _lg(float(kappa))
+        + lg_x - 0.5 * lg_n + lg_prod_wide + ratio - 0.5 * lg_n)
     return rows

@@ -39,6 +39,7 @@ from .capacity import (
     cover_value,
     leaf_coefficient,
     safe_ceil,
+    single_layer_cover_bound,
 )
 from .convop import ConvSpec, conv_forward_batch
 from .errors import ResourceError, UsageError
@@ -308,7 +309,8 @@ def cover_tree(root, eps_by_leaf, data_norm_value: float,
 
     eps_by_leaf lists one radius per LayerNode in leaf_contexts order. Each
     leaf is covered on inputs of norm at most data_norm * (product of
-    Lipschitz factors before it), which the recursion tracks as `scale`.
+    Lipschitz factors before it), which the recursion tracks as `scale`;
+    its log cover is capacity.single_layer_cover_bound at that norm.
     """
     if variant not in ("norms", "params"):
         raise UsageError(f"unknown variant {variant!r}")
@@ -331,12 +333,8 @@ def cover_tree(root, eps_by_leaf, data_norm_value: float,
                 raise UsageError("a leaf with dist > 0 needs a radius > 0")
             if eps == math.inf:
                 return math.inf, 0.0
-            m = safe_ceil((scale * node.dist / eps) ** 2)
-            if variant == "norms":
-                lg = float(m) * math.log(2 * node.w)
-            else:
-                lg = 2.0 * node.w * math.log(1 + m)
-            return eps, lg
+            return eps, single_layer_cover_bound(node.w, scale, node.dist,
+                                                 eps, variant)
         if isinstance(node, Compose):
             lips = [tree_lipschitz(c) for c in node.children]
             parts = []

@@ -27,7 +27,6 @@ __all__ = [
     "norm_21",
     "group_norm_21",
     "group_norm_matrix_21",
-    "slice_norms",
     "data_norm",
     "patch_norms",
     "max_patch_norm",
@@ -35,9 +34,6 @@ __all__ = [
     "window_columns",
     "window_index",
 ]
-
-_SLICE_KINDS = ("l1_outslice", "l2_outslice", "frobenius", "max_l1_outslice")
-
 
 def _as_f64(values, what: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -157,27 +153,6 @@ def group_norm_matrix_21(matrix: DenseMatrix) -> float:
     return norm_21(matrix.entries)
 
 
-def slice_norms(kernel: KernelTensor, kind: str):
-    """Per-output-channel slice reductions used by the comparison formulas.
-
-    kind:
-      l1_outslice      -> vector, l1 norm of each output channel's slice
-      l2_outslice      -> vector, l2 (Frobenius) norm of each slice
-      frobenius        -> scalar, l2 norm of the whole kernel
-      max_l1_outslice  -> scalar, max over the l1_outslice vector
-    """
-    if kind not in _SLICE_KINDS:
-        raise UsageError(f"unknown slice-norm kind {kind!r}; one of {_SLICE_KINDS}")
-    k = kernel.entries
-    if kind == "l1_outslice":
-        return np.sum(np.abs(k), axis=(1, 2, 3), dtype=np.float64)
-    if kind == "l2_outslice":
-        return np.sqrt(np.sum(k * k, axis=(1, 2, 3), dtype=np.float64))
-    if kind == "frobenius":
-        return float(np.sqrt(np.sum(k * k, dtype=np.float64)))
-    return float(np.max(np.sum(np.abs(k), axis=(1, 2, 3), dtype=np.float64)))
-
-
 def data_norm(batch: DataBatch) -> float:
     return batch.cached_norm
 
@@ -249,9 +224,14 @@ def window_columns(x: np.ndarray, kernel_shape, strides=(1, 1),
 
 def max_patch_norm(x: np.ndarray, kernel_shape, strides=(1, 1),
                    padding="circular") -> float:
-    """`patch_norms` of a batch-last (c, h, w, n) array, unchecked."""
+    """`patch_norms` of a batch-last (c, h, w, n) array, unchecked; as in
+    `fiber_norms`, patches whose squares overflow are measured at unit peak."""
     cols = window_columns(x, kernel_shape, strides, padding)
-    return float(np.sqrt(np.max(np.einsum("pq,pq->q", cols, cols))))
+    top = np.max(np.einsum("pq,pq->q", cols, cols))
+    if np.isinf(top):
+        peak = float(np.max(np.abs(x)))
+        return peak * max_patch_norm(x / peak, kernel_shape, strides, padding)
+    return float(np.sqrt(top))
 
 
 def patch_norms(

@@ -20,7 +20,7 @@ from .lipschitz import fft_eligible, fft_exact_norm
 from .project import DEFAULT_BUDGETS, ConstraintSet, admm, alternate, \
     init_scale_to_feasible
 from .tensors import DataBatch, KernelTensor, batch_last, data_norm, \
-    group_norm_21, max_patch_norm, window_columns, window_index
+    fiber_norms, group_norm_21, max_patch_norm, window_columns, window_index
 
 GRID_SIDE = 8
 MAXPOOL_LIP = 2.0       # 3x3 windows at stride 2: every input feeds <= 4
@@ -54,7 +54,8 @@ def ramp_loss(r, gamma: float):
     """Piecewise-linear ramp: 0 below -gamma, 1 above 0, linear between."""
     if not (gamma > 0):
         raise UsageError("gamma must be > 0")
-    out = np.clip(1.0 + np.asarray(r, dtype=np.float64) / gamma, 0.0, 1.0)
+    with np.errstate(over="ignore"):    # r / gamma past the float range
+        out = np.clip(1.0 + np.asarray(r, dtype=np.float64) / gamma, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -792,19 +793,16 @@ def capacity_input_from_net(net: TinyNet, references, n: int,
                          data_norm=data_norm_value, gamma=gamma)
 
 
-def _out_slices(kernel: np.ndarray) -> np.ndarray:
-    return kernel.reshape(kernel.shape[0], -1)
-
-
 def _sliced_forward(net: TinyNet, samples: np.ndarray):
     """`net.forward(samples)`, bit for bit, and the largest l2 norm of a
     patch at each block's input, of a feature vector and of a logit
     vector, from one forward run in `_slices` of a training step's size
     (`TrainConfig.batch_size`), so no transient grows with the sample
-    count. Samples of another shape than the net's input are refused as
-    `TinyNet.forward` refuses them, and so is (UsageError) a net whose
-    activations overflow, naming the smallest block whose outputs are not
-    finite on some sample."""
+    count. Finite activations measure finite (`fiber_norms`,
+    `max_patch_norm`). Samples of another shape than the net's input are
+    refused as `TinyNet.forward` refuses them, and so is (UsageError) a net
+    whose activations overflow, naming the smallest block whose outputs are
+    not finite on some sample."""
     blocks = net.blocks
     overflow = len(blocks)      # the smallest block with non-finite outputs
     maxima = [0.0] * (len(blocks) + 2)
@@ -823,9 +821,8 @@ def _sliced_forward(net: TinyNet, samples: np.ndarray):
             continue    # a later slice may still overflow at a smaller block
         part = net.head(y)
         features = y.transpose(3, 0, 1, 2).reshape(y.shape[-1], -1)
-        maxima[-2] = max(maxima[-2],
-                         float(np.linalg.norm(features, axis=1).max()))
-        maxima[-1] = max(maxima[-1], float(np.linalg.norm(part, axis=1).max()))
+        maxima[-2] = max(maxima[-2], float(fiber_norms(features).max()))
+        maxima[-1] = max(maxima[-1], float(fiber_norms(part).max()))
         logits.append(part[seen:])
     if overflow < len(blocks):
         raise UsageError(
@@ -838,13 +835,12 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     """Per-layer and data statistics for the published-bound comparison.
 
     Layers are the composite conv + fixed tail maps of a plain chain, so a
-    block's pool factor folds into both its Lipschitz constant and its
-    distance (the tail pushes a cover of the conv class outward by exactly
-    that factor). Kernel norm statistics stay raw measurements. The fixed
-    simplex head enters as a terminal dense layer with zero distance, marked
-    fixed, so every row sees the same end-to-end function. The data stats
-    carry the net's block records (the one measurement of each conv), on
-    which the ours_* rows evaluate the headline bounds, shortcuts included.
+    block's pool factor folds into its Lipschitz constant. Kernel norm
+    statistics stay raw measurements. The fixed simplex head enters as a
+    terminal dense layer with zero change, so every row sees the same
+    end-to-end function. The data stats carry the net's block records (the
+    one measurement of each conv), on which the ours_* rows evaluate the
+    headline bounds, shortcuts included.
 
     The batch is forwarded once, a training step's worth of samples at a
     time (`_sliced_forward`), so the working memory does not grow with the
@@ -855,6 +851,24 @@ def comparison_stats_from_net(net: TinyNet, references, batch: DataBatch):
     return comparison_stats_and_logits(net, references, batch)[:2]
 
 
+def _layer_stats(kernel: np.ndarray, diff: np.ndarray,
+                 **fields) -> ComparisonLayerStats:
+    """A layer's comparison stats: `fields` (its Lipschitz constant and
+    geometry) and the norms of its kernel and of the kernel's change
+    `diff`, over each output's slice (axis 0) and the whole."""
+    rows = kernel.reshape(kernel.shape[0], -1)
+    rows_diff = diff.reshape(diff.shape[0], -1)
+    return ComparisonLayerStats(
+        w=kernel.size,
+        sum_out_l2_diff=float(np.linalg.norm(rows_diff, axis=1).sum()),
+        max_out_l1=float(np.abs(rows).sum(axis=1).max()),
+        max_out_l1_diff=float(np.abs(rows_diff).sum(axis=1).max()),
+        max_out_l2=float(np.linalg.norm(rows, axis=1).max()),
+        frob=float(np.linalg.norm(kernel)),
+        frob_diff=float(np.linalg.norm(diff)),
+        **fields)
+
+
 def comparison_stats_and_logits(net: TinyNet, references, batch: DataBatch):
     """`comparison_stats_from_net`'s (stats, dstats), and the batch's
     logits (`net.forward(batch.samples)` bit for bit) from the same one
@@ -863,49 +877,19 @@ def comparison_stats_and_logits(net: TinyNet, references, batch: DataBatch):
     records = _block_records(net, references)
     stats = []
     for blk, ref, record in zip(net.blocks, references, records):
-        kernel = blk.conv.kernel
-        diff = kernel - ref
-        rows, rows_diff = _out_slices(kernel), _out_slices(diff)
         layer = record.layers[0]
-        stats.append(ComparisonLayerStats(
-            lip=layer.lip * layer.rho,
-            w=kernel.size,
-            d=blk.conv.spec.input_shape[1],
-            t=1,
-            k=blk.spec.k,
-            c_in=blk.spec.c_in,
-            c_out=blk.spec.c_out,
-            dist_21=layer.dist * layer.rho,
-            sum_out_l2=float(np.linalg.norm(rows, axis=1).sum()),
-            sum_out_l2_diff=float(np.linalg.norm(rows_diff, axis=1).sum()),
-            max_out_l1=float(np.abs(rows).sum(axis=1).max()),
-            max_out_l1_diff=float(np.abs(rows_diff).sum(axis=1).max()),
-            max_out_l2=float(np.linalg.norm(rows, axis=1).max()),
-            frob=float(np.linalg.norm(kernel)),
-            frob_diff=float(np.linalg.norm(diff)),
-        ))
+        stats.append(_layer_stats(
+            blk.conv.kernel, blk.conv.kernel - ref, lip=layer.lip * layer.rho,
+            d=blk.conv.spec.input_shape[1], t=1, k=blk.spec.k,
+            c_in=blk.spec.c_in, c_out=blk.spec.c_out))
     head = net.classifier
-    stats.append(ComparisonLayerStats(
-        lip=net.classifier_lip,
-        w=head.size,
-        d=1, t=1, k=1,
-        c_in=net.feature_dim,
-        c_out=net.kappa,
-        dist_21=0.0,
-        sum_out_l2=float(np.linalg.norm(head, axis=1).sum()),
-        sum_out_l2_diff=0.0,
-        max_out_l1=float(np.abs(head).sum(axis=1).max()),
-        max_out_l1_diff=0.0,
-        max_out_l2=float(np.linalg.norm(head, axis=1).max()),
-        frob=float(np.linalg.norm(head)),
-        frob_diff=0.0,
-        fixed=True,
-    ))
+    stats.append(_layer_stats(head, np.zeros_like(head),
+                              lip=net.classifier_lip, d=1, t=1, k=1,
+                              c_in=net.feature_dim, c_out=net.kappa))
     data = ComparisonDataStats(
         data_norm=data_norm(batch),
         max_linf=float(np.abs(batch.samples).max()),
         max_coord_sq_sum=float((batch.samples ** 2).sum(axis=0).max()),
-        patch_norm_input=b_vals[0],
         patch_norms=tuple(b_vals),
         blocks=records,
     )

@@ -504,7 +504,7 @@ def test_generalization_bound_assembles_parts():
 def full_stats(lip=1.5, w=36, d=8, t=1, k=3, c_in=2, c_out=2, **overrides):
     fields = dict(
         lip=lip, w=w, d=d, t=t, k=k, c_in=c_in, c_out=c_out,
-        dist_21=0.9, sum_out_l2=4.0, sum_out_l2_diff=0.8,
+        sum_out_l2_diff=0.8,
         max_out_l1=3.0, max_out_l1_diff=0.7, max_out_l2=2.2,
         frob=2.0, frob_diff=0.5,
     )
@@ -512,11 +512,15 @@ def full_stats(lip=1.5, w=36, d=8, t=1, k=3, c_in=2, c_out=2, **overrides):
     return ComparisonLayerStats(**fields)
 
 
-def full_data(n_layers):
+def full_data(n_layers, records=None):
+    """Data stats whose blocks are the plain chain of `records`, by default
+    n_layers records shaped as full_stats' defaults."""
+    if records is None:
+        records = [layer(s=1.5, b=0.9, w=36)] * n_layers
     return ComparisonDataStats(
         data_norm=20.0, max_linf=1.0, max_coord_sq_sum=30.0,
-        patch_norm_input=6.0,
         patch_norms=tuple(5.0 + i for i in range(n_layers + 1)),
+        blocks=chain_input(records).blocks,
     )
 
 
@@ -535,17 +539,6 @@ def test_comparison_rows_all_present_and_finite():
         assert not rep.absent, name
         assert math.isfinite(rep.log10_value), name
         assert rep.value > 0, name
-
-
-def test_comparison_missing_stats_mark_rows_absent():
-    bare = ComparisonLayerStats(lip=1.0, w=9, d=4, t=1, k=3, c_in=1, c_out=1)
-    rows = comparison_suite([bare], ComparisonDataStats(data_norm=3.0),
-                            n=100, gamma=1.0, kappa=2)
-    for name in ALL_ROWS:
-        assert rows[name].absent, name
-        assert rows[name].reason
-    assert "dist_21" in rows["ours_clubs"].reason
-    assert "patch norms" in rows["ledent_main"].reason
 
 
 def test_comparison_neyshabur_l2_hand_value():
@@ -569,11 +562,11 @@ def test_comparison_bartlett_hand_value():
 def test_comparison_ours_clubs_matches_capacity_route():
     # coefficients chosen away from integer ceiling boundaries, where the
     # log10-space row and the linear-space route may round differently
-    stats = [full_stats(lip=1.37, dist_21=0.93), full_stats(lip=0.81, dist_21=0.93)]
-    data = full_data(2)
+    stats = [full_stats(lip=1.37), full_stats(lip=0.81)]
+    layers = [layer(s=s.lip, b=0.93, rho=1.0, w=s.w) for s in stats]
+    data = full_data(2, layers)
     n, gamma = 256, 0.4
     rows = comparison_suite(stats, data, n=n, gamma=gamma, kappa=5)
-    layers = [layer(s=s.lip, b=s.dist_21, rho=1.0, w=s.w) for s in stats]
     inp = chain_input(layers, n=n, data_norm=data.data_norm, gamma=gamma)
     want = rademacher_clubs(inp).value
     assert rows["ours_clubs"].value == pytest.approx(want, rel=1e-9)
@@ -583,7 +576,8 @@ def test_comparison_ours_clubs_matches_capacity_route():
 
 def test_comparison_survives_extreme_magnitudes():
     stats = [full_stats(lip=1e160, frob=1e160) for _ in range(3)]
-    rows = comparison_suite(stats, full_data(3), n=1000, gamma=1e-3, kappa=10)
+    data = full_data(3, [layer(s=1e160, b=0.9, w=36)] * 3)
+    rows = comparison_suite(stats, data, n=1000, gamma=1e-3, kappa=10)
     ney = rows["neyshabur_l2"]
     assert ney.saturated
     assert ney.value == math.inf
@@ -618,13 +612,25 @@ def test_comparison_dead_layer_zero_patch_norm():
     assert math.isfinite(rows["ledent_fixed"].log10_value)
 
 
+def test_comparison_wrong_patch_norm_count_marks_ledent_main_absent():
+    stats = [full_stats(), full_stats(lip=1.1)]
+    data = replace(full_data(2), patch_norms=(5.0, 6.0))
+    rows = comparison_suite(stats, data, n=1000, gamma=0.5, kappa=10)
+    assert rows["ledent_main"].absent
+    assert rows["ledent_main"].reason == "needs 3 patch norms, got 2"
+    assert not rows["ledent_fixed"].absent
+    assert all(row_is_consistent(rep) for rep in rows.values())
+
+
 def test_comparison_validation():
     with pytest.raises(UsageError):
-        comparison_suite([], full_data(0), n=10, gamma=1.0, kappa=2)
+        comparison_suite([], full_data(1), n=10, gamma=1.0, kappa=2)
     with pytest.raises(UsageError):
         comparison_suite([full_stats()], full_data(1), n=1, gamma=1.0, kappa=2)
     with pytest.raises(UsageError):
-        ComparisonLayerStats(lip=0.0, w=1, d=1, t=1, k=1, c_in=1, c_out=1)
+        full_stats(lip=0.0)
+    with pytest.raises(UsageError):
+        replace(full_data(1), patch_norms=())
 
 
 def test_bound_report_helpers():

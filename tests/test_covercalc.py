@@ -10,6 +10,7 @@ from capbound.capacity import (
     LayerRecord,
     capacity_terms,
     non_residual_cover_bound,
+    single_layer_cover_bound,
     whole_network_cover_bound,
 )
 from capbound.convop import ConvSpec
@@ -315,6 +316,17 @@ def test_cover_tree_zero_dist_leaf_is_free():
     got = cover_tree(Compose((lay,)), (0.0,), 4.0)
     assert got.radius == 0.0
     assert got.log_cover == 0.0
+
+
+@pytest.mark.parametrize("variant", ["norms", "params"])
+@pytest.mark.parametrize("dist", [0.7, 3.1, 1e160])
+def test_single_leaf_cover_is_the_single_layer_bound(variant, dist):
+    # 1e160 squares past the float range: both saturate to inf
+    lay = LayerNode(lip=1.3, dist=dist, w=12)
+    got = cover_tree(Compose((lay,)), (0.25,), 2.5, variant)
+    assert got.radius == 0.25
+    assert got.log_cover == single_layer_cover_bound(12, 2.5, dist, 0.25,
+                                                     variant)
 
 
 # ---------------------------------------------------------------------------

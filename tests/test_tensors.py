@@ -11,12 +11,13 @@ from capbound.tensors import (
     DataBatch,
     DenseMatrix,
     KernelTensor,
+    batch_last,
     data_norm,
     fiber_norms,
     group_norm_21,
     group_norm_matrix_21,
+    max_patch_norm,
     patch_norms,
-    slice_norms,
     window_index,
 )
 
@@ -129,26 +130,6 @@ def test_norm_triangle(k):
     assert lhs <= rhs + 1e-10 * max(1.0, rhs)
 
 
-def test_slice_norms_frozen():
-    k = np.zeros((2, 1, 1, 1))
-    k[0] = 3.0
-    k[1] = 4.0
-    kt = KernelTensor(k)
-    np.testing.assert_allclose(slice_norms(kt, "l2_outslice"), [3.0, 4.0])
-    np.testing.assert_allclose(slice_norms(kt, "l1_outslice"), [3.0, 4.0])
-    assert slice_norms(kt, "frobenius") == pytest.approx(5.0)
-    assert slice_norms(kt, "max_l1_outslice") == pytest.approx(4.0)
-    with pytest.raises(UsageError):
-        slice_norms(kt, "nope")
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_kernels())
-def test_frobenius_is_sum_of_squares(k):
-    got = slice_norms(KernelTensor(k), "frobenius")
-    assert got == pytest.approx(np.sqrt((k**2).sum()), abs=1e-10)
-
-
 def test_data_batch_norm_and_cache_check():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 2, 3, 3))
@@ -205,6 +186,19 @@ def test_window_index_is_cached_and_read_only():
     assert idx.shape == (2 * 3 * 2, 3 * 4)
     with pytest.raises(ValueError):
         idx[0, 0] = 0
+
+
+@pytest.mark.parametrize("padding", ["circular", "zero_same"])
+def test_max_patch_norm_stays_finite_past_the_square_range(padding):
+    """Patches whose squares overflow (entries near 1e200) are measured
+    again at unit peak: the norm scales with the entries, without a
+    warning."""
+    xs = np.random.default_rng(17).standard_normal((3, 2, 5, 5))
+    plain = max_patch_norm(batch_last(xs), (3, 3), padding=padding)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = max_patch_norm(batch_last(xs * 1e200), (3, 3), padding=padding)
+    assert big == pytest.approx(plain * 1e200, rel=1e-13)
 
 
 def test_patch_norms_whole_image_window():

@@ -88,6 +88,14 @@ def test_ramp_risk_all_correct_is_zero():
     assert ramp_risk(np.array([[1.5, 0.0]]), np.array([0]), 2.0) == 0.25
 
 
+def test_ramp_risk_at_a_subnormal_gamma_clips_without_a_warning():
+    # margin / 1e-320 passes the float range; the clipped loss is exact
+    logits = np.array([[3.0, 0.0], [0.0, 2.5], [4.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ramp_risk(logits, np.array([0, 1, 1]), 1e-320) == 1.0 / 3.0
+
+
 @given(st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 20.0), st.floats(1.001, 4.0))
 @settings(max_examples=40, deadline=None)
@@ -909,18 +917,15 @@ def test_comparison_stats_from_net():
     assert len(stats) == 4              # three convs plus the fixed head
     assert len(data.patch_norms) == 5   # input, per-layer, post-head
     head = stats[-1]
-    assert head.dist_21 == 0.0 and head.frob_diff == 0.0
+    assert head.frob_diff == head.sum_out_l2_diff == head.max_out_l1_diff == 0.0
     assert head.d == head.k == head.t == 1
     assert head.c_out == res.net.kappa
     assert head.lip == res.net.classifier_lip
-    # pool factor folds into both lip and distance of the pooled block
+    # the pool factor folds into the pooled block's lip
     from capbound.lipschitz import fft_exact_norm
-    from capbound.tensors import group_norm_21
     blk = res.net.blocks[0]
     raw_lip = fft_exact_norm(KernelTensor(blk.conv.kernel), blk.conv.spec).value
-    raw_dist = group_norm_21(KernelTensor(blk.conv.kernel - res.references[0]))
     assert stats[0].lip == raw_lip * 2.0
-    assert stats[0].dist_21 == raw_dist * 2.0
     assert stats[1].lip == res.net.lipschitz()[1]
     assert data.patch_norms[0] == pytest.approx(
         loop_patch_max_norm(batch.samples, 3, 3, 1, 1, "circular"), rel=1e-12)
@@ -941,6 +946,27 @@ def test_comparison_stats_name_the_block_whose_activations_overflow():
         comparison_stats_from_net(res.net, res.references, batch)
 
 
+def test_comparison_stats_measure_finite_activations_finite():
+    # kernels x 1e80 on a plain chain: block i's input and the features
+    # scale by 1e80 ** i (ReLU is positively homogeneous), so from block 2
+    # on the squares of the patch, feature and logit norms pass the range
+    net = TinyNet((BlockSpec(1, 4, 3), BlockSpec(4, 4, 3),
+                   BlockSpec(4, 4, 3)), seed=3)
+    references = tuple(k.copy() for k in net.kernels)
+    batch, _ = synth_data("rings", 20, seed=5)
+    _, plain = comparison_stats_from_net(net, references, batch)
+    net.set_kernels([k * 1e80 for k in net.kernels])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats, data = comparison_stats_from_net(net, references, batch)
+    scales = [1e80 ** i for i in (0, 1, 2, 3, 3)]
+    np.testing.assert_allclose(
+        data.patch_norms, [b * s for b, s in zip(plain.patch_norms, scales)],
+        rtol=1e-12)
+    ledent = comparison_suite(stats, data, batch.n, 0.5, net.kappa)["ledent_main"]
+    assert not ledent.absent and math.isfinite(ledent.log10_value)
+
+
 @pytest.mark.parametrize("blocks", [BLOCKS, SIX_BLOCK_RESIDUAL])
 @pytest.mark.parametrize("n", [2, 3, 17, 33, 64])   # 17, 33: a lone sample
 def test_sliced_comparison_stats_equal_the_whole_batch_pass(blocks, n):
@@ -951,7 +977,6 @@ def test_sliced_comparison_stats_equal_the_whole_batch_pass(blocks, n):
     stats, data, logits = traindemo.comparison_stats_and_logits(
         net, res.references, batch)
     assert data.patch_norms == whole_batch_patch_norms(net, batch)
-    assert data.patch_norm_input == data.patch_norms[0]
     np.testing.assert_array_equal(logits, net.forward(batch.samples))
     assert comparison_stats_from_net(net, res.references, batch)[0] == stats
 
