@@ -1,6 +1,6 @@
 """Spectral norms of conv operators: iterative, exact, and dense routes.
 
-The exact route only exists for circular padding at stride 1 (the operator
+The exact route exists for circular padding at stride 1 (the operator
 is then block-circulant and a 2D DFT block-diagonalizes it, one small
 c_out x c_in matrix per frequency). Kernels are real, so the DFT is
 conjugate-symmetric, F(-u, -v) = conj F(u, v), and conjugate matrices share
@@ -15,15 +15,21 @@ max(1, the inverted stack's peak, the input scale of the clip that made
 it) (`_require_real`). A Gram screen (`top_singular_estimates`, eigenvalues
 of each matrix's smaller Gram matrix at unit peak, `_unit_gram`) picks the
 frequencies whose top singular value can matter, so the spectral norm
-(`stack_norm`) and the spectral clip decompose only those; a projection run
-screens only its first clip this way (see `project`). Measurements keep the
-SVD: `stack_norm` and `fft_exact_spectrum` report singular values from it,
-while the clip, which reports none, decomposes the Gram matrices with
-`eigh`. A decomposition that fails on a stack, or
+(`stack_norm`) decomposes only those; the spectral clip (see `project`)
+takes its eigenvalues from the same Gram matrices. Measurements keep the
+SVD: `stack_norm` and `fft_exact_spectrum` report singular values from it.
+A decomposition that fails on a stack, or
 returns a non-finite value from it, raises NumericalError naming the
 stack's non-finite matrices (finite taps whose transform overflowed).
-Everything else falls back to power iteration on the forward/adjoint
-pair, or a dense SVD of an operator materialized with `convop.materialize`
+
+A circular layer whose strides divide the grid has an exact norm too, by
+the polyphase split (Vaidyanathan 1993; Sedghi, Gupta and Long 2019 for
+stride 1): each input axis splits into its s phases, tap offset
+d = s q + r reading phase r at offset q, so the layer is a stride-1
+circular conv from s_h * s_w * c_in phase channels on the (h/s_h) x (w/s_w)
+grid (`_polyphase_taps`), whose stack `stack_norm` measures. Everything
+else falls back to power iteration on the forward/adjoint pair, or a dense
+SVD of an operator materialized with `convop.materialize`
 (`dense_spectral_norm`).
 """
 
@@ -60,9 +66,11 @@ __all__ = [
 @dataclass(frozen=True)
 class SpectralEstimate:
     value: float
-    method: str  # power_iteration | fft_exact | dense_svd
+    method: str  # power_iteration | fft_exact | polyphase_exact | dense_svd
     iterations_used: int
-    residual: float  # last relative change (power iteration) or 0.0
+    # power iteration's last relative change, a stopping statistic and not
+    # an error bound; 0.0 for the exact routes
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,8 @@ def power_iteration(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
     """Largest singular value via forward/adjoint alternation.
 
     Stops when the relative change of the norm estimate drops below tol.
+    That change is a stopping statistic, not an error bound: the estimate
+    approaches the norm from below and may stop further below it than tol.
     Deterministic for a given seed. A zero kernel reports 0 after one step.
     """
     if tol <= 0 or max_iters < 1:
@@ -244,22 +254,25 @@ def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
             f"frequency stack decomposition failed: {exc}") from exc
 
 
-def _unit_gram(stacked: np.ndarray, left: bool):
-    """Each matrix's peak |entry| and the Gram matrix of the matrix scaled
-    to unit peak: A A^H if `left`, else A^H A. The scaling keeps the Gram
-    matrix from overflowing or underflowing at the matrix's own scale; its
-    eigenvalues are the squared singular values over the squared peak."""
+def _unit_gram(stacked: np.ndarray):
+    """Each matrix's peak |entry|, the smaller Gram matrix of the matrix
+    scaled to unit peak, and whether that is the left one: A A^H if the
+    matrices have no more rows than columns (`left`), else A^H A. The
+    scaling keeps the Gram matrix from overflowing or underflowing at the
+    matrix's own scale; its eigenvalues are the squared singular values
+    over the squared peak."""
+    left = stacked.shape[1] <= stacked.shape[2]
     peak = np.max(np.abs(stacked), axis=(1, 2))
     unit = stacked / np.where(peak > 0, peak, 1.0)[:, None, None]
     adjoint = unit.conj().swapaxes(1, 2)
-    return peak, unit @ adjoint if left else adjoint @ unit
+    return peak, unit @ adjoint if left else adjoint @ unit, left
 
 
 def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
     """Each matrix's largest singular value, from `eigvalsh` of its smaller
     Gram matrix at unit peak (`_unit_gram`); the estimate carries the scale
     back. Only a screen: reported values come from the SVD."""
-    peak, gram = _unit_gram(stacked, stacked.shape[1] <= stacked.shape[2])
+    peak, gram, _ = _unit_gram(stacked)
     try:
         top = np.linalg.eigvalsh(gram)[:, -1]
     except np.linalg.LinAlgError as exc:
@@ -328,9 +341,44 @@ def dense_spectral_norm(matrix: DenseMatrix) -> SpectralEstimate:
     return SpectralEstimate(value, "dense_svd", 0, 0.0)
 
 
+def _polyphase_taps(taps: np.ndarray, strides) -> np.ndarray:
+    """The taps of the stride-1 operator a circular stride-(s_h, s_w) conv
+    is once each input axis is split into its phases, input row s p + r
+    becoming row p of phase r: tap offset d = s q + r (0 <= r < s) reads
+    phase r at offset q. Returns (c_out, s_h * s_w * c_in, k'_h, k'_w), its
+    input channels in (r_h, r_w, c_in) order. Along each axis the q run
+    from floor(-(k//2) / s) to floor((k - 1 - k//2) / s), which are the
+    offsets of a window of k' = q[-1] - q[0] + 1 taps (`offsets(k')`)."""
+    c_out, c_in, k_h, k_w = taps.shape
+    s_h, s_w = strides
+    (q_h, r_h), (q_w, r_w) = (np.divmod(offsets(k), s)
+                              for k, s in ((k_h, s_h), (k_w, s_w)))
+    q_h, q_w = q_h - q_h[0], q_w - q_w[0]
+    phases = np.zeros((s_h, q_h[-1] + 1, s_w, q_w[-1] + 1, c_out, c_in))
+    phases[r_h[:, None], q_h[:, None], r_w, q_w] = taps.transpose(2, 3, 0, 1)
+    return phases.transpose(4, 0, 2, 5, 1, 3).reshape(
+        c_out, s_h * s_w * c_in, q_h[-1] + 1, q_w[-1] + 1)
+
+
 def operator_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
-    """Exact spectral norm where available, power iteration (at its default
-    tolerance, cap and seed) otherwise."""
+    """The operator's spectral norm by the best route its geometry has:
+
+    - circular, stride 1: `fft_exact`, the frequency stack of the taps;
+    - circular, strides dividing h and w: `polyphase_exact`, the frequency
+      stack of the polyphase taps (`_polyphase_taps`) on the
+      (h/s_h) x (w/s_w) grid;
+    - otherwise `power_iteration` at its default tolerance, cap and seed, a
+      lower estimate.
+
+    The exact routes report 0 iterations and residual 0.0.
+    """
     if fft_eligible(spec):
         return fft_exact_norm(kernel, spec)
+    _, h, w = spec.input_shape
+    s_h, s_w = spec.strides
+    if spec.padding == "circular" and h % s_h == 0 and w % s_w == 0:
+        spec.check_kernel(kernel)
+        value = stack_norm(taps_to_stack(
+            _polyphase_taps(kernel.entries, spec.strides), h // s_h, w // s_w))
+        return SpectralEstimate(value, "polyphase_exact", 0, 0.0)
     return power_iteration(kernel, spec)

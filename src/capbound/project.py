@@ -10,27 +10,32 @@ C1 and C3 are exact orthogonal projections in the Frobenius geometry; C2 is
 exact for circular stride-1 operators via per-frequency singular value
 clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
 is the orthogonal projection onto the full-grid Lipschitz ball). The clip
-takes each matrix's singular values and vectors from `eigh` of its smaller
-Gram matrix at unit peak, not from an SVD; the measurements
-(`lipschitz.stack_norm`) keep the SVD. Only the
-rfft2 half of the frequencies is clipped: the grid is real, clipping
-commutes with conjugation, and the inverse real transform restores each
-left-out conjugate partner. Of those, only the frequencies the screen
+reads each matrix's singular values from `eigvalsh` of its smaller Gram
+matrix at unit peak, not from an SVD; the measurements
+(`lipschitz.stack_norm`) keep the SVD. A matrix with none above s clips
+to itself and passes through untouched. One with exactly one moves along
+that direction alone: a rank-one update whose direction comes from two
+steps of inverse iteration on the Gram matrix already formed
+(`_top_direction`). Only a matrix with several goes through `eigh`
+(`_directions_above`). Only the rfft2 half of
+the frequencies is clipped: the grid is real, clipping commutes with
+conjugation, and the inverse real transform restores each left-out
+conjugate partner. Of those, only the frequencies the screen
 (`lipschitz.may_reach`) cannot place below s are decomposed; the rest
-clip to themselves and pass through. Strides above 1 have no such frequency
-split and are rejected.
+clip to themselves and pass through. Strides above 1 are rejected.
 
-The screen is cold or warm. A cold clip bounds each frequency's top
-singular value by the Gram screen (`lipschitz.top_singular_estimates`).
-Each projection run's clips share a memory (`_RunClip`): the last clip
-input's frequency stack and an upper bound on each of its matrices' top
-singular value. Every clip after the first bounds a frequency by that
-bound plus the Frobenius norm of the frequency's change, by Weyl's
-inequality sigma_max(A + D) <= sigma_max(A) + |D|_2 <= sigma_max(A) + |D|_F,
-and a decomposed frequency's bound resets to its top singular value,
-peak sqrt(lambda_max) from the Gram decomposition. Both
-screens skip only frequencies whose clip is the identity, so the warm
-screen decomposes a different set but returns the same bits.
+The screen is cold or warm. A cold clip takes the Gram screen's
+eigenvalues of the whole stack (as `lipschitz.top_singular_estimates`
+forms them) as its decomposition. Each projection run's clips share a
+memory (`_RunClip`): the last clip input's frequency stack and an upper
+bound on each of its matrices' top singular value. Every clip after the
+first bounds a frequency by that bound plus the Frobenius norm of the
+frequency's change, by Weyl's inequality
+sigma_max(A + D) <= sigma_max(A) + |D|_2 <= sigma_max(A) + |D|_F, and a
+decomposed frequency's bound resets to its top singular value,
+peak sqrt(lambda_max) from the Gram eigenvalues. Both screens skip only
+frequencies whose clip is the identity, so the warm screen decomposes a
+different set but returns the same bits.
 
 Alternation, Dykstra and ADMM run two closed-form steps and never build a
 grid: the exact projection onto C1 & C3, the (2,1) shrink of the taps
@@ -68,7 +73,6 @@ from .lipschitz import (
     stack_norm,
     stack_to_taps,
     taps_to_stack,
-    top_singular_estimates,
 )
 from .tensors import KernelTensor, fiber_norms, norm_21
 
@@ -134,8 +138,9 @@ class FeasibilityReport:
     returned kernel.
     Non-convergence is reported through `converged`, never raised.
     clip_svds counts the frequency matrices the run's spectral clips
-    decomposed, each by one `eigh` of its Gram matrix (0 for runs that do
-    not clip).
+    decomposed, each by `eigvalsh` of its Gram matrix and, where it has a
+    singular value above s, the route that clips it (0 for runs that do
+    not clip). A cold clip counts the frequencies its screen keeps.
     """
 
     rounds_run: int
@@ -218,9 +223,10 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
 
 class _RunClip:
     """The clip onto C2 for one projection run, with the run's screen
-    memory (see the module docstring). Never shared between runs. It
-    decomposes each frequency matrix the screen keeps by `eigh` of its
-    smaller Gram matrix at unit peak; no SVD runs here."""
+    memory (see the module docstring). Never shared between runs. It takes
+    the eigenvalues of each screened frequency's smaller Gram matrix at
+    unit peak and moves only the matrices with a singular value above s;
+    no SVD runs here."""
 
     def __init__(self, s: float):
         self.s = s
@@ -233,56 +239,119 @@ class _RunClip:
 
     def clip(self, stacked: np.ndarray) -> np.ndarray:
         """Clip every matrix of a frequency stack at s. The run's first
-        clip screens cold; later clips screen by and update the run's
-        bound. Returns a new stack and keeps the input as the memory."""
+        clip screens cold: the screen's Gram eigenvalues of the whole stack
+        are its decomposition. Later clips screen by and update the run's
+        bound, and decompose only what it keeps. Returns a new stack and
+        keeps the input as the memory."""
         if math.isinf(self.s):
             return stacked
-        if self.stack is None:
-            bound = top_singular_estimates(stacked)
+        cold = self.stack is None
+        if cold:
+            picked = stacked.copy()
         else:
             bound = self.bound + _change_norms(
                 np.subtract(stacked, self.stack, order="C"))
-        # A matrix the screen leaves out has every singular value below s,
-        # so its clip is the identity. The others lose, along each singular
-        # direction with sigma > s, the share 1 - s / sigma of their length:
-        # W -= W V diag(share) V^H, with V and sigma^2 from `eigh` of the
-        # Gram matrix W^H W (or, with fewer rows than columns,
-        # W -= U diag(share) U^H W from W W^H).
-        hot = may_reach(bound, self.s)
-        # Taking the memory first frees the last clip's stack, and the Gram
-        # stack goes before the products, so a warm clip's peak memory stays
-        # at a cold clip's.
-        self.stack, self.bound = stacked, bound
-        self.svds += int(np.count_nonzero(hot))
-        picked = stacked[hot]
-        left = picked.shape[1] < picked.shape[2]
-        peak, gram = _unit_gram(picked, left)
+            hot = may_reach(bound, self.s)
+            picked = stacked[hot]
+        # Taking the memory first frees the last clip's stack, so a warm
+        # clip's peak memory stays at a cold clip's.
+        self.stack = stacked
+        peak, gram, left = _unit_gram(picked)
         try:
-            squares, vectors = np.linalg.eigh(gram)
+            squares = np.linalg.eigvalsh(gram)
         except np.linalg.LinAlgError as exc:
             _require_finite_stack(stacked, exc)
-        del gram
         sv = peak[:, None] * np.sqrt(np.maximum(squares, 0.0))
-        bound[hot] = sv[:, -1]
+        if cold:
+            bound = sv[:, -1]
+            hot = may_reach(bound, self.s)
+        else:
+            bound[hot] = sv[:, -1]
+        self.bound = bound
+        self.svds += int(np.count_nonzero(hot))
         top = float(bound.max())
         if not math.isfinite(top):
             _require_finite_stack(stacked)
         self.scale = max(1.0, top)
-        share = np.divide(np.maximum(sv - self.s, 0.0), sv,
-                          out=np.zeros_like(sv), where=sv > 0)
-        if left:
-            part = np.conj(vectors).swapaxes(1, 2) @ picked
-            part *= share[:, :, None]
-            picked -= vectors @ part
-        else:
-            part = picked @ vectors
-            part *= share[:, None, :]
-            # V^H in place: one stack fewer alive at the last product
-            np.conj(vectors, out=vectors)
-            picked -= part @ vectors.swapaxes(1, 2)
+        # A matrix with no singular value above s clips to itself and
+        # passes through untouched. One with exactly one loses the share
+        # 1 - s / sigma of its length along that direction alone; one with
+        # several goes through `eigh`.
+        moves = np.count_nonzero(sv > self.s, axis=1)
+        one, several = moves == 1, moves > 1
+        if one.any():
+            vectors, share = _top_direction(gram[one], squares[one, -1],
+                                            1.0 - self.s / sv[one, -1])
+            picked[one] = _shrink(picked[one], vectors, share, left)
+        if several.any():
+            vectors, share = _directions_above(gram[several], peak[several],
+                                               self.s)
+            picked[several] = _shrink(picked[several], vectors, share, left)
+        if cold:
+            return picked
         out = stacked.copy()
         out[hot] = picked
         return out
+
+
+def _top_direction(gram: np.ndarray, squares: np.ndarray,
+                   share: np.ndarray):
+    """The top eigenvector v of each unit-peak Gram matrix (which it
+    overwrites), given its top eigenvalue, as a one-column `_shrink` basis
+    with the share 1 - s / sigma of a matrix with one singular value sigma
+    above s, divided by |v|^2 to make up for v's length.
+
+    v comes from two steps of inverse iteration (Golub and Van Loan, 8.2)
+    shifted past the top eigenvalue lambda to lambda (1 + 1e-14), which
+    eigvalsh places within a few n * eps of it: each step shrinks every
+    other direction against v's by at least 1e-14 lambda / (lambda -
+    lambda_2). A direction left in v moves the matrix by share times its
+    weight, and share is at most the relative gap below s, so the clip
+    stays within rounding of the SVD clip however close the second
+    singular value sits to s. The start, cos(1), ..., cos(n), has no
+    structure in common with a kernel's frequency matrices, so it is
+    orthogonal to none of their top eigenvectors but by accident."""
+    n = gram.shape[1]
+    gram.reshape(len(gram), n * n)[:, ::n + 1] -= squares[:, None] * (
+        1 + 1e-14)
+    start = np.cos(np.arange(1.0, n + 1))[:, None]
+    try:
+        v = np.linalg.solve(gram, np.linalg.solve(gram, start))
+    except np.linalg.LinAlgError as exc:
+        _require_finite_stack(gram, exc)
+    return v, (share / np.einsum("kij,kij->k", v.conj(), v).real)[:, None]
+
+
+def _directions_above(gram: np.ndarray, peak: np.ndarray, s: float):
+    """Every eigenvector of each unit-peak Gram matrix (`eigh`), as a
+    `_shrink` basis, with the share 1 - s / sigma of each singular value
+    sigma above s and 0 for the others."""
+    try:
+        squares, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        _require_finite_stack(gram, exc)
+    sv = peak[:, None] * np.sqrt(np.maximum(squares, 0.0))
+    return vectors, np.divide(np.maximum(sv - s, 0.0), sv,
+                              out=np.zeros_like(sv), where=sv > 0)
+
+
+def _shrink(picked: np.ndarray, vectors: np.ndarray, share: np.ndarray,
+            left: bool) -> np.ndarray:
+    """Take from each matrix W, in place, the given share of its length
+    along each column of its basis V: W -= W V diag(share) V^H, with V in
+    W's input space, or, `left`, W -= V diag(share) V^H W, in its output
+    space. The basis may be overwritten."""
+    if left:
+        part = np.conj(vectors).swapaxes(1, 2) @ picked
+        part *= share[:, :, None]
+        picked -= vectors @ part
+    else:
+        part = picked @ vectors
+        part *= share[:, None, :]
+        # V^H in place: one stack fewer alive at the last product
+        np.conj(vectors, out=vectors)
+        picked -= part @ vectors.swapaxes(1, 2)
+    return picked
 
 
 def _change_norms(change: np.ndarray) -> np.ndarray:

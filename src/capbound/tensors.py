@@ -95,15 +95,17 @@ class DenseMatrix:
 @dataclass(frozen=True)
 class DataBatch:
     """Input batch, axes (n, c, h, w), with its Euclidean norm computed once
-    when the batch is built."""
+    when the batch is built: the length of the whole stack as one fiber
+    (`fiber_norms`), so a batch whose squares overflow is measured at unit
+    peak."""
 
     samples: np.ndarray
     cached_norm: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_f64(self.samples, "batch", 4))
-        object.__setattr__(self, "cached_norm",
-                           float(np.sqrt(np.sum(self.samples ** 2))))
+        object.__setattr__(self, "cached_norm", float(
+            fiber_norms(self.samples.reshape(1, -1))[0]))
 
     @property
     def n(self) -> int:

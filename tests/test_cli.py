@@ -29,7 +29,7 @@ from capbound.formats import (
     resolve_tensors,
     write_checkpoint,
 )
-from capbound.convop import ConvSpec
+from capbound.convop import ConvSpec, materialize
 from capbound.errors import ResourceError, UsageError
 from capbound.lipschitz import operator_norm, power_iteration
 from capbound.project import (
@@ -1207,6 +1207,16 @@ def test_project_distance_only_constraint_works_on_strided_layer(tmp_path):
     assert row["projected"] and row["error"] is None
     projected = read_checkpoint(out).weight("a")
     assert group_norm_21(KernelTensor(projected)) <= 1.0 + 1e-9
+    # the stride divides the grid: both measurements are exact (polyphase),
+    # so the row carries no power iteration fields
+    spec = ConvSpec((1, 8, 8), (3, 3), (2, 2))
+    assert row["lip_method"] == "polyphase_exact"
+    assert not any(key.startswith(("lip_iterations", "lip_residual"))
+                   for key in row)
+    for when, weight in (("before", w), ("after", projected)):
+        dense = materialize(KernelTensor(weight), spec).entries
+        assert row[f"lip_{when}"] == pytest.approx(
+            np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12)
 
 
 def test_project_json_rows_count_the_clip_svds(tmp_path):

@@ -384,29 +384,42 @@ def test_screen_sends_non_finite_input_to_the_svd():
             route(stacked)
 
 
-@pytest.mark.parametrize("w,column", [(6, 0), (6, 3), (5, 0)])
+@pytest.mark.parametrize("w,column,route", [
+    pytest.param(w, column, route,
+                 id=f"{w}-{column}" + ("" if route == "eigh" else "-solve"))
+    for route in ("eigh", "solve") for w, column in ((6, 0), (6, 3), (5, 0))])
 def test_spectral_clip_guard_sees_self_conjugate_residue(monkeypatch, w,
-                                                         column):
+                                                         column, route):
     """A frequency in column 0 (or w/2, w even) is its own conjugate
     partner, so after clipping it must invert to a real window; an
     imaginary tilt planted in its decomposition must raise instead of
-    being dropped by the inverse. s lies below every frequency's top
-    singular value, so the screen sends the whole half stack to the clip's
-    `eigh` and vectors[column] is frequency (0, column). Tilting the first
-    entry of each of its eigenvectors (a phase per whole eigenvector would
-    cancel in V f V^H) makes its clipped matrix complex."""
-    window = np.random.default_rng(32).standard_normal((2, 2, 4, w))
-    s = 0.5 * float(np.min(np.linalg.svd(taps_to_stack(window, 4, w),
-                                         compute_uv=False)[:, 0]))
-    true_eigh = np.linalg.eigh
+    being dropped by the inverse, on both of the clip's routes. With s
+    below every frequency's smaller singular value, every frequency has two
+    directions above s and the whole half stack goes to `eigh`; with a
+    window near rank one at a single tap and s at half its top singular
+    value, every frequency has one and the whole half stack goes to the
+    inverse iteration's `solve`. Either way row [column] of the batch is
+    frequency (0, column). Tilting the first entry of each of its vectors
+    (a phase per whole vector would cancel in V f V^H) makes its clipped
+    matrix complex."""
+    rng = np.random.default_rng(32)
+    window = rng.standard_normal((2, 2, 4, w))
+    if route == "solve":
+        window *= 1e-3
+        window[:, :, 0, 0] += np.outer(rng.standard_normal(2),
+                                       rng.standard_normal(2))
+    sv = np.linalg.svd(taps_to_stack(window, 4, w), compute_uv=False)
+    s = 0.5 * float(np.min(sv[:, -1] if route == "eigh" else sv[:, 0]))
+    assert np.all((sv > s).sum(axis=1) == (2 if route == "eigh" else 1))
+    true_route = getattr(np.linalg, route)
 
-    def tilted_eigh(a, *args, **kwargs):
-        squares, vectors = true_eigh(a, *args, **kwargs)
-        vectors = vectors.copy()
+    def tilted(*args, **kwargs):
+        out = true_route(*args, **kwargs)
+        vectors = (out[1] if route == "eigh" else out).copy()
         vectors[column, 0] *= 1j   # frequency (0, column) of the half stack
-        return squares, vectors
+        return (out[0], vectors) if route == "eigh" else vectors
 
-    monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
+    monkeypatch.setattr(np.linalg, route, tilted)
     with pytest.raises(NumericalError, match="imaginary residue"):
         clip_window(window, s)
 
@@ -531,6 +544,91 @@ def test_clip_matches_the_svd_clip(case):
     if s > 0:
         top = np.linalg.svd(got, compute_uv=False)[:, 0]
         assert np.all(top <= s * (1 + 1e-12))
+
+
+def chosen_spectra(rng, c_out, c_in, sigmas):
+    """A stack of c_out x c_in complex matrices with the given singular
+    values (one row of `sigmas` per matrix) and random singular vectors."""
+    rank = min(c_out, c_in)
+
+    def orthonormal(rows):
+        gauss = rng.standard_normal((rows, rank, 2)).view(complex)[..., 0]
+        return np.linalg.qr(gauss)[0]
+
+    return np.stack([orthonormal(c_out) * sv @ orthonormal(c_in).conj().T
+                     for sv in sigmas])
+
+
+@st.composite
+def one_direction_stacks(draw):
+    c_out, c_in = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    gap = draw(st.sampled_from(["wide", "straddle", "near"]))
+    offset = draw(st.sampled_from([1e-3, 1e-8, 1e-12]))
+    magnitude = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    return (c_out, c_in, draw(st.integers(1, 5)), gap, offset, magnitude,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_direction_stacks())
+@example((3, 3, 4, "straddle", 1e-8, 1.0, 1))       # square, both sides
+@example((2, 5, 3, "straddle", 1e-12, 1e150, 2))    # c_out < c_in
+@example((5, 2, 3, "near", 1e-8, 1e-150, 3))        # c_out > c_in
+@example((1, 4, 2, "wide", 1e-3, 1.0, 4))           # one row
+@example((4, 1, 2, "near", 1e-12, 1.0, 5))          # one column
+def test_one_direction_clip_matches_the_svd_clip(case):
+    """Stacks whose every matrix has exactly one singular value above s,
+    so the clip moves each along that one direction only: the rest of the
+    spectrum lies well below s ("wide"), a cluster straddles s, its top
+    at s (1 + offset) and the next at s (1 - offset) ("straddle"), or the
+    top sits within offset of s ("near"). Within 1e-12 of each matrix's
+    peak entry of U min(sigma, s) V^H from the SVD, and no singular value
+    of the output above s (1 + 1e-12)."""
+    c_out, c_in, count, gap, offset, magnitude, seed = case
+    rng = np.random.default_rng(seed)
+    rank = min(c_out, c_in)
+    s = magnitude
+    sigmas = rng.uniform(0.05, 0.9, (count, rank)) * s
+    if gap == "straddle" and rank > 1:
+        sigmas[:, 1] = s * (1 - offset)
+    sigmas[:, 0] = s * (1 + (offset if gap != "wide"
+                             else rng.uniform(0.1, 2.0)))
+    stacked = chosen_spectra(rng, c_out, c_in, sigmas)
+    got = _RunClip(s).clip(stacked)
+    peak = np.max(np.abs(stacked), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - svd_clip(stacked, s)), axis=(1, 2))
+                  <= 1e-12 * peak)
+    top = np.linalg.svd(got, compute_uv=False)[:, 0]
+    assert np.all(top <= s * (1 + 1e-12))
+
+
+def test_eigh_runs_only_where_several_directions_exceed_s(monkeypatch):
+    """A stack mixing matrices with no, one, two and three singular values
+    above s: `eigh` decomposes exactly the ones with two or more, the
+    inverse iteration's `solve` sees exactly the ones with one, the rest
+    come back untouched, and the clip matches the SVD clip."""
+    rng = np.random.default_rng(40)
+    s = 1.0
+    above = np.array([0, 1, 2, 3, 1, 0, 2, 1])
+    sigmas = rng.uniform(0.1, 0.9, (len(above), 4))
+    for row, count in zip(sigmas, above):
+        row[:count] = rng.uniform(1.1, 3.0, count)
+    stacked = chosen_spectra(rng, 4, 6, sigmas)
+    seen = {"eigh": [], "solve": []}
+    for name in seen:
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *rest, real=real, name=name:
+                            seen[name].append(len(a)) or real(a, *rest))
+    clip = _RunClip(s)
+    got = clip.clip(stacked)
+    assert seen == {"eigh": [int(np.sum(above > 1))],
+                    "solve": [int(np.sum(above == 1))] * 2}
+    np.testing.assert_array_equal(got[above == 0], stacked[above == 0])
+    peak = np.max(np.abs(stacked), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - svd_clip(stacked, s)), axis=(1, 2))
+                  <= 1e-12 * peak)
+    assert clip.svds == int(np.sum(above > 0))   # the screen keeps these
 
 
 def test_change_norms_match_the_scaled_form():
@@ -734,18 +832,27 @@ def test_remembered_clips_match_the_cold_clip_cycle(c_in, c_out, h):
 
 
 def test_a_run_screens_cold_once(monkeypatch):
-    """Only a run's first clip runs the Gram screen; every later clip
-    screens by the bound it remembers."""
+    """Only a run's first clip runs the Gram screen, over the whole stack;
+    every later clip screens by the bound it remembers and forms Gram
+    matrices only for the frequencies that bound keeps, which the run's
+    `clip_svds` counts."""
     rng = np.random.default_rng(31)
     kernel, cs = binding_case(rng, 4, 4, 6)
-    calls = []
-    real = project_module.top_singular_estimates
-    monkeypatch.setattr(project_module, "top_singular_estimates",
-                        lambda stacked: calls.append(1) or real(stacked))
-    dykstra(kernel, cs, 20)
-    assert len(calls) == 1
+    frequencies = 6 * (6 // 2 + 1)
+    sizes = []
+    real = project_module._unit_gram
+    monkeypatch.setattr(project_module, "_unit_gram",
+                        lambda picked: sizes.append(len(picked))
+                        or real(picked))
+    first = dykstra(kernel, cs, 1)[1].clip_svds
+    sizes.clear()
+    report = dykstra(kernel, cs, 20)[1]
+    assert sizes[0] == frequencies
+    assert sum(sizes[1:]) == report.clip_svds - first
+    assert sum(sizes[1:]) < 19 * frequencies
+    sizes.clear()
     alternating_projections(kernel, cs, 5)
-    assert len(calls) == 2
+    assert sizes[0] == frequencies
 
 
 def test_clip_svds_counts_the_decomposed_frequencies():

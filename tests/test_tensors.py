@@ -145,6 +145,16 @@ def test_data_norm_additivity_over_disjoint_stacks():
     assert whole == pytest.approx(parts, rel=1e-12)
 
 
+def test_data_norm_survives_squares_past_the_float_range():
+    """Entries of 1e160 square past the float range; the batch is measured
+    at unit peak instead, finite and with no warning, like the kernels'
+    fiber norms."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = data_norm(DataBatch(np.full((2, 1, 2, 2), 1e160)))
+    assert norm == pytest.approx(1e160 * np.sqrt(8), rel=1e-15)
+
+
 def test_batch_rejects_nan():
     x = np.zeros((1, 1, 2, 2))
     x[0, 0, 0, 0] = np.nan
