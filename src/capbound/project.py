@@ -247,14 +247,15 @@ class _RunClip:
             return stacked
         cold = self.stack is None
         if cold:
-            picked = stacked.copy()
+            picked = stacked
         else:
             bound = self.bound + _change_norms(
                 np.subtract(stacked, self.stack, order="C"))
             hot = may_reach(bound, self.s)
             picked = stacked[hot]
-        # Taking the memory first frees the last clip's stack, so a warm
-        # clip's peak memory stays at a cold clip's.
+        # Taking the memory first frees the last clip's stack, and the Gram
+        # stack goes before the products, so a warm clip's peak memory
+        # stays at a cold clip's.
         self.stack = stacked
         peak, gram, left = _unit_gram(picked)
         try:
@@ -278,15 +279,20 @@ class _RunClip:
         # 1 - s / sigma of its length along that direction alone; one with
         # several goes through `eigh`.
         moves = np.count_nonzero(sv > self.s, axis=1)
-        one, several = moves == 1, moves > 1
+        bases = []
+        one = moves == 1
         if one.any():
-            vectors, share = _top_direction(gram[one], squares[one, -1],
-                                            1.0 - self.s / sv[one, -1])
-            picked[one] = _shrink(picked[one], vectors, share, left)
+            bases.append((one, *_top_direction(gram[one], squares[one, -1],
+                                               1.0 - self.s / sv[one, -1])))
+        several = moves > 1
         if several.any():
-            vectors, share = _directions_above(gram[several], peak[several],
-                                               self.s)
-            picked[several] = _shrink(picked[several], vectors, share, left)
+            bases.append((several, *_directions_above(
+                gram[several], peak[several], self.s)))
+        del gram
+        if cold:
+            picked = stacked.copy()
+        for mask, vectors, share in bases:
+            picked[mask] = _shrink(picked[mask], vectors, share, left)
         if cold:
             return picked
         out = stacked.copy()

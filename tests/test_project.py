@@ -844,15 +844,13 @@ def test_a_run_screens_cold_once(monkeypatch):
     monkeypatch.setattr(project_module, "_unit_gram",
                         lambda picked: sizes.append(len(picked))
                         or real(picked))
-    first = dykstra(kernel, cs, 1)[1].clip_svds
-    sizes.clear()
-    report = dykstra(kernel, cs, 20)[1]
-    assert sizes[0] == frequencies
-    assert sum(sizes[1:]) == report.clip_svds - first
-    assert sum(sizes[1:]) < 19 * frequencies
-    sizes.clear()
-    alternating_projections(kernel, cs, 5)
-    assert sizes[0] == frequencies
+    for run, cycles in ((dykstra, 20), (alternating_projections, 5)):
+        first = run(kernel, cs, 1)[1].clip_svds
+        sizes.clear()
+        report = run(kernel, cs, cycles)[1]
+        assert sizes[0] == frequencies
+        assert sum(sizes[1:]) == report.clip_svds - first
+        assert sum(sizes[1:]) < (cycles - 1) * frequencies
 
 
 def test_clip_svds_counts_the_decomposed_frequencies():
