@@ -9,14 +9,14 @@ run is reported as the operating point.
 """
 
 import argparse
+import json
 import math
 import sys
 
 sys.path.insert(0, "src")
 
+from capbound import formats  # noqa: E402
 from capbound.traindemo import (  # noqa: E402
-    BlockSpec,
-    TinyNet,
     TrainConfig,
     synth_data,
     train_projected,
@@ -28,10 +28,10 @@ def parse_grid(text):
             for tok in text.split(",") if tok]
 
 
-def run_cell(blocks, batch, labels, test_batch, test_labels, config, s, b):
+def run_cell(graph, batch, labels, test_batch, test_labels, config, s, b):
     """One cell's TrainResult. Its errors are the returned net's, measured
     after the post pass, and NaN when the run diverged."""
-    net = TinyNet(blocks, seed=config.seed)
+    net = graph.new_net(config.seed)
     return train_projected(net, batch, labels, config, lip_bound=s,
                            dist_bound=b, test_batch=test_batch,
                            test_labels=test_labels)
@@ -50,7 +50,7 @@ def main():
                     help="test-error slack defining accuracy preservation")
     args = ap.parse_args()
 
-    blocks = [BlockSpec(1, 8, 3, pool="max3"), BlockSpec(8, 8, 3)]
+    graph = formats.parse_archdoc(json.dumps(formats.default_arch_doc()))
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
     test_batch, test_labels = synth_data(args.task, args.n,
                                          seed=args.data_seed + 1)
@@ -58,7 +58,7 @@ def main():
     lips = parse_grid(args.lip_grid)
     dists = parse_grid(args.dist_grid)
 
-    base = run_cell(blocks, batch, labels, test_batch, test_labels, config,
+    base = run_cell(graph, batch, labels, test_batch, test_labels, config,
                     math.inf, math.inf)
     base_err = base.test_error
     if base.diverged:
@@ -78,7 +78,7 @@ def main():
     for s in lips:
         row = [f"s={s:<6g}"]
         for b in dists:
-            res = run_cell(blocks, batch, labels, test_batch, test_labels,
+            res = run_cell(graph, batch, labels, test_batch, test_labels,
                            config, s, b)
             te = res.test_error
             table[(s, b)] = te

@@ -65,15 +65,12 @@ _GAMMA_MAX = 1e9   # the margin search's upward bracket stops here
 class LayerRecord:
     """A trainable layer's capacity inputs: s_ij, b_ij, rho_ij and W_ij."""
 
-    kind: str                      # conv | dense
     lip: float                     # s_ij > 0
     dist: float                    # b_ij >= 0
     rho: float = 1.0               # Lipschitz of the following fixed map
     param_count: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("conv", "dense"):
-            raise UsageError(f"layer kind must be conv or dense, got {self.kind!r}")
         if not (math.isfinite(self.lip) and self.lip > 0):
             raise UsageError("layer lipschitz bound must be finite and > 0")
         if not (math.isfinite(self.dist) and self.dist >= 0):

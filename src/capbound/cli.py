@@ -78,16 +78,10 @@ __all__ = ["ARCH_VERSION", "build_parser", "main"]
 # shared report plumbing
 
 
-def _clean(value):
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    return value
+def _tolist(value):
+    """json's fallback for numpy scalars and arrays (a np.float64 is a float
+    and needs none)."""
+    return value.tolist()
 
 
 def _report_dict(report: BoundReport) -> dict:
@@ -102,7 +96,7 @@ def _report_dict(report: BoundReport) -> dict:
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(_clean(doc), indent=2))
+        print(json.dumps(doc, indent=2, default=_tolist))
     else:
         for line in lines:
             print(line)
@@ -366,13 +360,6 @@ def _parse_grid(text: str, flag: str):
     return values
 
 
-def _epoch_record(stats) -> dict:
-    rec = asdict(stats)
-    rec["lips"] = list(rec["lips"])
-    rec["dists"] = list(rec["dists"])
-    return rec
-
-
 def cmd_train_demo(args) -> int:
     if args.arch is not None:
         arch_text = read_archdoc_text(args.arch)
@@ -421,7 +408,7 @@ def cmd_train_demo(args) -> int:
                 "test_error": test_error,
                 "train_accuracy": 1.0 - train_error,
                 "test_accuracy": 1.0 - test_error,
-                "trajectory": [_epoch_record(s) for s in result.trajectory],
+                "trajectory": [asdict(s) for s in result.trajectory],
             }
             cells.append(cell)
             if args.save_dir is not None:
@@ -433,7 +420,7 @@ def cmd_train_demo(args) -> int:
                 with open(f"{args.save_dir}/cell_{tag}.jsonl", "w",
                           encoding="utf-8") as fh:
                     for rec in cell["trajectory"]:
-                        fh.write(json.dumps(_clean(rec)) + "\n")
+                        fh.write(json.dumps(rec, default=_tolist) + "\n")
 
     doc = {"command": "train-demo", "task": args.task, "n": args.n,
            "n_test": args.n_test, "seed": args.seed,
@@ -514,11 +501,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(check, requirement: str):
-    """An argparse type: a float that passes `check`, else the usage error
-    "must be <requirement>"."""
-    def number(text: str) -> float:
-        value = float(text)
+def _number(check, requirement: str, kind=float):
+    """An argparse type: a `kind` (float or int) that passes `check`, else
+    the usage error "must be <requirement>"."""
+    def number(text: str):
+        value = kind(text)
         if not check(value):
             raise argparse.ArgumentTypeError(
                 f"must be {requirement}, got {text!r}")
@@ -531,6 +518,7 @@ _tolerance = _number(lambda v: math.isfinite(v) and v >= 0,
 _positive = _number(lambda v: math.isfinite(v) and v > 0,
                     "a finite number > 0")
 _probability = _number(lambda v: 0 < v < 1, "in (0, 1)")
+_seed = _number(lambda v: v >= 0, "an int >= 0", int)   # as default_rng asks
 
 
 def _add_common(sub) -> None:
@@ -549,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archdoc")
     p.add_argument("--task", choices=("blobs", "rings"), default="blobs")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--gamma", type=_positive, default=1.0,
                    help="ramp-loss margin scale")
     p.add_argument("--equal-ramp-to", default=None, metavar="NPZ",
@@ -588,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("blobs", "rings"), default="blobs")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--n-test", type=int, default=128)
-    p.add_argument("--data-seed", type=int, default=2)
+    p.add_argument("--data-seed", type=_seed, default=2)
     p.add_argument("--lip-grid", default="inf",
                    help="comma list of spectral bounds s (inf allowed)")
     p.add_argument("--dist-grid", default="inf",
@@ -602,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="architecture document (default: built-in demo net)")
     p.add_argument("--save-dir", default=None,
                    help="write per-cell checkpoints and trajectory logs here")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the nets' initial weights and SGD order")
     _add_common(p)
     p.set_defaults(func=cmd_train_demo)

@@ -24,7 +24,6 @@ instead and stays the independent oracle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ __all__ = [
     "forward_last",
     "adjoint_last",
     "materialize",
-    "materialize_cap",
+    "MATERIALIZE_CAP",
     "NormIdentityReport",
     "mk_norm_identities",
 ]
@@ -198,16 +197,7 @@ def conv_adjoint_batch(kernel: KernelTensor, spec: ConvSpec, ys: np.ndarray) -> 
                         batch_last(ys)).transpose(3, 0, 1, 2)
 
 
-def materialize_cap() -> int:
-    raw = os.environ.get("CAPBOUND_MATERIALIZE_CAP", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(
-                f"CAPBOUND_MATERIALIZE_CAP must be an int, got {raw!r}"
-            ) from exc
-    return 10**7
+MATERIALIZE_CAP = 10**7
 
 
 def materialize(kernel: KernelTensor, spec: ConvSpec) -> DenseMatrix:
@@ -215,19 +205,18 @@ def materialize(kernel: KernelTensor, spec: ConvSpec) -> DenseMatrix:
 
     Row index is the row-major flattening of (c_out, out_h, out_w), column
     index of (c_in, h, w), so materialize(K) @ x.ravel() reproduces
-    conv_forward(K, x).ravel(). Refuses to build more than
-    CAPBOUND_MATERIALIZE_CAP entries (default 1e7).
+    conv_forward(K, x).ravel(). Refuses to build more than MATERIALIZE_CAP
+    entries.
     """
     spec.check_kernel(kernel)
     c_in, h, w = spec.input_shape
     out_h, out_w = spec.out_spatial
     n_rows = kernel.c_out * out_h * out_w
     n_cols = c_in * h * w
-    cap = materialize_cap()
-    if n_rows * n_cols > cap:
+    if n_rows * n_cols > MATERIALIZE_CAP:
         raise ResourceError(
             f"materialized matrix would hold {n_rows * n_cols} entries, "
-            f"cap is {cap}"
+            f"cap is {MATERIALIZE_CAP}"
         )
     k = kernel.entries
     m6 = np.zeros((kernel.c_out, c_in, out_h, out_w, h, w))

@@ -105,29 +105,23 @@ class Checkpoint:
         return self.arrays[name], reference
 
 
-def _as_stored(array: np.ndarray, dtype: str | None, name: str) -> np.ndarray:
+def _as_stored(array: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(array)
-    key = dtype
+    key = _NP_TO_DTYPE.get(np.dtype(arr.dtype.newbyteorder("=")))
     if key is None:
-        key = _NP_TO_DTYPE.get(np.dtype(arr.dtype.newbyteorder("=")))
-        if key is None:
-            raise UsageError(
-                f"tensor {name!r} has dtype {arr.dtype}, "
-                f"checkpoints hold f32/f64")
+        raise UsageError(
+            f"tensor {name!r} has dtype {arr.dtype}, checkpoints hold f32/f64")
     return np.ascontiguousarray(arr.astype(_DTYPES[key]))
 
 
-def write_checkpoint(path: str, weights: dict, references: dict,
-                     dtype: str | None = None) -> None:
+def write_checkpoint(path: str, weights: dict, references: dict) -> None:
     """Write weights plus their references into one container file.
 
     `weights` maps tensor name -> array; `references` maps the same names to
-    either a same-shape array or the string "zero". Arrays keep their own
-    f32/f64 dtype unless `dtype` forces one. Entry order follows dict order,
+    either a same-shape array or the string "zero". Each array is stored in
+    its own dtype, which must be f32 or f64. Entry order follows dict order,
     so output files are deterministic.
     """
-    if dtype is not None and dtype not in _DTYPES:
-        raise UsageError(f"dtype must be one of {sorted(_DTYPES)}")
     if set(weights) != set(references):
         raise UsageError("weights and references must cover the same names")
     entries = []
@@ -136,7 +130,7 @@ def write_checkpoint(path: str, weights: dict, references: dict,
 
     def push(name, role, array, reference=None):
         nonlocal offset
-        stored = _as_stored(array, dtype, name)
+        stored = _as_stored(array, name)
         raw = stored.tobytes(order="C")
         entries.append({
             "name": name,

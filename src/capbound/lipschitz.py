@@ -263,7 +263,16 @@ def _unit_gram(stacked: np.ndarray):
     over the squared peak."""
     left = stacked.shape[1] <= stacked.shape[2]
     peak = np.max(np.abs(stacked), axis=(1, 2))
-    unit = stacked / np.where(peak > 0, peak, 1.0)[:, None, None]
+    divisor = np.where(peak > 0, peak, 1.0)
+    # Complex division forms 1 / divisor, which overflows when the peak is
+    # subnormal (below 2^-1022): those matrices alone are first scaled by
+    # 2^64, exactly.
+    if divisor.min(initial=1.0) < 2.0**-1022:
+        subnormal = divisor < 2.0**-1022
+        stacked = stacked.copy()
+        stacked[subnormal] *= 2.0**64
+        divisor[subnormal] *= 2.0**64
+    unit = stacked / divisor[:, None, None]
     adjoint = unit.conj().swapaxes(1, 2)
     return peak, unit @ adjoint if left else adjoint @ unit, left
 

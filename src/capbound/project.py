@@ -320,7 +320,11 @@ def _top_direction(gram: np.ndarray, squares: np.ndarray,
     n = gram.shape[1]
     gram.reshape(len(gram), n * n)[:, ::n + 1] -= squares[:, None] * (
         1 + 1e-14)
-    start = np.cos(np.arange(1.0, n + 1))[:, None]
+    # Each step multiplies v's length by about 1 / (1e-14 lambda), so a
+    # start 2^-93 (~1e-28) long gives v about 1 / lambda^2 long (lambda >= 1
+    # at unit peak), which keeps `_shrink`'s products in range at any matrix
+    # scale; a power of two leaves the bits of every in-range product alone.
+    start = np.cos(np.arange(1.0, n + 1))[:, None] * 2.0**-93
     try:
         v = np.linalg.solve(gram, np.linalg.solve(gram, start))
     except np.linalg.LinAlgError as exc:

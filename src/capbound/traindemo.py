@@ -772,8 +772,7 @@ def _block_records(net: TinyNet, references) -> tuple:
     records = []
     for blk, lip, dist in zip(net.blocks, net.lipschitz(),
                               net.distances(references)):
-        layer = LayerRecord(kind="conv", lip=lip, dist=dist,
-                            rho=blk.spec.post_lip,
+        layer = LayerRecord(lip=lip, dist=dist, rho=blk.spec.post_lip,
                             param_count=blk.conv.kernel.size)
         kind = shortcut_kind[blk.spec.shortcut]
         records.append(BlockRecord(

@@ -347,8 +347,7 @@ def _random_capacity_input(rng):
     blocks = []
     for _ in range(int(rng.integers(1, 4))):
         layers = tuple(
-            LayerRecord(kind="conv",
-                        lip=float(rng.uniform(0.4, 2.2)),
+            LayerRecord(lip=float(rng.uniform(0.4, 2.2)),
                         dist=float(rng.uniform(0.0, 3.0)),
                         rho=float(rng.uniform(0.5, 1.5)),
                         param_count=int(rng.integers(1, 60)))
@@ -376,7 +375,7 @@ def test_acceptance_06_tree_and_record_bounds_agree():
 
     for _ in range(20):
         layers = tuple(
-            LayerRecord(kind="dense", lip=float(rng.uniform(0.4, 2.0)),
+            LayerRecord(lip=float(rng.uniform(0.4, 2.0)),
                         dist=float(rng.uniform(0.0, 2.5)),
                         rho=float(rng.uniform(0.5, 1.4)),
                         param_count=int(rng.integers(1, 30)))
@@ -403,8 +402,7 @@ def test_acceptance_06_tree_and_record_bounds_agree():
 
 def _two_block_input(dist_scale=1.0, lip_scale=1.0, gamma=1.0, x=4.0):
     mk = lambda lip, dist, w: LayerRecord(  # noqa: E731
-        kind="conv", lip=lip * lip_scale, dist=dist * dist_scale, rho=1.0,
-        param_count=w)
+        lip=lip * lip_scale, dist=dist * dist_scale, rho=1.0, param_count=w)
     blocks = (
         BlockRecord(layers=(mk(1.3, 0.7, 12), mk(0.9, 1.2, 20)),
                     shortcut="identity"),
@@ -420,7 +418,7 @@ def test_acceptance_07_special_values_and_monotonicity():
         zeroed = CapacityInput(
             blocks=tuple(
                 BlockRecord(
-                    layers=tuple(LayerRecord(kind=l.kind, lip=l.lip, dist=0.0,
+                    layers=tuple(LayerRecord(lip=l.lip, dist=0.0,
                                              rho=l.rho,
                                              param_count=l.param_count)
                                  for l in blk.layers),
@@ -522,7 +520,7 @@ def test_acceptance_08_sampling_stays_below_both_bounds():
         shortcut_kind = {"none": "zero", "identity": "identity"}
         recs = []
         for pos, (blk, s, b) in enumerate(zip(net.blocks, s_bounds, radii)):
-            layer = LayerRecord(kind="conv", lip=s, dist=b,
+            layer = LayerRecord(lip=s, dist=b,
                                 rho=blk.spec.post_lip,
                                 param_count=blk.conv.kernel.size)
             recs.append(BlockRecord(

@@ -38,8 +38,8 @@ ZETA_52_325 = 0.14333130965938579096997822148
 PSI_AT_1 = 1.89374991100769714159332313516
 
 
-def layer(s=1.0, b=1.0, rho=1.0, w=1, kind="conv"):
-    return LayerRecord(kind=kind, lip=s, dist=b, rho=rho, param_count=w)
+def layer(s=1.0, b=1.0, rho=1.0, w=1):
+    return LayerRecord(lip=s, dist=b, rho=rho, param_count=w)
 
 
 def chain_input(layers, n=4, data_norm=1.0, gamma=2.0):
@@ -151,15 +151,13 @@ def test_single_layer_monotone_in_radius(w, x, b, e1, e2):
 
 def test_record_validation():
     with pytest.raises(UsageError):
-        LayerRecord(kind="pool", lip=1.0, dist=0.0, param_count=1)
+        LayerRecord(lip=0.0, dist=0.0, param_count=1)
     with pytest.raises(UsageError):
-        LayerRecord(kind="conv", lip=0.0, dist=0.0, param_count=1)
+        LayerRecord(lip=1.0, dist=-1.0, param_count=1)
     with pytest.raises(UsageError):
-        LayerRecord(kind="conv", lip=1.0, dist=-1.0, param_count=1)
+        LayerRecord(lip=1.0, dist=0.0, rho=0.0, param_count=1)
     with pytest.raises(UsageError):
-        LayerRecord(kind="conv", lip=1.0, dist=0.0, rho=0.0, param_count=1)
-    with pytest.raises(UsageError):
-        LayerRecord(kind="conv", lip=1.0, dist=0.0)  # no param count
+        LayerRecord(lip=1.0, dist=0.0)  # no param count
     with pytest.raises(UsageError):
         BlockRecord(layers=())
     with pytest.raises(UsageError):

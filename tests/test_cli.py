@@ -117,13 +117,6 @@ def test_checkpoint_f32_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_forced_dtype(tmp_path):
-    w = {"k": np.ones((1, 1, 1, 1))}
-    path = tmp_path / "t.ckpt"
-    write_checkpoint(str(path), w, {"k": ZERO_REFERENCE}, dtype="f32")
-    assert read_checkpoint(str(path)).arrays["k"].dtype == np.float32
-
-
 def test_checkpoint_writer_rejects_bad_inputs(tmp_path):
     path = str(tmp_path / "t.ckpt")
     good = np.ones((1, 1, 1, 1))
@@ -136,8 +129,6 @@ def test_checkpoint_writer_rejects_bad_inputs(tmp_path):
     with pytest.raises(UsageError):
         write_checkpoint(path, {"a": good.astype(np.int32)},
                          {"a": ZERO_REFERENCE})
-    with pytest.raises(UsageError):
-        write_checkpoint(path, {"a": good}, {"a": ZERO_REFERENCE}, dtype="f16")
 
 
 def _raw_ckpt(path, entries, payload: bytes, doc=None):
@@ -848,15 +839,19 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, argv):
     ("project", "--tol", "inf"), ("project", "--tol", "nan"),
     ("project", "--tol", "-1e-3"), ("analyze", "--tol", "inf"),
     ("analyze", "--tol", "nan"), ("analyze", "--tol", "-1"),
+    ("analyze", "--data-seed", "-1"), ("train-demo", "--seed", "-3"),
+    ("train-demo", "--data-seed", "-1"),
 ])
 def test_subcommands_reject_bad_budget_and_tolerance(tmp_path, command, flag,
                                                      value):
     ckpt, arch, _, _ = write_demo_pair(tmp_path, bounds=(1.0, 1.0))
     out = tmp_path / "out.ckpt"
+    files = [] if command == "train-demo" else [ckpt, arch]
     extra = ["--out", str(out)] if command == "project" else []
-    rc, _, err = run_cli([command, ckpt, arch, *extra, f"{flag}={value}"])
+    rc, _, err = run_cli([command, *files, *extra, f"{flag}={value}"])
     assert rc == 1
     assert flag in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capbound import convop
 from capbound.convop import (
     ConvSpec,
     conv_adjoint,
@@ -135,12 +136,12 @@ def test_materialize_applies_like_forward():
 
 
 def test_materialize_cap(monkeypatch):
-    monkeypatch.setenv("CAPBOUND_MATERIALIZE_CAP", "10")
+    monkeypatch.setattr(convop, "MATERIALIZE_CAP", 10)
     spec = ConvSpec((1, 3, 3), (1, 1))
     k = KernelTensor(np.ones((1, 1, 1, 1)))
     with pytest.raises(ResourceError):
         materialize(k, spec)
-    monkeypatch.setenv("CAPBOUND_MATERIALIZE_CAP", "1000")
+    monkeypatch.setattr(convop, "MATERIALIZE_CAP", 1000)
     materialize(k, spec)
 
 

@@ -50,7 +50,6 @@ def random_capacity_input(rng, allow_zero_dist=True):
             elif rng.uniform() < 0.15:
                 b = 0.0
             layers.append(LayerRecord(
-                kind="conv",
                 lip=float(rng.uniform(0.4, 2.2)),
                 dist=b,
                 rho=float(rng.uniform(0.5, 1.5)),
@@ -179,7 +178,7 @@ def test_plain_chain_tree_equals_direct_chain_bound():
     rng = np.random.default_rng(52)
     for _ in range(10):
         layers = tuple(
-            LayerRecord(kind="dense", lip=float(rng.uniform(0.4, 2.0)),
+            LayerRecord(lip=float(rng.uniform(0.4, 2.0)),
                         dist=float(rng.uniform(0.0, 2.5)),
                         rho=float(rng.uniform(0.5, 1.4)),
                         param_count=int(rng.integers(1, 30)))

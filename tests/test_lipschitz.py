@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +279,32 @@ def test_non_finite_stacks_raise_numerical_error():
                         lambda: _RunClip(1.0).clip(stacked.copy())):
             with pytest.raises(NumericalError, match="non-finite entries"):
                 measure()
+
+
+@pytest.mark.parametrize("exponent", [-1030, 950])
+def test_stacks_far_from_unit_scale_measure_and_clip_like_unit_scale(exponent):
+    """At peak ~5e-310 (2^-1030) every entry of a stack is subnormal, and the
+    Gram screen divides by that peak without overflow; at ~1e286 (2^950) the
+    clip's products stay in range. The norm and the clip match those of the
+    stack brought back to unit scale by an exact power of two, to 1e-9 of
+    the result's scale."""
+    def back(x):
+        return x * 2.0**(-exponent / 2) * 2.0**(-exponent / 2)
+
+    rng = np.random.default_rng(11)
+    far = taps_to_stack(rng.standard_normal((3, 2, 3, 3)), 4, 4) \
+        * 2.0**exponent
+    stacked = back(far)
+    # at the median singular value, matrices move along 0, 1 and 2 directions
+    s = float(np.median(np.linalg.svd(stacked, compute_uv=False)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = back(stack_norm(far))
+        clipped = back(_RunClip(s * 2.0**exponent).clip(far))
+    assert norm == pytest.approx(stack_norm(stacked), rel=1e-9)
+    expected = _RunClip(s).clip(stacked)
+    np.testing.assert_allclose(clipped, expected, rtol=0,
+                               atol=1e-9 * np.abs(expected).max())
 
 
 def test_a_failed_gram_screen_raises_numerical_error(monkeypatch):
