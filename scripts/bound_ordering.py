@@ -44,7 +44,6 @@ def main():
     ap.add_argument("--lip", type=float, default=2.0)
     ap.add_argument("--dist", type=float, default=3.0)
     ap.add_argument("--gamma", type=float, default=0.5)
-    ap.add_argument("--kappa", type=int, default=2)
     args = ap.parse_args()
 
     batch, labels = synth_data("blobs", args.n, seed=args.data_seed)
@@ -65,7 +64,7 @@ def main():
     print()
 
     stats, dstats = comparison_stats_from_net(net, result.references, batch)
-    rows = comparison_suite(stats, dstats, batch.n, args.gamma, args.kappa)
+    rows = comparison_suite(stats, dstats, batch.n, args.gamma, net.kappa)
     present = sorted((r for r in rows.values() if not r.absent),
                      key=lambda r: r.log10_value)
     width = max(len(r.name) for r in present)

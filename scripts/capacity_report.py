@@ -41,7 +41,7 @@ def train_and_save(graph, batch, labels, config, s, b, out_dir, tag):
     return path
 
 
-def analyze(ckpt, arch, gamma, as_json=True):
+def analyze(ckpt, arch, gamma):
     import contextlib
     import io
     buf = io.StringIO()

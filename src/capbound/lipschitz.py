@@ -12,13 +12,9 @@ straight from its taps and goes straight back to them (`taps_to_stack`,
 FFT); a kernel that fills the grid is the h x w tap window. The inverse
 drops the imaginary part of the self-conjugate columns only below 1e-9 of
 max(1, the inverted stack's peak, the input scale of the clip that made
-it) (`_require_real`). A Gram screen (`top_singular_estimates`, eigenvalues
-of each matrix's smaller Gram matrix at unit peak, `_unit_gram`) picks the
-frequencies whose top singular value can matter, so the spectral norm
-(`stack_norm`) decomposes only those; the spectral clip (see `project`)
-takes its eigenvalues from the same Gram matrices. Measurements keep the
-SVD: `stack_norm` and `fft_exact_spectrum` report singular values from it.
-A decomposition that fails on a stack, or
+it) (`_require_real`). Every exact measurement is one batched SVD of one
+stack (`_singular_values`): `stack_norm` reports the largest value and
+`fft_exact_spectrum` all of them. A decomposition that fails on a stack, or
 returns a non-finite value from it, raises NumericalError naming the
 stack's non-finite matrices (finite taps whose transform overflowed).
 
@@ -27,16 +23,15 @@ the polyphase split (Vaidyanathan 1993; Sedghi, Gupta and Long 2019 for
 stride 1): each input axis splits into its s phases, tap offset
 d = s q + r reading phase r at offset q, so the layer is a stride-1
 circular conv from s_h * s_w * c_in phase channels on the (h/s_h) x (w/s_w)
-grid (`_polyphase_taps`), whose stack `stack_norm` measures. Everything
-else falls back to power iteration on the forward/adjoint pair, or a dense
-SVD of an operator materialized with `convop.materialize`
-(`dense_spectral_norm`).
+grid (`_polyphase_taps`, the taps themselves at stride 1), whose stack
+(`_exact_stack`) `stack_norm` measures. Everything else falls back to power
+iteration on the forward/adjoint pair, or a dense SVD of an operator
+materialized with `convop.materialize` (`dense_spectral_norm`).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +46,6 @@ __all__ = [
     "power_iteration",
     "taps_to_stack",
     "stack_to_taps",
-    "top_singular_estimates",
-    "may_reach",
     "stack_norm",
     "fft_exact_spectrum",
     "fft_exact_norm",
@@ -225,19 +218,6 @@ def stack_to_taps(stacked: np.ndarray, h: int, w: int, k_h: int,
     return np.ascontiguousarray(taps.transpose(2, 3, 0, 1))
 
 
-# Relative margin of the screens. Forming and diagonalizing a matrix's
-# Gram matrix moves its top singular value estimate by about n * eps relative
-# (n the channel count, 4e-15 at 16 channels), far inside this margin, so a
-# matrix the screen leaves out provably has a top singular value below the
-# level it was screened against. The same margin covers the rounding of the
-# projections' remembered Weyl bound (see `project`): a Gram decomposition's
-# top value (off by about n * eps, as above) plus one rounded Frobenius norm
-# per clip since, each off by at most about m * eps relative (m the matrix's
-# real entries, 512 at 16 x 16 channels), so under 1e-11 of the bound after
-# a hundred clips.
-SCREEN_MARGIN = 1e-10
-
-
 def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
     """Raise NumericalError naming a frequency stack's non-finite matrices
     (finite taps whose transform overflowed), or the decomposition failure
@@ -254,70 +234,21 @@ def _require_finite_stack(stacked: np.ndarray, exc=None) -> None:
             f"frequency stack decomposition failed: {exc}") from exc
 
 
-def _unit_gram(stacked: np.ndarray):
-    """Each matrix's peak |entry|, the smaller Gram matrix of the matrix
-    scaled to unit peak, and whether that is the left one: A A^H if the
-    matrices have no more rows than columns (`left`), else A^H A. The
-    scaling keeps the Gram matrix from overflowing or underflowing at the
-    matrix's own scale; its eigenvalues are the squared singular values
-    over the squared peak."""
-    left = stacked.shape[1] <= stacked.shape[2]
-    peak = np.max(np.abs(stacked), axis=(1, 2))
-    divisor = np.where(peak > 0, peak, 1.0)
-    # Complex division forms 1 / divisor, which overflows when the peak is
-    # subnormal (below 2^-1022): those matrices alone are first scaled by
-    # 2^64, exactly.
-    if divisor.min(initial=1.0) < 2.0**-1022:
-        subnormal = divisor < 2.0**-1022
-        stacked = stacked.copy()
-        stacked[subnormal] *= 2.0**64
-        divisor[subnormal] *= 2.0**64
-    unit = stacked / divisor[:, None, None]
-    adjoint = unit.conj().swapaxes(1, 2)
-    return peak, unit @ adjoint if left else adjoint @ unit, left
-
-
-def top_singular_estimates(stacked: np.ndarray) -> np.ndarray:
-    """Each matrix's largest singular value, from `eigvalsh` of its smaller
-    Gram matrix at unit peak (`_unit_gram`); the estimate carries the scale
-    back. Only a screen: reported values come from the SVD."""
-    peak, gram, _ = _unit_gram(stacked)
+def _singular_values(stacked: np.ndarray) -> np.ndarray:
+    """Every matrix's singular values, descending, from one batched SVD of
+    the stack."""
     try:
-        top = np.linalg.eigvalsh(gram)[:, -1]
+        sv = np.linalg.svd(stacked, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         _require_finite_stack(stacked, exc)
-    return peak * np.sqrt(np.maximum(top, 0.0))
-
-
-def may_reach(estimates: np.ndarray, level: float) -> np.ndarray:
-    """Mask of the matrices whose top singular value may be >= level.
-
-    NaN estimates (non-finite input) are kept, so the decomposition still
-    sees and reports them.
-    """
-    return ~(estimates < (1.0 - SCREEN_MARGIN) * level)
+    if not np.all(np.isfinite(sv)):
+        _require_finite_stack(stacked)
+    return sv
 
 
 def stack_norm(stacked: np.ndarray) -> float:
-    """Largest singular value over a frequency stack: the SVD runs only on
-    the frequencies the screen places within SCREEN_MARGIN of the largest
-    estimate, which always include the arg-max frequency."""
-    estimates = top_singular_estimates(stacked)
-    candidates = stacked[may_reach(estimates, np.max(estimates))]
-    try:
-        sv = np.linalg.svd(candidates, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        _require_finite_stack(stacked, exc)
-    value = float(np.max(sv[:, 0]))
-    if not math.isfinite(value):
-        _require_finite_stack(stacked)
-    return value
-
-
-def _kernel_stack(kernel: KernelTensor, spec: ConvSpec) -> np.ndarray:
-    _require_fft_eligible(kernel, spec)
-    _, h, w = spec.input_shape
-    return taps_to_stack(kernel.entries, h, w)
+    """Largest singular value over a frequency stack."""
+    return float(np.max(_singular_values(stacked)[:, 0]))
 
 
 def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
@@ -327,22 +258,18 @@ def fft_exact_spectrum(kernel: KernelTensor, spec: ConvSpec) -> SpectrumReport:
     operator's full multiset (up to padding zeros when channel counts
     differ, which the dense operator also has).
     """
+    _require_fft_eligible(kernel, spec)
     _, h, w = spec.input_shape
-    stacked = _kernel_stack(kernel, spec)
-    try:
-        sv = np.linalg.svd(stacked, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        _require_finite_stack(stacked, exc)
+    sv = _singular_values(_exact_stack(kernel, spec))
     multiplicity = np.tile(_columns(w), h)
     values = np.sort(np.repeat(sv, multiplicity, axis=0), axis=None)[::-1]
-    if not math.isfinite(values[0]):    # NaN sorts last, so first here
-        _require_finite_stack(stacked)
     return SpectrumReport(values=values, max_value=float(values[0]))
 
 
 def fft_exact_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
-    value = stack_norm(_kernel_stack(kernel, spec))
-    return SpectralEstimate(value, "fft_exact", 0, 0.0)
+    """`operator_norm` of a circular stride-1 layer; other layers raise."""
+    _require_fft_eligible(kernel, spec)
+    return operator_norm(kernel, spec)
 
 
 def dense_spectral_norm(matrix: DenseMatrix) -> SpectralEstimate:
@@ -357,9 +284,12 @@ def _polyphase_taps(taps: np.ndarray, strides) -> np.ndarray:
     phase r at offset q. Returns (c_out, s_h * s_w * c_in, k'_h, k'_w), its
     input channels in (r_h, r_w, c_in) order. Along each axis the q run
     from floor(-(k//2) / s) to floor((k - 1 - k//2) / s), which are the
-    offsets of a window of k' = q[-1] - q[0] + 1 taps (`offsets(k')`)."""
+    offsets of a window of k' = q[-1] - q[0] + 1 taps (`offsets(k')`). At
+    stride 1 the split is the identity and the taps come back as they are."""
     c_out, c_in, k_h, k_w = taps.shape
     s_h, s_w = strides
+    if s_h == s_w == 1:
+        return taps
     (q_h, r_h), (q_w, r_w) = (np.divmod(offsets(k), s)
                               for k, s in ((k_h, s_h), (k_w, s_w)))
     q_h, q_w = q_h - q_h[0], q_w - q_w[0]
@@ -369,25 +299,31 @@ def _polyphase_taps(taps: np.ndarray, strides) -> np.ndarray:
         c_out, s_h * s_w * c_in, q_h[-1] + 1, q_w[-1] + 1)
 
 
+def _exact_stack(kernel: KernelTensor, spec: ConvSpec):
+    """The frequency stack of a circular layer whose strides divide h and
+    w: its polyphase taps' (`_polyphase_taps`) on the (h/s_h) x (w/s_w)
+    grid, which at stride 1 is the taps' own on the h x w grid. None for
+    any other layer."""
+    _, h, w = spec.input_shape
+    s_h, s_w = spec.strides
+    if spec.padding != "circular" or h % s_h or w % s_w:
+        return None
+    spec.check_kernel(kernel)
+    return taps_to_stack(_polyphase_taps(kernel.entries, spec.strides),
+                         h // s_h, w // s_w)
+
+
 def operator_norm(kernel: KernelTensor, spec: ConvSpec) -> SpectralEstimate:
     """The operator's spectral norm by the best route its geometry has:
 
-    - circular, stride 1: `fft_exact`, the frequency stack of the taps;
-    - circular, strides dividing h and w: `polyphase_exact`, the frequency
-      stack of the polyphase taps (`_polyphase_taps`) on the
-      (h/s_h) x (w/s_w) grid;
+    - circular, strides dividing h and w: the largest singular value of its
+      exact stack (`_exact_stack`), reported as `fft_exact` at stride 1 and
+      `polyphase_exact` otherwise, with 0 iterations and residual 0.0;
     - otherwise `power_iteration` at its default tolerance, cap and seed, a
       lower estimate.
-
-    The exact routes report 0 iterations and residual 0.0.
     """
-    if fft_eligible(spec):
-        return fft_exact_norm(kernel, spec)
-    _, h, w = spec.input_shape
-    s_h, s_w = spec.strides
-    if spec.padding == "circular" and h % s_h == 0 and w % s_w == 0:
-        spec.check_kernel(kernel)
-        value = stack_norm(taps_to_stack(
-            _polyphase_taps(kernel.entries, spec.strides), h // s_h, w // s_w))
-        return SpectralEstimate(value, "polyphase_exact", 0, 0.0)
-    return power_iteration(kernel, spec)
+    stacked = _exact_stack(kernel, spec)
+    if stacked is None:
+        return power_iteration(kernel, spec)
+    method = "fft_exact" if fft_eligible(spec) else "polyphase_exact"
+    return SpectralEstimate(stack_norm(stacked), method, 0, 0.0)

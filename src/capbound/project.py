@@ -11,8 +11,8 @@ exact for circular stride-1 operators via per-frequency singular value
 clipping (the DFT is a scaled isometry, so clipping each frequency's matrix
 is the orthogonal projection onto the full-grid Lipschitz ball). The clip
 reads each matrix's singular values from `eigvalsh` of its smaller Gram
-matrix at unit peak, not from an SVD; the measurements
-(`lipschitz.stack_norm`) keep the SVD. A matrix with none above s clips
+matrix at unit peak (`_unit_gram`), not from an SVD as the measurements
+(`lipschitz.stack_norm`) do. A matrix with none above s clips
 to itself and passes through untouched. One with exactly one moves along
 that direction alone: a rank-one update whose direction comes from two
 steps of inverse iteration on the Gram matrix already formed
@@ -21,12 +21,11 @@ steps of inverse iteration on the Gram matrix already formed
 the frequencies is clipped: the grid is real, clipping commutes with
 conjugation, and the inverse real transform restores each left-out
 conjugate partner. Of those, only the frequencies the screen
-(`lipschitz.may_reach`) cannot place below s are decomposed; the rest
-clip to themselves and pass through. Strides above 1 are rejected.
+(`may_reach`) cannot place below s are decomposed; the rest clip to
+themselves and pass through. Strides above 1 are rejected.
 
-The screen is cold or warm. A cold clip takes the Gram screen's
-eigenvalues of the whole stack (as `lipschitz.top_singular_estimates`
-forms them) as its decomposition. Each projection run's clips share a
+The screen is cold or warm. A cold clip takes the Gram eigenvalues of
+the whole stack as its decomposition. Each projection run's clips share a
 memory (`_RunClip`): the last clip input's frequency stack and an upper
 bound on each of its matrices' top singular value. Every clip after the
 first bounds a frequency by that bound plus the Frobenius norm of the
@@ -66,15 +65,13 @@ from .errors import UsageError
 from .lipschitz import (
     _require_fft_eligible,
     _require_finite_stack,
-    _unit_gram,
     embed_kernel_grid,
-    may_reach,
     operator_norm,
     stack_norm,
     stack_to_taps,
     taps_to_stack,
 )
-from .tensors import KernelTensor, fiber_norms, norm_21
+from .tensors import KernelTensor, fiber_norms, l2_norm, norm_21
 
 __all__ = [
     "ConstraintSet",
@@ -102,6 +99,15 @@ DEFAULT_BUDGETS = {"alternating": 15, "dykstra": 100, "radial": 15}
 # Relative excess over each bound that a converged projection (and a
 # feasible trained layer) may keep.
 DEFAULT_TOL = 1e-3
+# Relative margin of the clip's screens. Forming and diagonalizing a
+# matrix's Gram matrix moves its top singular value estimate by about n * eps
+# relative (n the channel count, 4e-15 at 16 channels). The run's remembered
+# Weyl bound is such a top value plus one rounded Frobenius norm per clip
+# since, each off by at most about m * eps relative (m the matrix's real
+# entries, 512 at 16 x 16 channels), so under 1e-11 of the bound after a
+# hundred clips. Both are far inside this margin, so a matrix either screen
+# leaves out provably has no singular value above s.
+SCREEN_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,38 @@ def project_spectral(kernel: KernelTensor, spec: ConvSpec, s: float) -> KernelTe
     window = KernelTensor(stack_to_taps(clipped, h, w, h, w, clip.scale))
     return KernelTensor(embed_kernel_grid(window, ConvSpec((c_in, h, w),
                                                            (h, w))))
+
+
+def _unit_gram(stacked: np.ndarray):
+    """Each matrix's peak |entry|, the smaller Gram matrix of the matrix
+    scaled to unit peak, and whether that is the left one: A A^H if the
+    matrices have no more rows than columns (`left`), else A^H A. The
+    scaling keeps the Gram matrix from overflowing or underflowing at the
+    matrix's own scale; its eigenvalues are the squared singular values
+    over the squared peak."""
+    left = stacked.shape[1] <= stacked.shape[2]
+    peak = np.max(np.abs(stacked), axis=(1, 2))
+    divisor = np.where(peak > 0, peak, 1.0)
+    # Complex division forms 1 / divisor, which overflows when the peak is
+    # subnormal (below 2^-1022): those matrices alone are first scaled by
+    # 2^64, exactly.
+    if divisor.min(initial=1.0) < 2.0**-1022:
+        subnormal = divisor < 2.0**-1022
+        stacked = stacked.copy()
+        stacked[subnormal] *= 2.0**64
+        divisor[subnormal] *= 2.0**64
+    unit = stacked / divisor[:, None, None]
+    adjoint = unit.conj().swapaxes(1, 2)
+    return peak, unit @ adjoint if left else adjoint @ unit, left
+
+
+def may_reach(estimates: np.ndarray, level: float) -> np.ndarray:
+    """Mask of the matrices whose top singular value may be >= level.
+
+    NaN estimates (non-finite input) are kept, so the decomposition still
+    sees and reports them.
+    """
+    return ~(estimates < (1.0 - SCREEN_MARGIN) * level)
 
 
 class _RunClip:
@@ -385,19 +423,6 @@ def _change_norms(change: np.ndarray) -> np.ndarray:
             norms[redo] = peak[redo] * np.sqrt(
                 np.einsum("ij,ij->i", rows, rows))
     return norms
-
-
-def _norm(a: np.ndarray) -> float:
-    """Euclidean norm of an array. One whose squares overflow (entries past
-    about 1e154) is measured again scaled to unit peak, as
-    `tensors.fiber_norms` does; every other norm is the plain one."""
-    with np.errstate(over="ignore"):
-        value = np.linalg.norm(a)
-        if math.isinf(value) and np.all(np.isfinite(a)):
-            real = a.view(np.float64) if np.iscomplexobj(a) else a
-            peak = np.max(np.abs(real))
-            value = peak * np.linalg.norm(a / peak)
-    return value
 
 
 def project_support(grid_kernel: KernelTensor, k_h: int, k_w: int) -> KernelTensor:
@@ -614,8 +639,8 @@ def admm(kernel: KernelTensor, cs: ConstraintSet,
             if rounds == 1 and primal == 0:
                 break   # the C1 & C3 projection already lies in C2
             if (primal <= 0.5 * tol * s
-                    and rho * _norm(z - z_prev)
-                    <= 10 * tol * _norm(stacked - x0)):
+                    and rho * l2_norm(z - z_prev)
+                    <= 10 * tol * l2_norm(stacked - x0)):
                 break
     dist, lip = _measure(p, cs)
     return KernelTensor(p), _report(

@@ -24,6 +24,7 @@ __all__ = [
     "DenseMatrix",
     "DataBatch",
     "fiber_norms",
+    "l2_norm",
     "norm_21",
     "group_norm_21",
     "group_norm_matrix_21",
@@ -131,6 +132,24 @@ def fiber_norms(k: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             norms[over] = peak * np.sqrt(np.sum(unit * unit, axis=1))
     return norms
+
+
+def l2_norm(a: np.ndarray, axis: int | None = None):
+    """`np.linalg.norm(a, axis=axis)` of a real or complex array: its
+    Euclidean norm, or each row's with axis=1. A finite one whose squares
+    overflow (entries past about 1e154) is measured again scaled to unit
+    peak, as in `fiber_norms`; every other norm is the plain one."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=axis, keepdims=True)
+        redo = np.isinf(norms)
+        if redo.any():
+            redo &= np.all(np.isfinite(a), axis=axis, keepdims=True)
+            real = a.view(np.float64) if np.iscomplexobj(a) else a
+            peak = np.where(redo, np.max(np.abs(real), axis=axis,
+                                         keepdims=True), 1.0)
+            norms = np.where(redo, peak * np.linalg.norm(
+                a / peak, axis=axis, keepdims=True), norms)
+    return norms.squeeze(axis)[()]
 
 
 def norm_21(k: np.ndarray) -> float:

@@ -20,7 +20,8 @@ from .lipschitz import fft_eligible, fft_exact_norm
 from .project import DEFAULT_BUDGETS, ConstraintSet, admm, alternate, \
     init_scale_to_feasible
 from .tensors import DataBatch, KernelTensor, batch_last, data_norm, \
-    fiber_norms, group_norm_21, max_patch_norm, window_columns, window_index
+    fiber_norms, group_norm_21, l2_norm, max_patch_norm, window_columns, \
+    window_index
 
 GRID_SIDE = 8
 MAXPOOL_LIP = 2.0       # 3x3 windows at stride 2: every input feeds <= 4
@@ -533,8 +534,6 @@ class TrainResult:
     trajectory: tuple
     diverged: bool
     feasible: bool
-    lip_bound: float
-    dist_bound: float
     post_rounds_used: int
     cap_hit: bool
     train_error: float
@@ -701,8 +700,7 @@ def train_projected(net: TinyNet, batch: DataBatch, labels: np.ndarray,
         feasible, used = _post_pass(net, sets, config.post_rounds)
     return TrainResult(net=net, references=references,
                        trajectory=tuple(trajectory), diverged=diverged,
-                       feasible=feasible, lip_bound=lip_bound,
-                       dist_bound=dist_bound, post_rounds_used=used,
+                       feasible=feasible, post_rounds_used=used,
                        cap_hit=not (feasible or diverged),
                        train_error=_error(net, *train, config.batch_size),
                        test_error=_error(net, *test, config.batch_size))
@@ -859,12 +857,12 @@ def _layer_stats(kernel: np.ndarray, diff: np.ndarray,
     rows_diff = diff.reshape(diff.shape[0], -1)
     return ComparisonLayerStats(
         w=kernel.size,
-        sum_out_l2_diff=float(np.linalg.norm(rows_diff, axis=1).sum()),
+        sum_out_l2_diff=float(l2_norm(rows_diff, axis=1).sum()),
         max_out_l1=float(np.abs(rows).sum(axis=1).max()),
         max_out_l1_diff=float(np.abs(rows_diff).sum(axis=1).max()),
-        max_out_l2=float(np.linalg.norm(rows, axis=1).max()),
-        frob=float(np.linalg.norm(kernel)),
-        frob_diff=float(np.linalg.norm(diff)),
+        max_out_l2=float(l2_norm(rows, axis=1).max()),
+        frob=float(l2_norm(kernel)),
+        frob_diff=float(l2_norm(diff)),
         **fields)
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
@@ -1461,6 +1462,29 @@ def test_analyze_saturates_instead_of_raising(tmp_path, scale, flags):
             assert math.isfinite(row["value"]) and math.isfinite(row["log10"])
         else:
             assert row["value"] == math.inf and row["log10"] == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_analyze_measures_weights_whose_squares_overflow(tmp_path, scale):
+    """One block whose weights' squares overflow while its activations stay
+    finite: every comparison row's log10 is a number, and no numpy warning
+    is raised on the way."""
+    rng = np.random.default_rng(5)
+    ref = 0.3 * rng.standard_normal((4, 1, 3, 3))
+    weight = (ref + 0.1 * rng.standard_normal(ref.shape)) * scale
+    ckpt = str(tmp_path / "huge.ckpt")
+    write_checkpoint(ckpt, {"b0": weight}, {"b0": ref})
+    arch = tmp_path / "huge.json"
+    arch.write_text(json.dumps({"format_version": 1, "input": [1, 8, 8],
+                                "kappa": 2, "blocks": [
+                                    {"name": "b0", "c_out": 4, "k": 3}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(["analyze", ckpt, str(arch), "--n", "16",
+                                "--json"])
+    assert rc == 0 and err == "" and caught == []
+    rows = json.loads(out)["comparison"]
+    assert rows and all(math.isfinite(row["log10"]) for row in rows.values())
 
 
 def test_train_demo_rejects_bad_grid():

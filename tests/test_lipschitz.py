@@ -18,7 +18,6 @@ from capbound.lipschitz import (
     stack_norm,
     stack_to_taps,
     taps_to_stack,
-    top_singular_estimates,
 )
 from capbound.project import _RunClip
 from capbound.tensors import KernelTensor
@@ -316,6 +315,21 @@ def test_a_failed_gram_screen_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite entries in"):
-            top_singular_estimates(stacked)
+            _RunClip(1.0).clip(stacked)
     with pytest.raises(NumericalError, match="did not converge"):
-        top_singular_estimates(np.ones((3, 2, 2), dtype=complex))
+        _RunClip(1.0).clip(np.ones((3, 2, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("strides", [(1, 1), (2, 2)])
+def test_exact_norms_run_one_svd_and_no_gram_screen(monkeypatch, strides):
+    """A circular layer's exact norm, at stride 1 and through the polyphase
+    split, decomposes its stack by the SVD alone: no Gram eigenvalues."""
+    def fail(_):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    taps = np.random.default_rng(12).standard_normal((3, 2, 3, 3))
+    spec = ConvSpec((2, 8, 8), (3, 3), strides)
+    got = operator_norm(KernelTensor(taps), spec)
+    want = dense_spectral_norm(materialize(KernelTensor(taps), spec)).value
+    assert got.value == pytest.approx(want, rel=1e-12)

@@ -11,7 +11,6 @@ from capbound import NumericalError, UsageError
 from capbound import project as project_module
 from capbound.convop import ConvSpec, materialize
 from capbound.lipschitz import (
-    SCREEN_MARGIN,
     embed_kernel_grid,
     extract_kernel_grid,
     fft_exact_norm,
@@ -20,13 +19,14 @@ from capbound.lipschitz import (
     stack_norm,
     stack_to_taps,
     taps_to_stack,
-    top_singular_estimates,
 )
 from capbound.project import (
     DEFAULT_TOL,
+    SCREEN_MARGIN,
     ConstraintSet,
     _RunClip,
     _change_norms,
+    _unit_gram,
     admm,
     alternate,
     alternating_projections,
@@ -344,16 +344,17 @@ def screen_cases(draw):
 @example((1, 1, 3, 1, "zero", 1e160, 0))           # output is rounding alone
 def test_gram_screen_decomposes_every_frequency_that_matters(case):
     """The screened clip of a random full h x w tap window against the
-    fft2 oracle that clips every frequency of its grid, and the screened
-    spectral norm against the largest value of the full spectrum, bit for
-    bit; the screen's estimates stay within a tenth of its margin of the
+    fft2 oracle that clips every frequency of its grid, and the spectral
+    norm against the largest value of the full spectrum, bit for bit; the
+    clip's Gram estimates stay within a tenth of its screen's margin of the
     SVD's top singular values."""
     c_out, c_in, h, w, level, magnitude, seed = case
     rng = np.random.default_rng(seed)
     window = rng.standard_normal((c_out, c_in, h, w)) * magnitude
     stacked = taps_to_stack(window, h, w)
     top = np.linalg.svd(stacked, compute_uv=False)[:, 0]
-    estimates = top_singular_estimates(stacked)
+    peak, gram, _ = _unit_gram(stacked)
+    estimates = peak * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0))
     np.testing.assert_allclose(estimates, top, rtol=0.1 * SCREEN_MARGIN,
                                atol=0)
     spec = ConvSpec((c_in, h, w), (h, w))
