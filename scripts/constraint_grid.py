@@ -16,16 +16,13 @@ import sys
 sys.path.insert(0, "src")
 
 from capbound import formats  # noqa: E402
+from capbound.cli import _parse_grid  # noqa: E402
+from capbound.errors import UsageError  # noqa: E402
 from capbound.traindemo import (  # noqa: E402
     TrainConfig,
     synth_data,
     train_projected,
 )
-
-
-def parse_grid(text):
-    return [math.inf if tok == "inf" else float(tok)
-            for tok in text.split(",") if tok]
 
 
 def run_cell(graph, batch, labels, test_batch, test_labels, config, s, b):
@@ -49,14 +46,17 @@ def main():
     ap.add_argument("--slack", type=float, default=0.02,
                     help="test-error slack defining accuracy preservation")
     args = ap.parse_args()
+    try:    # refuse a bad grid before any training
+        lips = _parse_grid(args.lip_grid, "--lip-grid")
+        dists = _parse_grid(args.dist_grid, "--dist-grid")
+    except UsageError as exc:
+        ap.error(str(exc))
 
     graph = formats.parse_archdoc(json.dumps(formats.default_arch_doc()))
     batch, labels = synth_data(args.task, args.n, seed=args.data_seed)
     test_batch, test_labels = synth_data(args.task, args.n,
                                          seed=args.data_seed + 1)
     config = TrainConfig(epochs=args.epochs, seed=args.seed)
-    lips = parse_grid(args.lip_grid)
-    dists = parse_grid(args.dist_grid)
 
     base = run_cell(graph, batch, labels, test_batch, test_labels, config,
                     math.inf, math.inf)

@@ -220,11 +220,7 @@ def _pow10(x_log10: float) -> float:
 
 
 def _report_from_log10(name: str, value_log10: float, extra=None) -> BoundReport:
-    if value_log10 == _NEG_INF:
-        return BoundReport.of(name, 0.0, extra, log10_value=_NEG_INF)
-    value = _pow10(value_log10)
-    return BoundReport(name=name, value=value, log10_value=value_log10,
-                       breakdown=extra, saturated=not math.isfinite(value))
+    return BoundReport.of(name, _pow10(value_log10), extra, value_log10)
 
 
 def _power(x: float, p: float) -> float:
@@ -344,9 +340,13 @@ class BoundReport:
     value: float
     log10_value: float | None = None
     breakdown: dict | None = None
-    saturated: bool = False
     absent: bool = False
     reason: str | None = None
+
+    @property
+    def saturated(self) -> bool:
+        """A present bound past the float range: its value is inf."""
+        return not self.absent and not math.isfinite(self.value)
 
     @staticmethod
     def of(name: str, value: float, breakdown: dict | None = None,
@@ -357,8 +357,7 @@ class BoundReport:
             elif value == 0:
                 log10_value = -math.inf
         return BoundReport(name=name, value=value, log10_value=log10_value,
-                           breakdown=breakdown,
-                           saturated=not math.isfinite(value))
+                           breakdown=breakdown)
 
     @staticmethod
     def missing(name: str, reason: str) -> "BoundReport":

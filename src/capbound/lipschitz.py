@@ -38,7 +38,7 @@ import numpy as np
 
 from .convop import ConvSpec, conv_adjoint, conv_forward
 from .errors import NumericalError, UsageError
-from .tensors import DenseMatrix, KernelTensor, offsets
+from .tensors import DenseMatrix, KernelTensor, l2_norm, offsets
 
 __all__ = [
     "SpectralEstimate",
@@ -82,20 +82,22 @@ def power_iteration(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
     That change is a stopping statistic, not an error bound: the estimate
     approaches the norm from below and may stop further below it than tol.
     Deterministic for a given seed. A zero kernel reports 0 after one step.
+    Lengths go through `l2_norm`, so a kernel scaled by a power of two
+    reads the scaled value at any finite scale.
     """
     if tol <= 0 or max_iters < 1:
         raise UsageError("tol must be > 0 and max_iters >= 1")
     spec.check_kernel(kernel)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(spec.input_shape)
-    v /= np.sqrt(np.sum(v * v))
+    v /= l2_norm(v.ravel(), axis=0)
     sigma_prev = None
     sigma = 0.0
     rel = np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
         u = conv_forward(kernel, spec, v)
-        sigma = float(np.sqrt(np.sum(u * u)))
+        sigma = float(l2_norm(u.ravel(), axis=0))
         if sigma == 0.0:
             return SpectralEstimate(0.0, "power_iteration", iters, 0.0)
         if sigma_prev is not None:
@@ -104,7 +106,7 @@ def power_iteration(kernel: KernelTensor, spec: ConvSpec, tol: float = 1e-6,
                 break
         sigma_prev = sigma
         w = conv_adjoint(kernel, spec, u / sigma)
-        nw = float(np.sqrt(np.sum(w * w)))
+        nw = float(l2_norm(w.ravel(), axis=0))
         if nw == 0.0:
             break
         v = w / nw

@@ -406,7 +406,7 @@ def _change_norms(change: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a C-ordered stack of changes, which
     it may overwrite, from one einsum. A nonzero change whose sum of squares
     leaves [1e-250, 1e250], where squares may overflow or lose digits to
-    underflow, is measured again scaled to unit peak, like the Gram screen."""
+    underflow, is measured again by `l2_norm`."""
     change = change.view(np.float64).reshape(len(change), -1)
     squares = np.einsum("ij,ij->i", change, change)
     norms = np.sqrt(squares)
@@ -416,12 +416,8 @@ def _change_norms(change: np.ndarray) -> np.ndarray:
         # every iteration, and a stack-sized temporary per call costs more
         # in page faults than the arithmetic
         np.abs(change, out=change)
-        peak = np.max(change, axis=1)
-        redo = odd & (peak > 0)
-        if np.any(redo):
-            rows = change[redo] / peak[redo, None]
-            norms[redo] = peak[redo] * np.sqrt(
-                np.einsum("ij,ij->i", rows, rows))
+        redo = odd & (np.max(change, axis=1) > 0)
+        norms[redo] = l2_norm(change[redo], axis=1)
     return norms
 
 

@@ -97,8 +97,7 @@ class DenseMatrix:
 class DataBatch:
     """Input batch, axes (n, c, h, w), with its Euclidean norm computed once
     when the batch is built: the length of the whole stack as one fiber
-    (`fiber_norms`), so a batch whose squares overflow is measured at unit
-    peak."""
+    (`fiber_norms`), so a finite batch measures finite at any scale."""
 
     samples: np.ndarray
     cached_norm: float = field(init=False)
@@ -115,41 +114,39 @@ class DataBatch:
 
 def fiber_norms(k: np.ndarray) -> np.ndarray:
     """l2 length of every fiber (axis 1) of a kernel-shaped or grid array;
-    on a 2-D (out, in) matrix these are the row lengths.
-
-    A finite fiber whose squares overflow (entries past about 1e154) is
-    measured again scaled to unit peak, so its length is finite unless it
-    really exceeds the float range; every other length is the plain one,
-    and a fiber with a non-finite entry measures non-finite."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(k * k, axis=1, dtype=np.float64))
-    over = np.isinf(norms)
-    if over.any():
-        over &= np.all(np.isfinite(k), axis=1)
-        fibers = np.moveaxis(k, 1, -1)[over].astype(np.float64)
-        peak = np.max(np.abs(fibers), axis=1)
-        unit = fibers / peak[:, None]
-        with np.errstate(over="ignore"):
-            norms[over] = peak * np.sqrt(np.sum(unit * unit, axis=1))
-    return norms
+    on a 2-D (out, in) matrix these are the row lengths (`l2_norm`)."""
+    return l2_norm(k, axis=1)
 
 
 def l2_norm(a: np.ndarray, axis: int | None = None):
     """`np.linalg.norm(a, axis=axis)` of a real or complex array: its
-    Euclidean norm, or each row's with axis=1. A finite one whose squares
-    overflow (entries past about 1e154) is measured again scaled to unit
-    peak, as in `fiber_norms`; every other norm is the plain one."""
+    Euclidean norm, or the norm of each line along `axis`, bit for bit.
+
+    The one place a length is measured at unit peak (Blue 1978): a finite,
+    nonzero norm outside [1e-125, 1e125], whose squares overflow or lose
+    digits to underflow, is measured again with its line scaled by a power
+    of two to unit peak, which is exact. So a finite line measures finite
+    and nonzero unless its length leaves the float range, and a line with
+    a non-finite entry measures non-finite."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=axis, keepdims=True)
-        redo = np.isinf(norms)
-        if redo.any():
-            redo &= np.all(np.isfinite(a), axis=axis, keepdims=True)
-            real = a.view(np.float64) if np.iscomplexobj(a) else a
-            peak = np.where(redo, np.max(np.abs(real), axis=axis,
-                                         keepdims=True), 1.0)
-            norms = np.where(redo, peak * np.linalg.norm(
-                a / peak, axis=axis, keepdims=True), norms)
-    return norms.squeeze(axis)[()]
+        norms = np.linalg.norm(a, axis=axis)
+        if (norms.min(initial=1.0) >= 1e-125
+                and norms.max(initial=1.0) <= 1e125):
+            return norms
+        norms = np.asarray(norms)
+        odd = ~((norms >= 1e-125) & (norms <= 1e125))
+        lines = (np.reshape(a, (1, -1)) if axis is None
+                 else np.moveaxis(a, axis, -1)[odd])
+        if np.iscomplexobj(lines):  # ldexp scales real parts only
+            lines = np.concatenate((lines.real, lines.imag), axis=1)
+        peak = np.max(np.abs(lines), axis=1)
+        fine = (peak > 0) & (peak < np.inf)
+        exp = np.frexp(peak[fine])[1]
+        redone = norms[odd]
+        redone[fine] = np.ldexp(np.linalg.norm(
+            np.ldexp(lines[fine], -exp[:, None]), axis=1), exp)
+        norms[odd] = redone
+    return norms[()]
 
 
 def norm_21(k: np.ndarray) -> float:
@@ -245,13 +242,13 @@ def window_columns(x: np.ndarray, kernel_shape, strides=(1, 1),
 
 def max_patch_norm(x: np.ndarray, kernel_shape, strides=(1, 1),
                    padding="circular") -> float:
-    """`patch_norms` of a batch-last (c, h, w, n) array, unchecked; as in
-    `fiber_norms`, patches whose squares overflow are measured at unit peak."""
+    """`patch_norms` of a batch-last (c, h, w, n) array, unchecked; where
+    the largest square leaves [1e-250, 1e250], the patches are measured by
+    `l2_norm`."""
     cols = window_columns(x, kernel_shape, strides, padding)
     top = np.max(np.einsum("pq,pq->q", cols, cols))
-    if np.isinf(top):
-        peak = float(np.max(np.abs(x)))
-        return peak * max_patch_norm(x / peak, kernel_shape, strides, padding)
+    if not 1e-250 <= top <= 1e250:
+        return float(l2_norm(cols, axis=0).max())
     return float(np.sqrt(top))
 
 

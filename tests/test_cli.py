@@ -1273,6 +1273,28 @@ def test_project_json_rows_say_how_each_lip_was_measured(tmp_path):
                    for key in plain)
 
 
+def test_project_measures_a_layer_whose_squares_overflow(tmp_path):
+    """A zero_same layer at x1e155: its power iteration's iterates square
+    past the float range, yet lip_before is finite, stderr stays empty and
+    no numpy warning is raised."""
+    weight = np.random.default_rng(11).standard_normal((4, 1, 3, 3)) * 1e155
+    ckpt = str(tmp_path / "zs.ckpt")
+    write_checkpoint(ckpt, {"zs": weight}, {"zs": ZERO_REFERENCE})
+    arch = tmp_path / "zs.json"
+    arch.write_text(json.dumps({
+        "format_version": 1, "input": [1, 8, 8], "kappa": 2, "blocks": [
+            {"name": "zs", "c_out": 4, "k": 3, "padding": "zero_same",
+             "b": 1.0}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(["project", ckpt, str(arch), "--out",
+                                str(tmp_path / "out.ckpt"), "--json"])
+    assert rc == 0 and err == "" and caught == []
+    [row] = json.loads(out)["layers"]
+    assert row["lip_method"] == "power_iteration"
+    assert math.isfinite(row["lip_before"]) and row["lip_before"] > 1e155
+
+
 def test_project_nearest_point_max_iters_is_a_cap(tmp_path):
     """For the nearest-point scheme --max-iters caps the iterations, and
     `rounds_run` reports the ones used: all 5 here, fewer than the default
@@ -1464,11 +1486,12 @@ def test_analyze_saturates_instead_of_raising(tmp_path, scale, flags):
             assert row["value"] == math.inf and row["log10"] == math.inf
 
 
-@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e-200, 1e-300])
 def test_analyze_measures_weights_whose_squares_overflow(tmp_path, scale):
-    """One block whose weights' squares overflow while its activations stay
-    finite: every comparison row's log10 is a number, and no numpy warning
-    is raised on the way."""
+    """One block whose weights' squares overflow (x1e155 and up) or
+    underflow (x1e-200 and down) while its activations stay finite and
+    nonzero: every comparison row's log10 is a number, and no numpy
+    warning is raised on the way."""
     rng = np.random.default_rng(5)
     ref = 0.3 * rng.standard_normal((4, 1, 3, 3))
     weight = (ref + 0.1 * rng.standard_normal(ref.shape)) * scale
@@ -1485,6 +1508,19 @@ def test_analyze_measures_weights_whose_squares_overflow(tmp_path, scale):
     assert rc == 0 and err == "" and caught == []
     rows = json.loads(out)["comparison"]
     assert rows and all(math.isfinite(row["log10"]) for row in rows.values())
+
+
+def test_train_demo_measures_subnormal_distances():
+    """At --lip-grid 1e-310 the kernels and their changes are subnormal:
+    each epoch's distances to the references measure nonzero, where their
+    squares underflow to 0."""
+    rc, out, err = run_cli(["train-demo", "--n", "32", "--n-test", "16",
+                            "--epochs", "2", "--lip-grid", "1e-310",
+                            "--json"])
+    assert rc == 0 and err == ""
+    [cell] = json.loads(out)["cells"]
+    assert all(0 < d < 1e-300 for stats in cell["trajectory"]
+               for d in stats["dists"])
 
 
 def test_train_demo_rejects_bad_grid():

@@ -153,6 +153,20 @@ def test_power_iteration_zero_kernel():
     assert est.value == 0.0
 
 
+def test_power_iteration_scales_with_the_kernel_at_any_finite_scale():
+    """At 2^600 and 2^1000 the iterates' squares overflow, at 2^-600 and
+    2^-1000 they underflow: the estimate still scales with the kernel,
+    without a warning."""
+    kern = np.random.default_rng(0).standard_normal((4, 1, 3, 3))
+    spec = ConvSpec((1, 8, 8), (3, 3), padding="zero_same")
+    want = power_iteration(KernelTensor(kern), spec).value
+    for e in (-1000, -600, 600, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = power_iteration(KernelTensor(kern * 2.0**e), spec).value
+        assert abs(got / 2.0**e - want) <= 1e-12 * want, e
+
+
 def test_power_iteration_deterministic_given_seed():
     rng = np.random.default_rng(4)
     spec, kern = circular_case(rng)

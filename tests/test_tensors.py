@@ -16,6 +16,7 @@ from capbound.tensors import (
     fiber_norms,
     group_norm_21,
     group_norm_matrix_21,
+    l2_norm,
     max_patch_norm,
     patch_norms,
     window_index,
@@ -81,6 +82,39 @@ def test_fiber_norms_rescale_only_what_overflowed():
     rows = np.array([[1e200, 1e200], [3.0, 4.0]])
     np.testing.assert_allclose(fiber_norms(rows), [np.sqrt(2) * 1e200, 5.0],
                                rtol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_l2_norms_scale_with_their_entries_at_any_finite_scale(dtype):
+    """`l2_norm` (whole and per row) and `fiber_norms` of an array times
+    2^e, e in [-1000, 1000], are 2^e times the x1 norms within 1e-15, also
+    where the squares overflow or underflow, without a warning; a norm
+    inside [1e-125, 1e125] is the plain one bit for bit."""
+    rng = np.random.default_rng(23)
+    k = rng.standard_normal((3, 4, 2, 2))
+    if dtype is complex:
+        k = k + 1j * rng.standard_normal(k.shape)
+
+    def norms(x):
+        return [l2_norm(x), l2_norm(x, axis=1), fiber_norms(x)]
+
+    def plain(x):
+        with np.errstate(over="ignore"):
+            fibers = (np.sqrt(np.sum(x * x, axis=1)) if dtype is float
+                      else np.linalg.norm(x, axis=1))
+            return [np.linalg.norm(x), np.linalg.norm(x, axis=1), fibers]
+
+    base = norms(k)
+    for e in range(-1000, 1001, 25):
+        x = k * 2.0**e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norms(x)
+        for g, b, p in zip(got, base, plain(x)):
+            assert np.all(np.abs(np.ldexp(g, -e) - b) <= 1e-15 * b), e
+            inside = (p >= 1e-125) & (p <= 1e125)
+            np.testing.assert_array_equal(np.where(inside, g, 0.0),
+                                          np.where(inside, p, 0.0))
 
 
 def test_group_norm_21_frozen_value():
